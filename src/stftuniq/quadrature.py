@@ -64,6 +64,18 @@ def line_nodes(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
+def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on the panels between consecutive edges, `nodes` points per panel.
+
+    edges has shape (..., P + 1) with nondecreasing rows; both outputs have
+    shape (..., P * nodes), and a panel of zero length gets zero weights.
+    """
+    x, w = _legendre_rule(nodes)
+    lo, half = edges[..., :-1, None], 0.5 * np.diff(edges, axis=-1)[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (lo + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
+
+
 def integrate_refining(fn, radius: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
     """Integrate a vectorized integrand over [-radius, radius], doubling nodes until stable.
 

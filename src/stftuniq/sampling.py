@@ -264,6 +264,31 @@ def nonuniqueness_threshold(rho: float, b: float) -> float:
     return (math.pi / (b * abs(math.sin(math.pi * half)))) ** (1.0 / rho)
 
 
+def check_increasing(values: np.ndarray, what: str) -> None:
+    """Raise unless a nonempty 1-d array starts positive and rises strictly; NaN fails."""
+    if not values[0] > 0:
+        raise InvalidParameterError(f"{what} must be positive")
+    if not np.all(values[1:] > values[:-1]):
+        raise InvalidParameterError(f"{what} must be strictly increasing")
+
+
+def tail_ratios(lam: np.ndarray, rho: float) -> np.ndarray:
+    """lambda_k / k^{1/rho} over the tail half k > K/2, the only ratios any check reads."""
+    start = lam.size // 2
+    tail = np.arange(start + 1, lam.size + 1, dtype=float)
+    tail **= 1.0 / rho
+    np.divide(lam[start:], tail, out=tail)
+    return tail
+
+
+def tail_density(tail: np.ndarray) -> float:
+    """Density surrogate from the tail ratios, warning when they are still rising."""
+    if tail[-1] > 1.25 * tail[0] and bool(np.all(tail[1:] >= tail[:-1])):
+        warnings.warn("normalized ratios keep increasing; the density surrogate may be diverging",
+                      RuntimeWarning)
+    return float(np.min(tail))
+
+
 def density_index(lambdas, rho: float) -> float:
     """Finite surrogate for liminf lambda_k / k^{1/rho}.
 
@@ -276,20 +301,10 @@ def density_index(lambdas, rho: float) -> float:
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 16:
         raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size if lam.ndim == 1 else lam.shape}")
-    if not np.all(lam > 0):
-        raise InvalidParameterError("sequence entries must be positive")
-    if not np.all(np.diff(lam) > 0):
-        raise InvalidParameterError("sequence must be strictly increasing")
+    check_increasing(lam, "sequence entries")
     if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 1):
         raise InvalidParameterError(f"order rho must be a finite real > 1, got {rho!r}")
-    # only the tail half enters the surrogate, so the head ratios are never built
-    start = lam.size // 2
-    k_tail = np.arange(start + 1, lam.size + 1, dtype=float)
-    tail = lam[start:] / k_tail ** (1.0 / rho)
-    if tail[-1] > 1.25 * tail[0] and bool(np.all(np.diff(tail) >= 0)):
-        warnings.warn("normalized ratios keep increasing; the density surrogate may be diverging",
-                      RuntimeWarning)
-    return float(np.min(tail))
+    return tail_density(tail_ratios(lam, rho))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .quadrature import (
     QuadratureConfig,
     decay_truncation_radius,
     line_nodes,
+    panel_nodes,
 )
 
 _DEFAULT_SCAN_GRID = (-5.0, 5.0, 1001)
@@ -239,7 +240,12 @@ def window_ambiguity_scan(window, omega: float, grid=None,
     safe for phase retrieval from the ambiguity side; the report flags the
     fraction of grid points within near_zero_tol of the slice's maximum
     magnitude scale. Accepts a WindowModel or a bare evaluator (the latter
-    uses quad.radius, or 8.0, as the decay radius).
+    uses quad.radius, or 8.0, as the decay radius, and is taken as centred
+    at zero). Each grid column integrates over three panels of quad.nodes
+    points, split where the |.|^m kinks of the two factors sit; a window with
+    even integer m has no kinks, so all columns share one rule on the whole
+    line. The nodes double until the slice changes by at most quad.tol of its
+    scale.
     """
     if grid is None:
         lo, hi, n = _DEFAULT_SCAN_GRID
@@ -257,25 +263,45 @@ def window_ambiguity_scan(window, omega: float, grid=None,
     else:
         raise InvalidParameterError("window must be a WindowModel or an evaluator")
     radius = base_radius + float(np.max(np.abs(grid)))
+    smooth = isinstance(window, WindowModel) and window.m % 2 == 0
+    center = window.center if isinstance(window, WindowModel) else 0.0
+    # ghat(-eta) has its kink at eta = -center, ghat(xi - eta) at eta = xi - center
+    kinks = np.sort(np.stack([np.full(grid.size, -center), grid - center], axis=1), axis=1)
+    edges = np.concatenate([np.full((grid.size, 1), -radius), kinks,
+                            np.full((grid.size, 1), radius)], axis=1)
 
     def level(nodes: int) -> np.ndarray:
-        eta, wt = line_nodes(radius, nodes)
-        base = np.asarray(fhat(-eta), dtype=complex) * np.exp((2j * math.pi * omega) * eta) * wt
         out = np.empty(grid.size, dtype=complex)
-        step = max(1, (1 << 22) // max(eta.size, 1))
+        if smooth:
+            eta, wt = line_nodes(radius, nodes)
+            base = np.asarray(fhat(-eta), dtype=complex) * np.exp((2j * math.pi * omega) * eta) * wt
+            step = max(1, (1 << 22) // eta.size)
+            for k in range(0, grid.size, step):
+                out[k:k + step] = base @ np.conj(np.asarray(fhat(grid[k:k + step] - eta[:, None]),
+                                                            dtype=complex))
+            return out
+        step = max(1, (1 << 20) // (3 * nodes))
         for k in range(0, grid.size, step):
-            cols = grid[k:k + step]
-            shifted = np.conj(np.asarray(fhat(cols[None, :] - eta[:, None]), dtype=complex))
-            out[k:k + step] = base @ shifted
+            eta, wt = panel_nodes(edges[k:k + step], nodes)
+            vals = np.asarray(fhat(-eta)) * np.conj(np.asarray(fhat(grid[k:k + step, None] - eta)))
+            if omega:
+                vals = vals * np.exp((2j * math.pi * omega) * eta)
+            out[k:k + step] = np.einsum("ij,ij->i", vals, wt)
         return out
 
-    v1 = level(quad.nodes)
-    v2 = level(2 * quad.nodes)
-    err = float(np.max(np.abs(v2 - v1)))
-    scale = float(np.max(np.abs(v2)))
-    if err > quad.tol * max(scale, 1e-300) and scale > 0:
+    nodes = quad.nodes
+    v2 = level(nodes)
+    for _ in range(quad.max_doublings):
+        nodes *= 2
+        v1, v2 = v2, level(nodes)
+        err = float(np.max(np.abs(v2 - v1)))
+        scale = float(np.max(np.abs(v2)))
+        if err <= quad.tol * max(scale, 1e-300) or scale == 0:
+            break
+    else:
         raise QuadratureConvergenceError(
-            f"ambiguity scan did not stabilize (change {err:.3e} against scale {scale:.3e})"
+            f"ambiguity scan did not stabilize after {quad.max_doublings} node doublings "
+            f"(change {err:.3e} against scale {scale:.3e})"
         )
     mags = np.abs(v2)
     if scale > 0:

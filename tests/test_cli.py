@@ -248,6 +248,26 @@ def test_scan_window_json_modulated(capsys):
     assert res["min_magnitude"] > 0.0
 
 
+def test_scan_window_off_gaussian_against_quad(capsys):
+    from scipy.integrate import quad as scipy_quad
+
+    code, out, _ = run_cli(capsys, "scan-window", "--m", "1.5", "--a", "2", "--format", "json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    xi, mags = np.array(res["xi"]), np.array(res["magnitude"])
+    scale = mags.max()
+
+    def integrand(eta, x):
+        return math.exp(-2.0 * abs(eta) ** 1.5 - 2.0 * abs(x - eta) ** 1.5)
+
+    for i in (500, 613, 940):
+        x = xi[i]
+        edges = sorted((-30.0, 0.0, x, 30.0))
+        want = sum(scipy_quad(integrand, lo, hi, args=(x,), epsabs=1e-14, limit=200)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
+        assert abs(mags[i] - want) < 1e-9 * scale
+
+
 # ----------------------------------------------------------- reconstruct
 
 def test_reconstruct_demo(capsys):

@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import gammaln
 
+import stftuniq.entire as entire
+import stftuniq.sampling as sampling
 from stftuniq import (
     CanonicalProduct,
     EvaluationOverflowError,
@@ -19,6 +21,7 @@ from stftuniq import (
     counterexample_eval,
     counterexample_growth_coefficient,
     counterexample_log_magnitudes,
+    density_index,
     estimate_order,
     estimate_type,
     jensen_integral,
@@ -204,15 +207,15 @@ def test_jensen_guards():
 
 
 def test_zero_count_bound():
-    assert zero_count_bound(lambda z: 1.0, 1.0, 2.0, 4.0, math.pi, 2.0) == 20
-    assert zero_count_bound(lambda z: 1.0, 3.0, 2.0, 1.0, 0.0, 2.0) == 0
-    counts = [zero_count_bound(np.exp, r, 2.0, 1.0, 1.0, 1.0) for r in (1.0, 2.0, 4.0)]
+    assert zero_count_bound(1.0, 2.0, 4.0, math.pi, 2.0) == 20
+    assert zero_count_bound(3.0, 2.0, 1.0, 0.0, 2.0) == 0
+    counts = [zero_count_bound(r, 2.0, 1.0, 1.0, 1.0) for r in (1.0, 2.0, 4.0)]
     assert counts == sorted(counts)
     for args in ((0.0, 2.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0),
                  (1.0, 2.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, -1.0, 1.0),
                  (1.0, 2.0, 1.0, 1.0, 0.0)):
         with pytest.raises(InvalidParameterError):
-            zero_count_bound(lambda z: 1.0, *args)
+            zero_count_bound(*args)
 
 
 # ------------------------------------------------------ canonical products
@@ -259,12 +262,18 @@ def test_product_exact_zeros_and_origin():
     assert canonical_product_eval(rooted, 0.0) == 0.0
 
 
+def _direct_log(zeros, genus, w):
+    """Complex log of the product as an fsum of factor logs, apart from the evaluator."""
+    u = w / zeros
+    terms = np.log(1.0 - u) + sum(u**j / j for j in range(1, genus + 1))
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
 def test_product_banded_matches_direct():
     zeros = np.arange(1, 100001, dtype=float) ** 2
     prod = CanonicalProduct(zeros=zeros, genus=0, truncation=100000)
-    direct = canonical_product_eval(prod, -1.0)
     banded = canonical_product_log_magnitudes(prod, np.array([-1.0]))[0]
-    assert abs(banded - math.log(abs(direct))) < 1e-10
+    assert abs(banded - _direct_log(zeros, 0, -1.0).real) < 1e-10
 
 
 def test_product_overflow_guard():
@@ -300,8 +309,7 @@ def test_counterexample_log_magnitudes_match_direct():
     zs = np.array([0.7 + 0.2j, -2.3 + 1.1j, 3.9, 2.5j])
     logs = counterexample_log_magnitudes(lam, 3.0, zs)
     for z, lv in zip(zs, logs):
-        direct = counterexample_eval(lam, 3.0, z)
-        assert abs(lv - math.log(abs(direct))) < 1e-10
+        assert abs(lv - _direct_log(lam * lam, 1, z * z).real) < 1e-10
 
 
 def test_counterexample_growth_stays_below_envelope():
@@ -336,6 +344,111 @@ def test_counterexample_irregular_sequence_warning():
     lam = np.arange(1, 65, dtype=float)
     with pytest.warns(RuntimeWarning):
         counterexample_growth_coefficient(lam, 3.0, (2.0, 3.0), n_theta=16)
+
+
+@pytest.mark.parametrize("bad", [[1.0, -2.0, 3.0], [1.0, 2.0, math.nan, 4.0], [1.0, 3.0, 2.0],
+                                 [math.nan, 1.0, 2.0], [0.0, 1.0, 2.0]])
+def test_counterexample_rejects_bad_sequences(bad):
+    lam = np.array(bad)
+    for call in (lambda: build_counterexample_product(lam, 2.0, b=math.pi),
+                 lambda: counterexample_eval(lam, 2.0, 0.5),
+                 lambda: counterexample_log_magnitudes(lam, 2.0, np.array([0.5j])),
+                 lambda: counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16),
+                 lambda: CanonicalProduct(zeros=lam, genus=0, truncation=lam.size),
+                 lambda: density_index(np.concatenate([lam, np.arange(10.0, 26.0)]), 2.0)):
+        with pytest.raises(InvalidParameterError):
+            call()
+
+
+def test_counterexample_rejects_squares_that_round_together():
+    # distinct entries whose squares land on the same subnormal float
+    lam = np.array([1e-160, 1.0001e-160, 1.0])
+    assert lam[0] ** 2 == lam[1] ** 2
+    with pytest.raises(InvalidParameterError, match="zeros must be strictly increasing"):
+        build_counterexample_product(lam, 2.0)
+
+
+def test_counterexample_validates_each_sequence_once(monkeypatch):
+    lam = 1.5 * np.sqrt(np.arange(1, 5001, dtype=float))
+    checked, tails = [], []
+    check, tail = entire.check_increasing, entire.tail_ratios
+
+    def counting_check(values, what):
+        checked.append(values)
+        check(values, what)
+
+    def counting_tail(values, rho):
+        tails.append(values)
+        return tail(values, rho)
+
+    monkeypatch.setattr(entire, "check_increasing", counting_check)
+    monkeypatch.setattr(sampling, "check_increasing", counting_check)
+    monkeypatch.setattr(entire, "tail_ratios", counting_tail)
+    calls = (lambda: build_counterexample_product(lam, 2.0, b=math.pi),
+             lambda: counterexample_eval(lam, 2.0, lam[17], b=math.pi),
+             lambda: counterexample_log_magnitudes(lam, 2.0, np.array([1.0 + 1.0j])),
+             lambda: counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi))
+    for call in calls:
+        checked.clear()
+        tails.clear()
+        call()
+        # one pass over the sequence and one over its squares, never a second over either
+        assert len(checked) == 2
+        assert np.shares_memory(checked[0], lam)
+        assert np.array_equal(checked[1], lam * lam)
+        assert len(tails) <= 1
+    checked.clear()
+    CanonicalProduct(zeros=lam * lam, genus=1, truncation=lam.size)
+    assert len(checked) == 1
+
+
+def test_growth_batched_radii_match_one_radius_per_call():
+    lam = 1.5 * np.sqrt(np.arange(1, 200001, dtype=float))
+    radii = (2.0, 3.0, 5.0, 8.0)
+    coeff, samples = counterexample_growth_coefficient(lam, 2.0, radii, n_theta=32, b=math.pi)
+    ring = np.exp(1j * np.arange(32) * (2.0 * math.pi / 32))
+    log_max = [float(np.max(counterexample_log_magnitudes(lam, 2.0, r * ring))) for r in radii]
+    basis = np.stack([np.array(radii) ** 2, np.ones(len(radii))], axis=1)
+    want = float(np.linalg.lstsq(basis, np.array(log_max), rcond=None)[0][0])
+    assert abs(coeff - want) <= 1e-12 * abs(want)
+    for (_, v), w in zip(samples, log_max):
+        assert abs(v - w) <= 1e-12 * max(abs(w), 1.0)
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_product_chunked_bands_match_direct(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(entire, "_CHUNK", chunk)
+    size = entire._CHUNK
+    # every band, the last most of all, holds a length that is no multiple of the slice size
+    zeros = np.arange(1, 2 * size + 12346, dtype=float) ** 1.5
+    prod = CanonicalProduct(zeros=zeros, genus=1, truncation=zeros.size)
+    ws = np.array([30.0 + 4.0j, -55.0, 2.0j, 100.0 * np.exp(0.7j)])
+    got = canonical_product_log_magnitudes(prod, ws)
+    for w, g in zip(ws, got):
+        assert abs(g - _direct_log(zeros, 1, w).real) < 1e-10
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_product_eval_matches_direct_with_phase(genus):
+    zeros = 10.0 + np.arange(1, 3001, dtype=float) ** 2
+    prod = CanonicalProduct(zeros=zeros, genus=genus, truncation=zeros.size)
+    near = [zeros[4] * (1.0 + 1e-7) + 1e-6j, zeros[12] - 0.01j, 0.5 * (zeros[9] + zeros[10])]
+    far = [-250.0 + 30.0j, 150.0j, 0.05 - 0.02j, 250.0 * np.exp(2.5j)]
+    for w in near + far:
+        want = np.prod(weierstrass_factor(w / zeros, genus))
+        got = canonical_product_eval(prod, w)
+        assert abs(got - want) <= 1e-10 * abs(want), (w, got, want)
+
+
+def test_product_far_out_stays_finite():
+    # |w|^j and omega^-j each leave the float range here; their ratio does not
+    zeros = np.arange(1, 20001, dtype=float) ** 2 * 1e6
+    prod = CanonicalProduct(zeros=zeros, genus=0, truncation=zeros.size)
+    w = -3.0e6
+    want = _direct_log(zeros, 0, w).real
+    assert abs(math.log(abs(canonical_product_eval(prod, w))) - want) < 1e-10
+    assert abs(canonical_product_log_magnitudes(prod, np.array([w]))[0] - want) < 1e-10
 
 
 # ------------------------------------------------------------- strip fits

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from stftuniq import (
     InvalidParameterError,
     QuadratureConfig,
+    QuadratureConvergenceError,
     WindowModel,
     make_generalized_gaussian,
     make_modulated_generalized_gaussian,
@@ -162,3 +164,34 @@ def test_ambiguity_scan_zero_window():
                                  0.5, grid=np.linspace(-2.0, 2.0, 101))
     assert scan.min_magnitude == 0.0
     assert scan.near_zero_fraction == 1.0
+
+
+def test_ambiguity_scan_honours_max_doublings():
+    # the |eta|^1.5 kinks sit on panel edges, so each doubling gains about 2^-5
+    w = make_generalized_gaussian(2.0, 1.5)
+    grid = np.linspace(-3.0, 3.0, 13)
+    with pytest.raises(QuadratureConvergenceError, match="after 3 node doublings"):
+        window_ambiguity_scan(w, 0.0, grid, QuadratureConfig(nodes=64, max_doublings=3))
+    scan = window_ambiguity_scan(w, 0.0, grid, QuadratureConfig(nodes=64, max_doublings=4))
+    assert scan.min_magnitude > 0.0
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0])
+def test_ambiguity_scan_modulated_window_against_quad(m):
+    # m = 2 takes the shared-rule path, m = 1.5 the kink panels
+    xi0, omega = 0.7, 0.3
+    w = make_modulated_generalized_gaussian(2.0, m, xi0)
+    grid = np.array([-1.9, 0.0, 0.45, 2.6])
+    scan = window_ambiguity_scan(w, omega, grid)
+
+    def integrand(eta, xi):
+        return (w.fourier_eval(-eta) * w.fourier_eval(xi - eta)
+                * complex(math.cos(2 * math.pi * omega * eta), math.sin(2 * math.pi * omega * eta)))
+
+    for xi, got in zip(grid, scan.magnitudes):
+        # split where the two factors have their |.|^m kinks
+        edges = sorted((-30.0, -xi0, xi - xi0, 30.0))
+        total = sum(complex(scipy_quad(lambda e: integrand(e, xi).real, lo, hi, epsabs=1e-14, limit=200)[0],
+                            scipy_quad(lambda e: integrand(e, xi).imag, lo, hi, epsabs=1e-14, limit=200)[0])
+                    for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
+        assert abs(got - abs(total)) < 1e-9 * scan.magnitudes.max()
