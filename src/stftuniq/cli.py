@@ -33,7 +33,8 @@ from .errors import (
 from .quadrature import QuadratureConfig
 from .windows import make_generalized_gaussian, make_modulated_generalized_gaussian, window_ambiguity_scan
 from .entire import (
-    counterexample_eval,
+    build_counterexample_product,
+    canonical_product_eval,
     counterexample_growth_coefficient,
     predicted_growth,
     estimate_order,
@@ -186,7 +187,7 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _window_from(ns, quad):
+def _window_from(ns):
     if getattr(ns, "xi0", None) is not None:
         return make_modulated_generalized_gaussian(ns.a, ns.m, ns.xi0)
     return make_generalized_gaussian(ns.a, ns.m)
@@ -260,9 +261,11 @@ def _run_counterexample(ns, quad, meta):
     coeff, samples = counterexample_growth_coefficient(lam, ns.rho, radii,
                                                        n_theta=ns.n_theta, b=ns.b)
     density = density_index(lam, ns.rho)
+    # F(z) = V(z^2) hits the stored zero lam_k^2 bit for bit at z = +-lam_k
+    product = build_counterexample_product(lam, ns.rho)
     probe = min(4, lam.size - 1)
-    vanishes = (counterexample_eval(lam, ns.rho, lam[0]) == 0
-                and counterexample_eval(lam, ns.rho, -lam[probe]) == 0)
+    vanishes = all(canonical_product_eval(product, z * z) == 0
+                   for z in (complex(lam[0]), complex(-lam[probe])))
     result = {
         "rho": ns.rho,
         "b": ns.b,
@@ -281,7 +284,7 @@ def _run_counterexample(ns, quad, meta):
 def _run_scan_window(ns, quad, meta):
     meta.update({"m": ns.m, "a": ns.a, "xi0": ns.xi0, "omega": ns.omega, "grid": ns.grid})
     grid = _parse_grid(ns.grid)
-    window = _window_from(ns, quad)
+    window = _window_from(ns)
     report = window_ambiguity_scan(window, ns.omega, grid, quad)
     result = {
         "omega": report.omega,

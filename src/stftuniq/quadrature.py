@@ -3,9 +3,11 @@
 Every line integral in this package reduces to a smooth, super-exponentially
 decaying integrand on a symmetric interval [-R, R], possibly with a derivative
 kink at the origin (|xi|^m terms with non-integer m). Gauss-Legendre panels
-split at zero handle both; node doubling provides the convergence check.
-Circle means use the rectangle rule, which is spectrally accurate for
-periodic integrands.
+split at zero handle both. Every quadrature in the package is checked by one
+routine, refine: it doubles the nodes until two successive levels agree to
+tol against the finer level's scale, at most max_doublings times, so the
+worst case is nodes * 2**max_doublings points per half. Circle means use the
+rectangle rule, which is spectrally accurate for periodic integrands.
 """
 
 from __future__ import annotations
@@ -76,6 +78,29 @@ def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return (lo + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
 
 
+def refine(level, cfg: QuadratureConfig, what: str):
+    """Run level(nodes) -> (values, scale) at cfg.nodes, then double the nodes until stable.
+
+    Returns the finer level's values once the largest change between two
+    successive levels is at most cfg.tol times that level's scale; raises
+    QuadratureConvergenceError after cfg.max_doublings doublings.
+    """
+    nodes = cfg.nodes
+    prev, _ = level(nodes)
+    for _ in range(cfg.max_doublings):
+        nodes *= 2
+        cur, scale = level(nodes)
+        change = np.abs(cur - prev).ravel()
+        worst = int(np.argmax(change)) if change.size else 0
+        if change.size == 0 or change[worst] <= cfg.tol * max(scale, 1e-300):
+            return cur
+        prev = cur
+    raise QuadratureConvergenceError(
+        f"{what} did not stabilize after {cfg.max_doublings} node doublings (change "
+        f"{change[worst]:.3e}, scale {scale:.3e}, worst index {worst}, nodes {nodes})"
+    )
+
+
 def integrate_refining(fn, radius: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
     """Integrate a vectorized integrand over [-radius, radius], doubling nodes until stable.
 
@@ -83,27 +108,14 @@ def integrate_refining(fn, radius: float, cfg: QuadratureConfig = DEFAULT_QUADRA
     the integral itself, so cancellation does not force spurious refinement
     failures. Raises QuadratureConvergenceError when the budget runs out.
     """
-    nodes = cfg.nodes
-    prev = None
-    prev_scale = 0.0
-    last_change = math.inf
-    for _ in range(cfg.max_doublings + 1):
+
+    def level(nodes: int):
         t, wt = line_nodes(radius, nodes)
         vals = np.asarray(fn(t))
         cur = complex(np.sum(wt * vals))
-        scale = abs(cur)
-        if vals.size:
-            scale = max(scale, 1e-3 * radius * float(np.max(np.abs(vals))))
-        if prev is not None:
-            last_change = abs(cur - prev)
-            if last_change <= cfg.tol * max(scale, prev_scale, 1e-300):
-                return cur
-        prev, prev_scale = cur, scale
-        nodes *= 2
-    raise QuadratureConvergenceError(
-        f"integral did not stabilize after {cfg.max_doublings} node doublings "
-        f"(last change {last_change:.3e} at {nodes // 2} nodes per half)"
-    )
+        return cur, max(abs(cur), 1e-3 * radius * float(np.max(np.abs(vals), initial=0.0)))
+
+    return refine(level, cfg, "integral")
 
 
 def periodic_mean(fn, n_theta: int) -> float:

@@ -19,12 +19,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import eval_hermite, gammaln
 
-from .errors import (
-    InvalidParameterError,
-    QuadratureConvergenceError,
-    ZeroNormError,
-)
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes
+from .errors import InvalidParameterError, ZeroNormError
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, refine
 from .sampling import SamplingSet
 from .entire import moment_integral
 from .windows import WindowModel, time_window_closed_form, time_window_values
@@ -104,14 +100,12 @@ class GridSignal:
     """Signal known only through samples on a uniform time grid.
 
     Integrals against it use the trapezoid rule on exactly this grid, so the
-    caller owns the resolution/extent trade-off; norm_hint is carried for
-    callers that know the true norm of what was sampled.
+    caller owns the resolution/extent trade-off.
     """
 
     values: np.ndarray
     start: float
     step: float
-    norm_hint: float | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=complex)
@@ -175,9 +169,8 @@ def chirp_signal(width: float = 1.0, center: float = 0.0, amplitude=1.0,
                             chirp_rate=float(chirp_rate))
 
 
-def grid_signal(values, start: float, step: float, norm_hint: float | None = None) -> GridSignal:
-    return GridSignal(values=np.asarray(values, dtype=complex), start=float(start),
-                      step=float(step), norm_hint=norm_hint)
+def grid_signal(values, start: float, step: float) -> GridSignal:
+    return GridSignal(values=np.asarray(values, dtype=complex), start=float(start), step=float(step))
 
 
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:
@@ -206,42 +199,41 @@ def _window_time_matrix(window: WindowModel, targets, quad: QuadratureConfig) ->
     return time_window_values(window, targets, quad)
 
 
-def _assemble(fv, t, wts, window, pts, quad) -> np.ndarray:
-    base = wts * fv
-    out = np.empty(pts.shape[0], dtype=complex)
-    step = max(1, (1 << 21) // max(t.size, 1))
-    for k in range(0, pts.shape[0], step):
-        xs = pts[k:k + step, 0]
-        oms = pts[k:k + step, 1]
-        gvals = _window_time_matrix(window, t[:, None] - xs[None, :], quad)
-        kern = np.exp((-2j * math.pi) * t[:, None] * oms[None, :])
-        out[k:k + step] = base @ (np.conj(gvals) * kern)
-    return out
+def _signal_integral(f: Signal, assemble, quad: QuadratureConfig, what: str, linear: float = 0.0):
+    """Integrate against f through assemble(f(t), t, weights) -> (values, scale).
+
+    A grid signal is integrated once, by the trapezoid rule on its own
+    samples; a closed-form signal is refined over line_nodes on its support
+    radius (widened for an e^{linear |t|} growth factor).
+    """
+    if isinstance(f, GridSignal):
+        t = f.times
+        return assemble(f.values, t, _trapezoid_weights(t.size, f.step))[0]
+    radius = quad.radius if quad.radius is not None else f.support_radius(linear=linear)
+
+    def level(nodes: int):
+        t, wts = line_nodes(radius, nodes)
+        return assemble(f.evaluate(t), t, wts)
+
+    return refine(level, quad, what)
 
 
 def _stft_batch(f: Signal, window: WindowModel, points, quad: QuadratureConfig) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if isinstance(f, GridSignal):
-        t = f.times
-        return _assemble(f.values, t, _trapezoid_weights(t.size, f.step), window, pts, quad)
 
-    radius = quad.radius if quad.radius is not None else f.support_radius()
+    def assemble(fv, t, wts):
+        base = wts * fv
+        out = np.empty(pts.shape[0], dtype=complex)
+        step = max(1, (1 << 21) // max(t.size, 1))
+        for k in range(0, pts.shape[0], step):
+            xs = pts[k:k + step, 0]
+            oms = pts[k:k + step, 1]
+            gvals = _window_time_matrix(window, t[:, None] - xs[None, :], quad)
+            kern = np.exp((-2j * math.pi) * t[:, None] * oms[None, :])
+            out[k:k + step] = base @ (np.conj(gvals) * kern)
+        return out, float(np.max(np.abs(out), initial=0.0))
 
-    def level(nodes: int) -> np.ndarray:
-        t, wts = line_nodes(radius, nodes)
-        return _assemble(f.evaluate(t), t, wts, window, pts, quad)
-
-    v1 = level(quad.nodes)
-    v2 = level(2 * quad.nodes)
-    dev = np.abs(v2 - v1)
-    scale = max(float(np.max(np.abs(v2))), 1e-300)
-    worst = int(np.argmax(dev))
-    if float(dev[worst]) > quad.tol * scale:
-        raise QuadratureConvergenceError(
-            f"transform quadrature did not stabilize at point index {worst} "
-            f"(x={pts[worst, 0]:.6g}, omega={pts[worst, 1]:.6g}, change {float(dev[worst]):.3e})"
-        )
-    return v2
+    return _signal_integral(f, assemble, quad, "transform quadrature")
 
 
 def stft_eval(f: Signal, window: WindowModel, x: float, omega: float,
@@ -440,26 +432,10 @@ def _stft_grid(f: Signal, window: WindowModel, xs: np.ndarray, oms: np.ndarray,
         base = wts * fv
         gmat = np.conj(_window_time_matrix(window, t[:, None] - xs[None, :], quad))
         emat = np.exp((-2j * math.pi) * t[:, None] * oms[None, :])
-        return (gmat * base[:, None]).T @ emat
+        out = (gmat * base[:, None]).T @ emat
+        return out, float(np.max(np.abs(out), initial=0.0))
 
-    if isinstance(f, GridSignal):
-        t = f.times
-        return assemble(f.values, t, _trapezoid_weights(t.size, f.step))
-    radius = quad.radius if quad.radius is not None else f.support_radius()
-
-    def level(nodes: int) -> np.ndarray:
-        t, wts = line_nodes(radius, nodes)
-        return assemble(f.evaluate(t), t, wts)
-
-    v1 = level(quad.nodes)
-    v2 = level(2 * quad.nodes)
-    err = float(np.max(np.abs(v2 - v1)))
-    scale = max(float(np.max(np.abs(v2))), 1e-300)
-    if err > quad.tol * scale:
-        raise QuadratureConvergenceError(
-            f"grid transform quadrature did not stabilize (change {err:.3e} against scale {scale:.3e})"
-        )
-    return v2
+    return _signal_integral(f, assemble, quad, "grid transform quadrature")
 
 
 def moyal_energy_check(f: Signal, window: WindowModel, x_grid, omega_grid,
@@ -544,28 +520,12 @@ def extend_stft(f: Signal, window: WindowModel, z, zprime,
         gvals = _window_time_matrix(window, t - z.conjugate(), quad)
         kern = np.exp((2j * math.pi * zp) * t)
         integrand = wts * fv * np.conj(gvals) * kern
-        return complex(np.sum(integrand)), np.abs(integrand)
+        val, mags = complex(np.sum(integrand)), np.abs(integrand)
+        if isinstance(f, GridSignal):
+            peak = float(mags.max())
+            if peak > 0 and max(float(mags[0]), float(mags[-1])) > 1e-10 * peak:
+                warnings.warn("integrand is not negligible at the grid edge; "
+                              "the extension is truncated by the signal grid", RuntimeWarning)
+        return val, max(abs(val), float(mags.sum()))
 
-    if isinstance(f, GridSignal):
-        t = f.times
-        val, mags = assemble(f.values, t, _trapezoid_weights(t.size, f.step))
-        peak = float(mags.max())
-        if peak > 0 and max(float(mags[0]), float(mags[-1])) > 1e-10 * peak:
-            warnings.warn("integrand is not negligible at the grid edge; "
-                          "the extension is truncated by the signal grid", RuntimeWarning)
-        return val
-
-    radius = quad.radius if quad.radius is not None else f.support_radius(linear=linear)
-
-    def level(nodes: int):
-        t, wts = line_nodes(radius, nodes)
-        return assemble(f.evaluate(t), t, wts)
-
-    v1, _ = level(quad.nodes)
-    v2, mags = level(2 * quad.nodes)
-    scale = max(abs(v2), float(mags.sum()), 1e-300)
-    if abs(v2 - v1) > quad.tol * scale:
-        raise QuadratureConvergenceError(
-            f"extension quadrature did not stabilize (change {abs(v2 - v1):.3e})"
-        )
-    return v2
+    return _signal_integral(f, assemble, quad, "extension quadrature", linear=linear)

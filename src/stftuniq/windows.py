@@ -15,13 +15,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureConvergenceError
+from .errors import InvalidParameterError
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     decay_truncation_radius,
     line_nodes,
     panel_nodes,
+    refine,
 )
 
 _DEFAULT_SCAN_GRID = (-5.0, 5.0, 1001)
@@ -139,16 +140,18 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     """Inverse transform g(t) = int ghat(xi) e^{2 pi i xi t} dxi on an array of times.
 
     Times may be complex; the truncation radius accounts for the resulting
-    exponential growth factor. All entries share one node grid, and the
-    doubling check compares against the batch's magnitude scale (pointwise
-    relative error in the far tail is not meaningful).
+    exponential growth factor. All entries share one node grid. As in every
+    quadrature of the package, the nodes double, at most the configured number
+    of times (worst case quad.nodes * 2**doublings per half), until two
+    successive levels agree to quad.tol against the finer level's largest
+    |g(t)|, since pointwise relative error in the far tail is not meaningful.
     """
     ts = np.asarray(ts, dtype=complex)
     flat = ts.ravel()
     im_max = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
     radius = quad.radius if quad.radius is not None else _auto_time_radius(window, im_max)
 
-    def level(nodes: int) -> np.ndarray:
+    def level(nodes: int):
         xi, wt = line_nodes(radius, nodes)
         gv = window.fourier_eval(xi) * wt
         out = np.empty(flat.shape, dtype=complex)
@@ -156,18 +159,9 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
         for k in range(0, flat.size, step):
             block = flat[k:k + step]
             out[k:k + step] = np.exp((2j * math.pi) * block[:, None] * xi[None, :]) @ gv
-        return out
+        return out, float(np.max(np.abs(out), initial=0.0))
 
-    v1 = level(quad.nodes)
-    v2 = level(2 * quad.nodes)
-    if flat.size:
-        err = float(np.max(np.abs(v2 - v1)))
-        scale = max(float(np.max(np.abs(v2))), 1e-300)
-        if err > quad.tol * scale:
-            raise QuadratureConvergenceError(
-                f"time-window quadrature did not stabilize (change {err:.3e} against scale {scale:.3e})"
-            )
-    return v2.reshape(ts.shape)
+    return refine(level, quad, "time-window quadrature").reshape(ts.shape)
 
 
 def time_window_eval(window: WindowModel, t, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
@@ -270,7 +264,7 @@ def window_ambiguity_scan(window, omega: float, grid=None,
     edges = np.concatenate([np.full((grid.size, 1), -radius), kinks,
                             np.full((grid.size, 1), radius)], axis=1)
 
-    def level(nodes: int) -> np.ndarray:
+    def level(nodes: int):
         out = np.empty(grid.size, dtype=complex)
         if smooth:
             eta, wt = line_nodes(radius, nodes)
@@ -279,7 +273,7 @@ def window_ambiguity_scan(window, omega: float, grid=None,
             for k in range(0, grid.size, step):
                 out[k:k + step] = base @ np.conj(np.asarray(fhat(grid[k:k + step] - eta[:, None]),
                                                             dtype=complex))
-            return out
+            return out, float(np.max(np.abs(out)))
         step = max(1, (1 << 20) // (3 * nodes))
         for k in range(0, grid.size, step):
             eta, wt = panel_nodes(edges[k:k + step], nodes)
@@ -287,23 +281,10 @@ def window_ambiguity_scan(window, omega: float, grid=None,
             if omega:
                 vals = vals * np.exp((2j * math.pi * omega) * eta)
             out[k:k + step] = np.einsum("ij,ij->i", vals, wt)
-        return out
+        return out, float(np.max(np.abs(out)))
 
-    nodes = quad.nodes
-    v2 = level(nodes)
-    for _ in range(quad.max_doublings):
-        nodes *= 2
-        v1, v2 = v2, level(nodes)
-        err = float(np.max(np.abs(v2 - v1)))
-        scale = float(np.max(np.abs(v2)))
-        if err <= quad.tol * max(scale, 1e-300) or scale == 0:
-            break
-    else:
-        raise QuadratureConvergenceError(
-            f"ambiguity scan did not stabilize after {quad.max_doublings} node doublings "
-            f"(change {err:.3e} against scale {scale:.3e})"
-        )
-    mags = np.abs(v2)
+    mags = np.abs(refine(level, quad, "ambiguity scan"))
+    scale = float(np.max(mags))
     if scale > 0:
         frac = float(np.count_nonzero(mags < near_zero_tol * scale) / mags.size)
     else:

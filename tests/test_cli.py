@@ -227,6 +227,28 @@ def test_counterexample_report(capsys):
     assert len(res["log_max_samples"]) == 2
 
 
+def test_counterexample_builds_the_product_once(capsys, monkeypatch):
+    import stftuniq.entire as entire
+    import stftuniq.sampling as sampling
+
+    calls = []
+    check = sampling.check_increasing
+
+    def counting(values, what):
+        calls.append(what)
+        check(values, what)
+
+    monkeypatch.setattr(sampling, "check_increasing", counting)
+    monkeypatch.setattr(entire, "check_increasing", counting)
+    code, out, _ = run_cli(capsys, "counterexample", "--rho", "3", "--b", str(math.pi),
+                           "--seq", "1.1*k^(1/3)", "--terms", "20000",
+                           "--radii", "2,3", "--n-theta", "32")
+    assert code == 0
+    assert json.loads(out)["result"]["vanishes_at_sampled_zeros"] is True
+    # growth fit (sequence and squares), density, one product (sequence and squares)
+    assert len(calls) == 5
+
+
 # ---------------------------------------------------------- scan-window
 
 def test_scan_window_csv(capsys):

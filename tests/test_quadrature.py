@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from stftuniq import InvalidParameterError, QuadratureConvergenceError, QuadratureConfig
+from stftuniq import (
+    InvalidParameterError,
+    QuadratureConfig,
+    QuadratureConvergenceError,
+    chirp_signal,
+    extend_stft,
+    make_generalized_gaussian,
+    moyal_energy_check,
+    stft_eval,
+    time_window_values,
+)
 from stftuniq.quadrature import (
     decay_truncation_radius,
     integrate_refining,
@@ -57,6 +67,28 @@ def test_nonconvergence_raises():
     cfg = QuadratureConfig(nodes=64, tol=1e-14, max_doublings=1)
     with pytest.raises(QuadratureConvergenceError):
         integrate_refining(lambda x: np.cos(5e4 * x), 1.0, cfg)
+
+
+_CHIRP = chirp_signal(chirp_rate=60.0)
+_GAUSS = make_generalized_gaussian(math.pi, 2.0)
+_GRID = np.linspace(-2.0, 2.0, 5)
+
+
+# (site, k): at nodes = 64 the site needs k doublings; the m = 2 window has a
+# closed form, so the only quadrature being refined is the site's own
+@pytest.mark.parametrize("site, k", [
+    (lambda q: stft_eval(_CHIRP, _GAUSS, 0.0, 0.0, q), 5),
+    (lambda q: extend_stft(_CHIRP, _GAUSS, 0.1, 0.2, q), 5),
+    (lambda q: moyal_energy_check(_CHIRP, _GAUSS, _GRID, _GRID, q), 5),
+    (lambda q: time_window_values(make_generalized_gaussian(2.0, 1.5), _GRID, q), 3),
+], ids=["stft_eval", "extend_stft", "moyal_energy_check", "time_window_values"])
+def test_every_site_honours_max_doublings(site, k):
+    with pytest.raises(QuadratureConvergenceError, match=f"after {k - 1} node doublings"):
+        site(QuadratureConfig(nodes=64, max_doublings=k - 1))
+    got = site(QuadratureConfig(nodes=64, max_doublings=k))
+    # the value is the finer of the last two levels, as a single doubling from there gives
+    want = site(QuadratureConfig(nodes=64 * 2 ** (k - 1), max_doublings=1))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_periodic_mean():
