@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateFitError,
@@ -112,7 +111,7 @@ def moment_integral(n: int, a: float, m: float) -> float:
     _require(m >= 1 and math.isfinite(m), f"decay exponent m must be >= 1, got {m}")
     log_val = (math.log(2.0) - math.log(m)
                - ((n + 1) / m) * math.log(a)
-               + float(gammaln((n + 1) / m)))
+               + math.lgamma((n + 1) / m))
     if log_val > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"moment of index {n} has log magnitude {log_val:.1f}, beyond float range")
     return math.exp(log_val)
@@ -179,7 +178,7 @@ def taylor_coefficients(fourier_side, n_terms: int,
         radius = _moment_radius(n, fhat, params, quad)
         moment = integrate_refining(lambda xi, _n=n: xi**_n * np.asarray(fhat(xi), dtype=complex),
                                     radius, quad)
-        log_factor = n * math.log(2.0 * math.pi) - float(gammaln(n + 1))
+        log_factor = n * math.log(2.0 * math.pi) - math.lgamma(n + 1)
         coeffs[n] = _I_POWERS[n % 4] * math.exp(log_factor) * moment
     return TaylorSeries(coeffs, n_terms, source=f"moment-quadrature(nodes={quad.nodes}, tol={quad.tol:g})")
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln
 
 from .errors import InvalidParameterError, ZeroNormError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, refine
@@ -68,9 +67,10 @@ class ClosedFormSignal:
         if self.family is SignalFamily.GAUSSIAN:
             return self.amplitude * np.exp(-math.pi * u * u).astype(complex)
         if self.family is SignalFamily.HERMITE:
-            k = self.hermite_index
-            log_norm = -0.5 * (k * math.log(2.0) + float(gammaln(k + 1)) + 0.5 * math.log(math.pi))
-            vals = eval_hermite(k, u) * np.exp(-0.5 * u * u + log_norm)
+            # normalized recurrence, h_0 = pi^{-1/4} e^{-u^2/2}; no H_k(u) to overflow
+            prev, vals = np.zeros_like(u), math.pi**-0.25 * np.exp(-0.5 * u * u)
+            for j in range(self.hermite_index):
+                prev, vals = vals, math.sqrt(2.0 / (j + 1)) * u * vals - math.sqrt(j / (j + 1)) * prev
             return self.amplitude * vals.astype(complex) / math.sqrt(self.width)
         shift = t - self.center
         phase = (2.0 * math.pi) * (self.chirp_start * shift + 0.5 * self.chirp_rate * shift * shift)
@@ -124,10 +124,6 @@ class GridSignal:
     def norm(self) -> float:
         w = _trapezoid_weights(self.values.size, self.step)
         return math.sqrt(float(np.sum(w * np.abs(self.values) ** 2)))
-
-    def support_radius(self, linear: float = 0.0) -> float:
-        t = self.times
-        return max(abs(float(t[0])), abs(float(t[-1])))
 
 
 Signal = ClosedFormSignal | GridSignal
@@ -348,6 +344,8 @@ def global_phase_residual(f: Signal, h: Signal, times=None) -> tuple[float, floa
     alpha maximizes Re e^{-i alpha} <f, h> (so alpha = arg <f, h>, reported
     in [0, 2 pi)), and the residual is ||f - e^{i alpha} h|| / ||f|| under
     the trapezoid inner product on a shared grid. Both norms must be nonzero.
+    <f, h> = 0 pins alpha to 0: an inner product within rounding of zero
+    (|<f, h>| <= 64 eps ||f|| ||h||) carries no phase.
     """
     t = _common_times(f, h, times)
     fa = _values_on(f, t)
@@ -360,7 +358,9 @@ def global_phase_residual(f: Signal, h: Signal, times=None) -> tuple[float, floa
     if nh2 <= 0.0:
         raise ZeroNormError("candidate signal has zero norm on the comparison grid")
     inner = complex(np.sum(w * fa * np.conj(ha)))
-    alpha = float(np.angle(inner)) % (2.0 * math.pi)
+    alpha = 0.0
+    if abs(inner) > 64.0 * np.finfo(float).eps * math.sqrt(nf2 * nh2):
+        alpha = float(np.angle(inner)) % (2.0 * math.pi)
     diff = fa - np.exp(1j * alpha) * ha
     residual = math.sqrt(float(np.sum(w * np.abs(diff) ** 2)) / nf2)
     return alpha, residual

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -16,6 +19,7 @@ from stftuniq import (
     time_window_values,
 )
 from stftuniq.quadrature import (
+    _legendre_rule,
     decay_truncation_radius,
     integrate_refining,
     line_nodes,
@@ -48,6 +52,48 @@ def test_line_nodes_split_at_origin():
     assert abs(wts.sum() - 6.0) < 1e-12
     odd = np.sum(wts * pts**3)
     assert abs(odd) < 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_legendre_rule_symmetric_and_exact(n):
+    x, w = _legendre_rule(n)
+    assert x.size == w.size == n
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) < 1e-14
+    # exact up to degree 2n - 1; x^(2n-2) is the highest even power
+    want = 2.0 / (2 * n - 1)
+    assert abs(math.fsum(w * x ** (2 * n - 2)) - want) / want < 1e-13
+
+
+def _mp_legendre(n, x):
+    p0, p1 = mpmath.mpf(1), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (p0 - x * p1) / (1 - x * x)
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_legendre_rule_against_mpmath(n):
+    x, w = _legendre_rule(n)
+    with mpmath.workdps(32):
+        # the four outermost nodes, where the weights are hardest, and one interior node
+        for i in (n - 1, n - 2, n - 3, n - 4, 3 * n // 5):
+            xi = mpmath.mpf(float(x[i]))
+            p, dp = _mp_legendre(n, xi)
+            root = xi - p / dp  # one Newton step from a double-precision node gives 32 digits
+            _, dp = _mp_legendre(n, root)
+            weight = 2 / ((1 - root * root) * dp * dp)
+            assert abs(float(xi - root)) <= 1e-15
+            assert abs(float((w[i] - weight) / weight)) <= 1e-9
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, stftuniq, stftuniq.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_validation():

@@ -63,6 +63,27 @@ def test_hermite_orthonormality():
             assert abs(inner - want) < 1e-10
 
 
+def test_hermite_functions_match_closed_forms():
+    width, center = 1.3, 0.4
+    ts = np.linspace(-6.0, 7.0, 101)
+    u = (ts - center) / width
+    h0 = math.pi**-0.25 * np.exp(-0.5 * u * u) / math.sqrt(width)
+    want = [h0, math.sqrt(2.0) * u * h0, (2 * u**2 - 1) / math.sqrt(2.0) * h0,
+            (2 * u**3 - 3 * u) / math.sqrt(3.0) * h0]
+    for k, w in enumerate(want):
+        got = hermite_signal(k, width=width, center=center).evaluate(ts)
+        np.testing.assert_allclose(got, w, rtol=1e-14, atol=1e-15)
+
+
+def test_high_order_hermite_is_normalised_and_finite():
+    ts = np.arange(-2560, 2561) / 64.0
+    g = grid_signal(hermite_signal(150).evaluate(ts), float(ts[0]), 1 / 64.0)
+    assert abs(g.norm() - 1.0) < 1e-12
+    # far past the turning point H_150(u) alone overflows; the function is tiny, not NaN
+    far = hermite_signal(150).evaluate(np.array([30.0, 60.0, 100.0]))
+    assert np.all(np.isfinite(far)) and np.all(np.abs(far) < 1e-80)
+
+
 def test_signal_validation():
     with pytest.raises(InvalidParameterError):
         gaussian_signal(width=0.0)
@@ -176,6 +197,16 @@ def test_phase_alignment_orthogonal_pair():
     alpha, residual = global_phase_residual(gaussian_signal(), hermite_signal(1))
     assert alpha == 0.0
     want = math.sqrt(1.0 + math.sqrt(2.0))
+    assert abs(residual - want) / want < 1e-9
+
+
+@pytest.mark.parametrize("index", [1, 3, 5])
+@pytest.mark.parametrize("amplitude", [1.0, -1j, 2.5, 0.3 + 0.4j])
+def test_phase_alignment_rounding_level_inner_product(index, amplitude):
+    # <f, h> is zero up to rounding; its angle is noise and must not become alpha
+    alpha, residual = global_phase_residual(gaussian_signal(), hermite_signal(index, amplitude=amplitude))
+    assert alpha == 0.0
+    want = math.sqrt(1.0 + abs(amplitude) ** 2 * math.sqrt(2.0))
     assert abs(residual - want) / want < 1e-9
 
 
