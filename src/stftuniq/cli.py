@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from .errors import (
-    DegenerateFitError,
     EvaluationOverflowError,
     InsufficientDataError,
     InvalidParameterError,
@@ -60,8 +59,7 @@ from .stft import (
     spectrogram_on_set,
 )
 
-_PARAM_ERRORS = (InvalidParameterError, InsufficientDataError, ZeroAtOriginError,
-                 ZeroNormError, DegenerateFitError)
+_PARAM_ERRORS = (InvalidParameterError, InsufficientDataError, ZeroAtOriginError, ZeroNormError)
 _NUMERICAL_ERRORS = (QuadratureConvergenceError, EvaluationOverflowError)
 
 
@@ -218,7 +216,7 @@ def _run_growth(ns, quad, meta):
     result = {"m": ns.m, "a": ns.a,
               "order_predicted": predicted.order, "type_predicted": predicted.type}
     if ns.estimate:
-        series = taylor_coefficients(make_generalized_gaussian(ns.a, ns.m), ns.n_coeffs, quad)
+        series = taylor_coefficients(make_generalized_gaussian(ns.a, ns.m), ns.n_coeffs)
         order_est = estimate_order(series)
         type_est = estimate_type(series, predicted.order)
         result.update({

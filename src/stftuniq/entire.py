@@ -1,9 +1,11 @@
 """Growth analysis for entire functions arising as Fourier transforms.
 
-Taylor coefficients through moment integrals, order/type estimation from
-coefficient decay, Jensen circle means and zero-count bounds, Weierstrass
-canonical products over positive zeros, and least-squares growth fits on
-strips. Everything here works with the convention F(z) = int ghat(xi)
+Closed-form Taylor coefficients of a window's entire extension (from the
+Gamma-function absolute moments), order/type estimation from coefficient
+decay and the predicted growth of a decay profile, Jensen circle means and
+zero-count bounds, and Weierstrass canonical products over positive zeros
+with banded evaluation, including the symmetric counterexample F(z) = V(z^2).
+Everything here works with the convention F(z) = int ghat(xi)
 e^{2 pi i xi z} d xi, so the coefficients are c_n = (2 pi i)^n / n! times the
 n-th moment of ghat.
 """
@@ -17,21 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateFitError,
     EvaluationOverflowError,
     InsufficientDataError,
     InvalidParameterError,
     ZeroAtOriginError,
 )
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    decay_truncation_radius,
-    integrate_refining,
-)
 from .sampling import check_increasing, nonuniqueness_threshold, tail_density, tail_ratios
+from .windows import WindowModel
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_MIN = math.log(np.finfo(float).tiny)
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
@@ -46,7 +43,6 @@ class TaylorSeries:
 
     coefficients: np.ndarray
     truncation: int
-    source: str = ""
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=complex)
@@ -65,7 +61,6 @@ class GrowthEstimate:
     order: float
     type: float
     n_used: tuple[int, ...] = ()
-    max_modulus_samples: tuple[tuple[float, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -88,15 +83,9 @@ class CanonicalProduct:
         _require(self.origin_multiplicity >= 0, "origin multiplicity must be nonnegative")
 
 
-@dataclass(frozen=True)
-class StripGrowthFit:
-    """Least-squares envelope log|f(x+iy)| ~ log C - a|x|^rho + b|y|^rho."""
-
-    a_fit: float
-    b_fit: float
-    c_fit: float
-    rho: float
-    residual: float
+def _log_moment(n: int, a: float, m: float) -> float:
+    """log of 2 Gamma((n+1)/m) / (m a^((n+1)/m)), the absolute moment below."""
+    return math.log(2.0) - math.log(m) - ((n + 1) / m) * math.log(a) + math.lgamma((n + 1) / m)
 
 
 def moment_integral(n: int, a: float, m: float) -> float:
@@ -109,78 +98,49 @@ def moment_integral(n: int, a: float, m: float) -> float:
     _require(isinstance(n, (int, np.integer)) and n >= 0, f"moment index must be an integer >= 0, got {n!r}")
     _require(a > 0 and math.isfinite(a), f"decay rate a must be positive, got {a}")
     _require(m >= 1 and math.isfinite(m), f"decay exponent m must be >= 1, got {m}")
-    log_val = (math.log(2.0) - math.log(m)
-               - ((n + 1) / m) * math.log(a)
-               + math.lgamma((n + 1) / m))
+    log_val = _log_moment(n, a, m)
     if log_val > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"moment of index {n} has log magnitude {log_val:.1f}, beyond float range")
     return math.exp(log_val)
 
 
-def _fourier_callable(fourier_side):
-    if hasattr(fourier_side, "fourier_eval"):
-        w = fourier_side
-        hint = 3.0 * decay_truncation_radius(w.a, w.m, log_scale=math.log(max(w.amplitude, 1.0)))
-        return w.fourier_eval, (w.a, w.m, abs(getattr(w, "center", 0.0)), hint)
-    if callable(fourier_side):
-        return fourier_side, None
-    raise InvalidParameterError("fourier_side must be a window model or an evaluator")
+def taylor_coefficients(window: WindowModel, n_terms: int) -> TaylorSeries:
+    """Coefficients of F(z) = int ghat(xi) e^{2 pi i xi z} d xi about z = 0, in closed form.
 
-
-def _probe_even_real(fhat) -> bool:
-    pts = np.array([0.379, 0.941, 1.73, 2.62])
-    va = np.asarray(fhat(pts), dtype=complex)
-    vb = np.asarray(fhat(-pts), dtype=complex)
-    v0 = complex(np.asarray(fhat(np.array([0.0])), dtype=complex)[0])
-    scale = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), abs(v0), 1e-300)
-    sym = float(np.max(np.abs(va - vb)))
-    imag = max(float(np.max(np.abs(va.imag))), float(np.max(np.abs(vb.imag))), abs(v0.imag))
-    return sym <= 1e-13 * scale and imag <= 1e-13 * scale
-
-
-def _moment_radius(n: int, fhat, params, quad: QuadratureConfig) -> float:
-    """Radius past which |xi|^n |ghat(xi)| sits 20 digits below its peak."""
-    if quad.radius is not None:
-        return quad.radius
-    if params is not None:
-        a, m, shift, hint = params
-        upper = hint + 2.0 * (max(n, 1) / (a * m)) ** (1.0 / m) + shift
-    else:
-        upper = 50.0
-    grid = np.geomspace(1e-3, upper, 400)
-    mags = np.maximum(np.abs(np.asarray(fhat(grid), dtype=complex)),
-                      np.abs(np.asarray(fhat(-grid), dtype=complex)))
-    with np.errstate(divide="ignore"):
-        logs = n * np.log(grid) + np.log(np.maximum(mags, 1e-300))
-    peak = int(np.argmax(logs))
-    past = np.nonzero(logs[peak:] < logs[peak] - 46.0)[0]
-    radius = grid[peak + past[0]] if past.size else upper
-    return max(float(radius), 1.0)
-
-
-def taylor_coefficients(fourier_side, n_terms: int,
-                        quad: QuadratureConfig = DEFAULT_QUADRATURE) -> TaylorSeries:
-    """Coefficients of F(z) = int ghat(xi) e^{2 pi i xi z} d xi about z = 0.
-
-    c_n = (2 pi i)^n / n! int xi^n ghat(xi) d xi, each moment integrated on
-    its own truncation radius. When ghat probes as real and even, the odd
-    moments vanish identically and those entries are pinned to exact zeros
-    rather than carrying quadrature noise (the order/type estimators rely on
-    zeros being exact).
+    For ghat = C exp(-a |xi - xi0|^m), substituting xi = u + xi0 gives
+    c_n = (2 pi i)^n / n! C sum_{k even} binom(n, k) xi0^(n-k) M_k with M_k the
+    absolute moment (moment_integral); the odd moments of u vanish. At
+    xi0 = 0 only k = n is left, so odd coefficients are exact zeros (the
+    order/type estimators rely on that). Otherwise every term carries the
+    sign of xi0^n and the sum is taken by log-sum-exp. Magnitudes are built
+    in the log domain, so large n_terms cannot overflow intermediates; a
+    coefficient that leaves the range of normal floats raises
+    EvaluationOverflowError instead of turning into 0 or inf.
     """
+    _require(isinstance(window, WindowModel), "taylor_coefficients needs a WindowModel")
     _require(n_terms >= 2, f"need n_terms >= 2, got {n_terms}")
-    fhat, params = _fourier_callable(fourier_side)
-    even_real = _probe_even_real(fhat)
+    a, m, xi0 = window.a, window.m, window.center
+    log_fact = np.array([math.lgamma(n + 1) for n in range(n_terms + 1)])
+    log_mom = np.array([_log_moment(k, a, m) for k in range(0, n_terms + 1, 2)])
+    log_front = math.log(window.amplitude)
     coeffs = np.zeros(n_terms + 1, dtype=complex)
     for n in range(n_terms + 1):
-        if even_real and n % 2 == 1:
-            continue
-        radius = _moment_radius(n, fhat, params, quad)
-        moment = integrate_refining(lambda xi, _n=n: xi**_n * np.asarray(fhat(xi), dtype=complex),
-                                    radius, quad)
-        log_factor = n * math.log(2.0 * math.pi) - math.lgamma(n + 1)
-        coeffs[n] = _I_POWERS[n % 4] * math.exp(log_factor) * moment
-    return TaylorSeries(coeffs, n_terms, source=f"moment-quadrature(nodes={quad.nodes}, tol={quad.tol:g})")
+        if xi0 == 0.0:
+            if n % 2:
+                continue
+            log_c = n * math.log(2.0 * math.pi) - log_fact[n] + log_front + log_mom[n // 2]
+        else:
+            k = np.arange(0, n + 1, 2)
+            # log of binom(n, k) |xi0|^(n-k) M_k / n!, so n! cancels against the prefactor
+            terms = log_mom[:k.size] + (n - k) * math.log(abs(xi0)) - log_fact[k] - log_fact[n - k]
+            top = float(terms.max())
+            log_c = n * math.log(2.0 * math.pi) + log_front + top + math.log(np.exp(terms - top).sum())
+        if not _LOG_FLOAT_MIN <= log_c <= _LOG_FLOAT_MAX:
+            raise EvaluationOverflowError(f"Taylor coefficient c_{n} has log magnitude {log_c:.1f}, "
+                                          "outside the range of normal floats")
+        # the phase is i^n, times sign(xi0)^n; (-i)^n = i^(-n)
+        coeffs[n] = _I_POWERS[(n if xi0 >= 0 else -n) % 4] * math.exp(log_c)
+    return TaylorSeries(coeffs, n_terms)
 
 
 def _usable_tail(series: TaylorSeries):
@@ -311,19 +271,6 @@ def zero_count_bound(r: float, s: float, c_bound: float, b: float, rho: float) -
     if not math.isfinite(value):
         raise EvaluationOverflowError("zero-count envelope overflows the float range")
     return max(0, math.floor(value))
-
-
-def weierstrass_factor(u, p: int):
-    """Elementary factor G(u; p) = (1 - u) exp(sum_{j<=p} u^j / j)."""
-    _require(isinstance(p, (int, np.integer)) and p >= 0, f"genus must be an integer >= 0, got {p!r}")
-    arr = np.asarray(u, dtype=complex)
-    acc = np.zeros_like(arr)
-    for j in range(1, p + 1):
-        acc += arr**j / j
-    out = (1.0 - arr) * np.exp(acc)
-    if np.ndim(u) == 0:
-        return complex(out)
-    return out
 
 
 # Ratio edges for the banded far-zero evaluation. Zeros at least 2.2 |w| away
@@ -493,32 +440,3 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
     samples = tuple((float(r), float(v)) for r, v in zip(radii, log_max))
     return float(beta[0]), samples
 
-
-def strip_growth_fit(f, rho: float, x_grid, y_grid) -> StripGrowthFit:
-    """Least-squares fit of log|f(x+iy)| to log C - a|x|^rho + b|y|^rho.
-
-    Grid points where f vanishes carry no log information and are dropped;
-    if more than half the grid vanishes the fit is refused. The residual is
-    expm1 of the worst upper-envelope violation, so 0 means the fitted
-    envelope genuinely dominates the samples.
-    """
-    _require(rho > 0 and math.isfinite(rho), f"growth order must be positive, got {rho}")
-    x = np.asarray(x_grid, dtype=float)
-    y = np.asarray(y_grid, dtype=float)
-    _require(x.ndim == 1 and y.ndim == 1, "grids must be one-dimensional")
-    _require(x.size >= 2 and y.size >= 2 and x.size * y.size >= 8, "grid too small to constrain the fit")
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    Z = X + 1j * Y
-    mags = np.abs(_eval_complex(f, Z)).ravel()
-    keep = mags > 0
-    if np.count_nonzero(~keep) > mags.size // 2:
-        raise DegenerateFitError("|f| vanishes on more than half the grid")
-    logs = np.log(mags[keep])
-    xr = np.abs(X).ravel()[keep] ** rho
-    yr = np.abs(Y).ravel()[keep] ** rho
-    basis = np.stack([np.ones_like(xr), -xr, yr], axis=1)
-    beta, *_ = np.linalg.lstsq(basis, logs, rcond=None)
-    worst = float(np.max(logs - basis @ beta))
-    residual = float(math.expm1(worst)) if worst > 0 else 0.0
-    return StripGrowthFit(a_fit=float(beta[1]), b_fit=float(beta[2]),
-                          c_fit=float(math.exp(beta[0])), rho=float(rho), residual=residual)

@@ -21,9 +21,5 @@ class ZeroAtOriginError(ValueError):
     """Circle-mean formulas need a nonzero value at the center."""
 
 
-class DegenerateFitError(RuntimeError):
-    """The evaluation grid does not constrain the requested fit."""
-
-
 class ZeroNormError(ValueError):
     """Phase alignment is undefined against a zero-norm signal."""

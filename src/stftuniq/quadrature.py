@@ -6,8 +6,7 @@ kink at the origin (|xi|^m terms with non-integer m). Gauss-Legendre panels
 split at zero handle both. Every quadrature in the package is checked by one
 routine, refine: it doubles the nodes until two successive levels agree to
 tol against the finer level's scale, at most max_doublings times, so the
-worst case is nodes * 2**max_doublings points per half. Circle means use the
-rectangle rule, which is spectrally accurate for periodic integrands.
+worst case is nodes * 2**max_doublings points per half.
 
 An n-point Gauss-Legendre rule is built once per process by Newton's method
 from Tricomi's asymptotic guess, with P_n and P_n' from the three-term
@@ -138,29 +137,6 @@ def refine(level, cfg: QuadratureConfig, what: str):
         f"{what} did not stabilize after {cfg.max_doublings} node doublings (change "
         f"{change[worst]:.3e}, scale {scale:.3e}, worst index {worst}, nodes {nodes})"
     )
-
-
-def integrate_refining(fn, radius: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
-    """Integrate a vectorized integrand over [-radius, radius], doubling nodes until stable.
-
-    Near-zero integrals are judged against the integrand's scale rather than
-    the integral itself, so cancellation does not force spurious refinement
-    failures. Raises QuadratureConvergenceError when the budget runs out.
-    """
-
-    def level(nodes: int):
-        t, wt = line_nodes(radius, nodes)
-        vals = np.asarray(fn(t))
-        cur = complex(np.sum(wt * vals))
-        return cur, max(abs(cur), 1e-3 * radius * float(np.max(np.abs(vals), initial=0.0)))
-
-    return refine(level, cfg, "integral")
-
-
-def periodic_mean(fn, n_theta: int) -> float:
-    """Mean of fn over [0, 2*pi) by the n_theta-point rectangle rule."""
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    return float(np.mean(fn(theta)))
 
 
 def decay_truncation_radius(a: float, m: float, log_scale: float = 0.0,

@@ -7,7 +7,6 @@ plus a finite-sequence density surrogate and a classifier built on it.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -118,73 +117,82 @@ class SamplingSet:
             "count": self.count,
             "includes_origin": self.includes_origin,
         }
-        if extra_meta:
-            meta.update(extra_meta)
-        lines = [f"# {k}={meta[k]!r}" for k in sorted(meta)]
-        lines.append(_SET_HEADER)
-        for n, sx, sw, x, om in zip(self.n_index, self.sign_x, self.sign_omega, self.x, self.omega):
-            lines.append(f"{n},{sx},{sw},{x:.17g},{om:.17g}")
-        text = "\n".join(lines) + "\n"
-        if dest is None:
-            return text
-        if isinstance(dest, (str, os.PathLike)):
-            with open(dest, "w", encoding="utf-8") as fp:
-                fp.write(text)
-        else:
-            dest.write(text)
-        return None
+        rows = (f"{n},{sx},{sw},{x:.17g},{om:.17g}"
+                for n, sx, sw, x, om in zip(self.n_index, self.sign_x, self.sign_omega, self.x, self.omega))
+        return _write_csv(dest, {**meta, **(extra_meta or {})}, _SET_HEADER, rows)
 
     @classmethod
     def from_csv(cls, src) -> "SamplingSet":
         """Rebuild a set from to_csv output (path, file object, or text)."""
-        if isinstance(src, (str, os.PathLike)):
-            if isinstance(src, str) and "\n" in src:
-                fp = io.StringIO(src)
-            else:
-                fp = open(src, "r", encoding="utf-8")
-        else:
-            fp = src
-        meta: dict[str, str] = {}
-        rows = []
-        try:
-            for raw in fp:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        key, _, val = body.partition("=")
-                        meta[key.strip()] = val.strip()
-                    continue
-                if line == _SET_HEADER:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise InvalidParameterError(f"malformed sampling-set row: {line!r}")
-                rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                             float(parts[3]), float(parts[4])))
-        finally:
-            if fp is not src and isinstance(fp, io.IOBase) and not isinstance(fp, io.StringIO):
-                fp.close()
+        meta, rows = _read_csv(src, _SET_HEADER, "sampling-set")
         for key in ("m", "tau1", "tau2", "count", "includes_origin"):
             if key not in meta:
                 raise InvalidParameterError(f"sampling-set CSV lacks the {key} metadata comment")
-        if not rows:
-            raise InvalidParameterError("sampling-set CSV has no data rows")
-        cols = list(zip(*rows))
+        n_index, sign_x, sign_omega = ([int(r[i]) for r in rows] for i in range(3))
+        x, omega = ([float(r[i]) for r in rows] for i in (3, 4))
         return cls(
             m=float(meta["m"]),
             tau1=float(meta["tau1"]),
             tau2=float(meta["tau2"]),
             count=int(meta["count"]),
             includes_origin=meta["includes_origin"] == "True",
-            n_index=np.array(cols[0], dtype=int),
-            sign_x=np.array(cols[1], dtype=int),
-            sign_omega=np.array(cols[2], dtype=int),
-            x=np.array(cols[3], dtype=float),
-            omega=np.array(cols[4], dtype=float),
+            n_index=n_index,
+            sign_x=sign_x,
+            sign_omega=sign_omega,
+            x=x,
+            omega=omega,
         )
+
+
+def _write_csv(dest, meta: dict, header: str, rows):
+    """CSV with one `# key=value` comment per meta entry (sorted), the header, then rows.
+
+    Returns the text when dest is None; otherwise writes it to dest, a path
+    or a file object, and returns None.
+    """
+    text = "\n".join([f"# {k}={meta[k]!r}" for k in sorted(meta)] + [header, *rows]) + "\n"
+    if dest is None:
+        return text
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as fp:
+            fp.write(text)
+    else:
+        dest.write(text)
+    return None
+
+
+def _read_csv(src, header: str, what: str) -> tuple[dict[str, str], list[list[str]]]:
+    """Metadata comments and comma-split data rows of _write_csv output.
+
+    src is a path, a file object, or the CSV text itself (a str holding a
+    newline). Every data row must have as many fields as the header.
+    """
+    if hasattr(src, "read"):
+        lines = src.read().splitlines()
+    elif isinstance(src, str) and "\n" in src:
+        lines = src.splitlines()
+    else:
+        with open(src, "r", encoding="utf-8") as fp:
+            lines = fp.read().splitlines()
+    width = header.count(",") + 1
+    meta: dict[str, str] = {}
+    rows = []
+    for raw in lines:
+        line = raw.strip()
+        if not line or line == header:
+            continue
+        if line.startswith("#"):
+            key, eq, val = line[1:].strip().partition("=")
+            if eq:
+                meta[key.strip()] = val.strip()
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise InvalidParameterError(f"malformed {what} row: {line!r}")
+        rows.append(parts)
+    if not rows:
+        raise InvalidParameterError(f"{what} CSV has no data rows")
+    return meta, rows
 
 
 def generate_sampling_set(m: float, tau1: float, tau2: float, count: int,

@@ -20,11 +20,12 @@ import numpy as np
 
 from .errors import InvalidParameterError, ZeroNormError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, refine
-from .sampling import SamplingSet
+from .sampling import SamplingSet, _read_csv, _write_csv
 from .entire import moment_integral
 from .windows import WindowModel, time_window_closed_form, time_window_values
 
 _TAIL_LOG = 43.0
+_SPECTROGRAM_HEADER = "x,omega,magnitude"
 
 
 class SignalFamily(Enum):
@@ -257,48 +258,18 @@ class SpectrogramSamples:
             raise InvalidParameterError("magnitudes must align with points")
 
     def to_csv(self, dest=None, extra_meta: dict | None = None):
-        meta = {"quad_config_id": self.quad_config_id}
-        if extra_meta:
-            meta.update(extra_meta)
-        lines = [f"# {k}={meta[k]!r}" for k in sorted(meta)]
-        lines.append("x,omega,magnitude")
-        for (x, om), mag in zip(self.points, self.magnitudes):
-            lines.append(f"{x:.17g},{om:.17g},{mag:.17g}")
-        text = "\n".join(lines) + "\n"
-        if dest is None:
-            return text
-        with open(dest, "w", encoding="utf-8") as fp:
-            fp.write(text)
-        return None
+        """Serialize as commented-header CSV; returns the text when dest is None."""
+        rows = (f"{x:.17g},{om:.17g},{mag:.17g}" for (x, om), mag in zip(self.points, self.magnitudes))
+        return _write_csv(dest, {"quad_config_id": self.quad_config_id, **(extra_meta or {})},
+                          _SPECTROGRAM_HEADER, rows)
 
     @classmethod
     def from_csv(cls, src) -> "SpectrogramSamples":
-        if hasattr(src, "read"):
-            lines = src.read().splitlines()
-        elif isinstance(src, str) and "\n" in src:
-            lines = src.splitlines()
-        else:
-            with open(src, "r", encoding="utf-8") as fp:
-                lines = fp.read().splitlines()
-        qid = ""
-        rows = []
-        for line in lines:
-            line = line.strip()
-            if not line or line == "x,omega,magnitude":
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("quad_config_id="):
-                    qid = body.partition("=")[2].strip("'\"")
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InvalidParameterError(f"malformed spectrogram row: {line!r}")
-            rows.append(tuple(float(p) for p in parts))
-        if not rows:
-            raise InvalidParameterError("spectrogram CSV has no data rows")
-        arr = np.array(rows)
-        return cls(points=arr[:, :2], magnitudes=arr[:, 2], quad_config_id=qid)
+        """Rebuild samples from to_csv output (path, file object, or text)."""
+        meta, rows = _read_csv(src, _SPECTROGRAM_HEADER, "spectrogram")
+        arr = np.array([[float(v) for v in r] for r in rows])
+        return cls(points=arr[:, :2], magnitudes=arr[:, 2],
+                   quad_config_id=meta.get("quad_config_id", "").strip("'\""))
 
 
 def spectrogram_on_set(f: Signal, window: WindowModel, points,

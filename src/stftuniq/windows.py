@@ -98,14 +98,6 @@ def make_modulated_generalized_gaussian(a: float, m: float, xi0: float,
                        float(amplitude), modulation=float(xi0))
 
 
-def fourier_window_eval(window: WindowModel, xi):
-    """Evaluate the Fourier-side window; complex scalar in, complex scalar out."""
-    vals = window.fourier_eval(xi)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return complex(vals)
-    return vals.astype(complex)
-
-
 def time_window_closed_form(window: WindowModel):
     """Analytic time-domain formula, available for quadratic decay (m == 2).
 
@@ -164,11 +156,6 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     return refine(level, quad, "time-window quadrature").reshape(ts.shape)
 
 
-def time_window_eval(window: WindowModel, t, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
-    """Time-domain window value at one (possibly complex) time."""
-    return complex(time_window_values(window, np.array([t]), quad)[0])
-
-
 @dataclass(frozen=True)
 class DecayReport:
     """Outcome of checking samples against a claimed decay envelope."""
@@ -225,7 +212,7 @@ class AmbiguityScanReport:
     near_zero_fraction: float
 
 
-def window_ambiguity_scan(window, omega: float, grid=None,
+def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
                           quad: QuadratureConfig = DEFAULT_QUADRATURE,
                           near_zero_tol: float = 1e-10) -> AmbiguityScanReport:
     """Scan xi -> |int e^{2 pi i omega eta} ghat(-eta) conj(ghat(xi - eta)) d eta|.
@@ -233,14 +220,15 @@ def window_ambiguity_scan(window, omega: float, grid=None,
     A window whose scan stays away from zero on every slice of interest is
     safe for phase retrieval from the ambiguity side; the report flags the
     fraction of grid points within near_zero_tol of the slice's maximum
-    magnitude scale. Accepts a WindowModel or a bare evaluator (the latter
-    uses quad.radius, or 8.0, as the decay radius, and is taken as centred
-    at zero). Each grid column integrates over three panels of quad.nodes
-    points, split where the |.|^m kinks of the two factors sit; a window with
-    even integer m has no kinks, so all columns share one rule on the whole
-    line. The nodes double until the slice changes by at most quad.tol of its
-    scale.
+    magnitude scale (all of them when the whole slice is zero, as it is far
+    out in xi, where the two factors underflow against each other). Each grid
+    column integrates over three panels of quad.nodes points, split where the
+    |.|^m kinks of the two factors sit; a window with even integer m has no
+    kinks, so all columns share one rule on the whole line. The nodes double
+    until the slice changes by at most quad.tol of its scale.
     """
+    if not isinstance(window, WindowModel):
+        raise InvalidParameterError("window must be a WindowModel")
     if grid is None:
         lo, hi, n = _DEFAULT_SCAN_GRID
         grid = np.linspace(lo, hi, n)
@@ -248,51 +236,38 @@ def window_ambiguity_scan(window, omega: float, grid=None,
         grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("scan grid must be nonempty")
-    if isinstance(window, WindowModel):
-        fhat = window.fourier_eval
-        base_radius = _auto_time_radius(window)
-    elif callable(window):
-        fhat = window
-        base_radius = quad.radius if quad.radius is not None else 8.0
-    else:
-        raise InvalidParameterError("window must be a WindowModel or an evaluator")
-    radius = base_radius + float(np.max(np.abs(grid)))
-    smooth = isinstance(window, WindowModel) and window.m % 2 == 0
-    center = window.center if isinstance(window, WindowModel) else 0.0
+    fhat = window.fourier_eval
+    radius = _auto_time_radius(window) + float(np.max(np.abs(grid)))
+    center = window.center
     # ghat(-eta) has its kink at eta = -center, ghat(xi - eta) at eta = xi - center
     kinks = np.sort(np.stack([np.full(grid.size, -center), grid - center], axis=1), axis=1)
     edges = np.concatenate([np.full((grid.size, 1), -radius), kinks,
                             np.full((grid.size, 1), radius)], axis=1)
 
+    # ghat is real, so the conjugate in the integrand is dropped
     def level(nodes: int):
         out = np.empty(grid.size, dtype=complex)
-        if smooth:
+        if window.m % 2 == 0:
             eta, wt = line_nodes(radius, nodes)
-            base = np.asarray(fhat(-eta), dtype=complex) * np.exp((2j * math.pi * omega) * eta) * wt
+            base = fhat(-eta) * np.exp((2j * math.pi * omega) * eta) * wt
             step = max(1, (1 << 22) // eta.size)
             for k in range(0, grid.size, step):
-                out[k:k + step] = base @ np.conj(np.asarray(fhat(grid[k:k + step] - eta[:, None]),
-                                                            dtype=complex))
+                out[k:k + step] = base @ fhat(grid[k:k + step] - eta[:, None])
             return out, float(np.max(np.abs(out)))
         step = max(1, (1 << 20) // (3 * nodes))
         for k in range(0, grid.size, step):
             eta, wt = panel_nodes(edges[k:k + step], nodes)
-            vals = np.asarray(fhat(-eta)) * np.conj(np.asarray(fhat(grid[k:k + step, None] - eta)))
+            vals = fhat(-eta) * fhat(grid[k:k + step, None] - eta)
             if omega:
                 vals = vals * np.exp((2j * math.pi * omega) * eta)
             out[k:k + step] = np.einsum("ij,ij->i", vals, wt)
         return out, float(np.max(np.abs(out)))
 
     mags = np.abs(refine(level, quad, "ambiguity scan"))
-    scale = float(np.max(mags))
-    if scale > 0:
-        frac = float(np.count_nonzero(mags < near_zero_tol * scale) / mags.size)
-    else:
-        frac = 1.0
     return AmbiguityScanReport(
         omega=float(omega),
         grid=grid,
         magnitudes=mags,
         min_magnitude=float(np.min(mags)),
-        near_zero_fraction=frac,
+        near_zero_fraction=float(np.mean(mags <= near_zero_tol * np.max(mags))),
     )

@@ -157,9 +157,21 @@ def test_growth_estimated(capsys):
     assert len(res["n_used"]) >= 10
 
 
+def test_growth_estimated_at_large_n(capsys):
+    code, out, _ = run_cli(capsys, "growth", "--m", "1.5", "--a", "2", "--estimate", "--n-coeffs", "300")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert abs(res["order_estimated"] - 3.00005) < 1e-5
+    assert abs(res["type_estimated"] - 9.18697) < 1e-5
+    # coefficients below the smallest normal float are a numerical failure, not zeros
+    code, _, err = run_cli(capsys, "growth", "--m", "3", "--a", "2", "--estimate", "--n-coeffs", "1000")
+    assert code == 3
+    assert "normal floats" in last_json(err)["error"]["message"]
+
+
 def test_unstable_quadrature_exit_code(capsys):
-    code, _, err = run_cli(capsys, "growth", "--m", "2", "--a", str(math.pi),
-                           "--estimate", "--quad-nodes", "64", "--quad-tol", "1e-30")
+    code, _, err = run_cli(capsys, "discriminate", "--f", "gaussian()", "--h", "gaussian(phase=1)",
+                           "--n", "4", "--quad-nodes", "64", "--quad-tol", "1e-30")
     assert code == 3
     assert last_json(err)["error"]["kind"] == "numerical-failure"
 

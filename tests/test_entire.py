@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -29,12 +30,10 @@ from stftuniq import (
     make_modulated_generalized_gaussian,
     moment_integral,
     predicted_growth,
-    strip_growth_fit,
     taylor_coefficients,
-    weierstrass_factor,
     zero_count_bound,
 )
-from stftuniq.entire import DegenerateFitError, canonical_product_eval, canonical_product_log_magnitudes
+from stftuniq.entire import canonical_product_eval, canonical_product_log_magnitudes
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -94,6 +93,40 @@ def test_taylor_coefficient_envelope():
         log_bound = (n * math.log(2.0 * math.pi) - gammaln(n + 1)
                      + math.log(moment_integral(n, 1.0, 2.0)))
         assert math.log(abs(cn)) <= log_bound + 1e-10
+
+
+def _mp_taylor(a, m, xi0, n):
+    """c_n by 20-digit quadrature of the n-th moment, split at the |.|^m kink."""
+    with mpmath.workdps(20):
+        moment = mpmath.quad(lambda x: x**n * mpmath.exp(-a * abs(x - xi0) ** m),
+                             [-mpmath.inf, xi0, mpmath.inf])
+        return complex((2j * mpmath.pi) ** n / mpmath.factorial(n) * moment)
+
+
+@pytest.mark.parametrize("a,m,xi0", [(2.0, 1.5, 0.0), (2.0, 3.0, 0.0), (1.5, 1.5, 0.8), (1.5, 1.5, -0.6)])
+def test_taylor_coefficients_against_mpmath(a, m, xi0):
+    window = (make_modulated_generalized_gaussian(a, m, xi0) if xi0
+              else make_generalized_gaussian(a, m))
+    got = taylor_coefficients(window, 12).coefficients
+    for n in range(13):
+        if xi0 == 0.0 and n % 2:
+            assert got[n] == 0.0
+            continue
+        want = _mp_taylor(a, m, xi0, n)
+        assert abs(got[n] - want) <= 1e-12 * abs(want), (n, got[n], want)
+
+
+def test_taylor_large_n_stays_in_range():
+    # at N = 300 the moments themselves overflow, the coefficients do not
+    series = taylor_coefficients(make_generalized_gaussian(2.0, 1.5), 300)
+    assert abs(estimate_order(series).order - 3.00005) < 1e-5
+    assert abs(estimate_type(series, 3.0).type - 9.18697) < 1e-5
+    # at m = 3 the tail coefficients fall below the smallest normal float; read
+    # as zeros they would make the series a polynomial of order 0
+    with pytest.raises(EvaluationOverflowError, match="normal floats"):
+        taylor_coefficients(make_generalized_gaussian(2.0, 3.0), 1000)
+    with pytest.raises(InvalidParameterError):
+        taylor_coefficients(make_generalized_gaussian(2.0, 1.5).fourier_eval, 20)
 
 
 def test_series_validation():
@@ -220,15 +253,17 @@ def test_zero_count_bound():
 
 # ------------------------------------------------------ canonical products
 
+def _weierstrass_factor(u, p):
+    """Elementary factor G(u; p) = (1 - u) exp(sum_{j<=p} u^j / j), apart from the evaluator."""
+    u = np.asarray(u, dtype=complex)
+    return (1.0 - u) * np.exp(sum(u**j / j for j in range(1, p + 1)))
+
+
 def test_weierstrass_factor_values():
-    assert weierstrass_factor(0.0, 3) == 1.0
-    assert weierstrass_factor(1.0, 2) == 0.0
+    assert _weierstrass_factor(0.0, 3) == 1.0
+    assert _weierstrass_factor(1.0, 2) == 0.0
     want = 0.5 * math.exp(0.5)
-    assert math.isclose(weierstrass_factor(0.5, 1).real, want, rel_tol=1e-15)
-    with pytest.raises(InvalidParameterError):
-        weierstrass_factor(0.5, -1)
-    with pytest.raises(InvalidParameterError):
-        weierstrass_factor(0.5, 1.5)
+    assert math.isclose(_weierstrass_factor(0.5, 1).real, want, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -237,7 +272,7 @@ def test_weierstrass_log_bound(p, radius):
     # |log G(u; p)| <= |u|^{p+1} / (1 - |u|) on |u| <= 1/2
     for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
         u = radius * cmath.exp(1j * angle)
-        g = weierstrass_factor(u, p)
+        g = complex(_weierstrass_factor(u, p))
         bound = radius ** (p + 1) / (1.0 - radius)
         assert abs(cmath.log(g)) <= bound + 1e-13
 
@@ -436,7 +471,7 @@ def test_product_eval_matches_direct_with_phase(genus):
     near = [zeros[4] * (1.0 + 1e-7) + 1e-6j, zeros[12] - 0.01j, 0.5 * (zeros[9] + zeros[10])]
     far = [-250.0 + 30.0j, 150.0j, 0.05 - 0.02j, 250.0 * np.exp(2.5j)]
     for w in near + far:
-        want = np.prod(weierstrass_factor(w / zeros, genus))
+        want = np.prod(_weierstrass_factor(w / zeros, genus))
         got = canonical_product_eval(prod, w)
         assert abs(got - want) <= 1e-10 * abs(want), (w, got, want)
 
@@ -449,28 +484,3 @@ def test_product_far_out_stays_finite():
     want = _direct_log(zeros, 0, w).real
     assert abs(math.log(abs(canonical_product_eval(prod, w))) - want) < 1e-10
     assert abs(canonical_product_log_magnitudes(prod, np.array([w]))[0] - want) < 1e-10
-
-
-# ------------------------------------------------------------- strip fits
-
-def test_strip_fit_recovers_gaussian_profile():
-    grid = np.linspace(-2.0, 2.0, 41)
-    fit = strip_growth_fit(lambda z: np.exp(-math.pi * z * z), 2.0, grid, grid)
-    assert abs(fit.a_fit - math.pi) < 1e-10
-    assert abs(fit.b_fit - math.pi) < 1e-10
-    assert abs(fit.c_fit - 1.0) < 1e-10
-    assert fit.rho == 2.0
-    assert 0.0 <= fit.residual < 1e-9
-
-
-def test_strip_fit_constant_function():
-    grid = np.linspace(-2.0, 2.0, 21)
-    fit = strip_growth_fit(lambda z: np.ones_like(z), 2.0, grid, grid)
-    assert abs(fit.a_fit) < 1e-12 and abs(fit.b_fit) < 1e-12
-    assert abs(fit.c_fit - 1.0) < 1e-12
-
-
-def test_strip_fit_degenerate():
-    grid = np.linspace(-1.0, 1.0, 11)
-    with pytest.raises(DegenerateFitError):
-        strip_growth_fit(lambda z: np.zeros_like(z), 2.0, grid, grid)

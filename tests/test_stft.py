@@ -1,6 +1,7 @@
 """Transform evaluation, discrimination, reconstruction, and the extension."""
 
 import cmath
+import io
 import math
 
 import numpy as np
@@ -180,6 +181,19 @@ def test_spectrogram_csv_round_trip(gauss_window):
         SpectrogramSamples.from_csv("x,omega,magnitude\n1.0,2.0\n")
     with pytest.raises(InvalidParameterError):
         SpectrogramSamples(points=np.zeros((2, 2)), magnitudes=np.zeros(3))
+
+
+def test_spectrogram_csv_file_and_handle_round_trip(gauss_window, tmp_path):
+    samples = spectrogram_on_set(gaussian_signal(), gauss_window, np.array([[0.0, 0.0], [0.5, -0.25]]))
+    handle = io.StringIO()
+    assert samples.to_csv(handle, extra_meta={"note": "x"}) is None
+    handle.seek(0)
+    back = SpectrogramSamples.from_csv(handle)
+    assert np.array_equal(back.magnitudes, samples.magnitudes)
+    assert back.quad_config_id == samples.quad_config_id
+    path = tmp_path / "spec.csv"
+    assert samples.to_csv(path) is None
+    assert np.array_equal(SpectrogramSamples.from_csv(path).points, samples.points)
 
 
 # ------------------------------------------------------- phase alignment

@@ -16,13 +16,7 @@ from stftuniq import (
     verify_decay,
     window_ambiguity_scan,
 )
-from stftuniq.windows import (
-    WindowFamily,
-    fourier_window_eval,
-    time_window_closed_form,
-    time_window_eval,
-    time_window_values,
-)
+from stftuniq.windows import WindowFamily, time_window_closed_form, time_window_values
 
 
 def test_constructor_validation():
@@ -52,10 +46,9 @@ def test_slow_decay_rate_warns():
 
 def test_fourier_profile():
     w = make_generalized_gaussian(2.0, 3.0, amplitude=2.5)
-    assert fourier_window_eval(w, 0.0) == 2.5
+    assert w.fourier_eval(0.0) == 2.5
     xs = np.linspace(0.1, 4.0, 17)
-    left = np.array([fourier_window_eval(w, -x) for x in xs])
-    right = np.array([fourier_window_eval(w, x) for x in xs])
+    left, right = w.fourier_eval(-xs), w.fourier_eval(xs)
     assert np.array_equal(left, right)
     want = 2.5 * np.exp(-2.0 * xs**3)
     assert np.max(np.abs(right - want)) < 1e-15
@@ -64,9 +57,9 @@ def test_fourier_profile():
 def test_modulated_profile_recenters():
     w = make_modulated_generalized_gaussian(2.0, 2.0, 1.5, amplitude=0.7)
     assert w.center == 1.5
-    assert fourier_window_eval(w, 1.5) == 0.7
-    hi = fourier_window_eval(w, 1.5 + 0.4)
-    lo = fourier_window_eval(w, 1.5 - 0.4)
+    assert w.fourier_eval(1.5) == 0.7
+    hi = w.fourier_eval(1.5 + 0.4)
+    lo = w.fourier_eval(1.5 - 0.4)
     assert abs(hi - lo) < 1e-15 * abs(hi)
 
 
@@ -94,7 +87,7 @@ def test_time_side_closed_form_agrees_with_quadrature():
 
 def test_time_side_complex_argument():
     w = make_generalized_gaussian(math.pi, 2.0)
-    val = time_window_eval(w, 1j)
+    val = time_window_values(w, np.array([1j]))[0]
     want = math.exp(math.pi)
     assert abs(val - want) / want < 1e-8
 
@@ -160,8 +153,9 @@ def test_ambiguity_scan_gaussian_zero_free():
 
 
 def test_ambiguity_scan_zero_window():
-    scan = window_ambiguity_scan(lambda xi: np.zeros_like(np.asarray(xi, dtype=float)),
-                                 0.5, grid=np.linspace(-2.0, 2.0, 101))
+    # far out in xi the two factors underflow against each other: the slice is exactly 0
+    scan = window_ambiguity_scan(make_generalized_gaussian(math.pi, 2.0), 0.5,
+                                 grid=np.linspace(50.0, 60.0, 11))
     assert scan.min_magnitude == 0.0
     assert scan.near_zero_fraction == 1.0
 
