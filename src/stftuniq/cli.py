@@ -340,20 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write to this path instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    common.add_argument("--quad-radius", type=float, default=None, dest="quad_radius",
-                        help="override the automatic truncation radius")
-    common.add_argument("--quad-nodes", type=int, default=2048, dest="quad_nodes",
-                        help="quadrature nodes per half interval")
-    common.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
-                        help="node-doubling stability tolerance")
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--quad-radius", type=float, default=None, dest="quad_radius",
+                            help="override the automatic truncation radius")
+    quadrature.add_argument("--quad-nodes", type=int, default=2048, dest="quad_nodes",
+                            help="quadrature nodes per half interval")
+    quadrature.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
+                            help="node-doubling stability tolerance")
 
     parser = _Parser(prog="stftuniq",
                      description="Sampling sets, growth analysis, and discrimination "
                                  "for transforms against super-exponentially decaying windows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, default_format):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, help_text, default_format, quad=False):
+        p = sub.add_parser(name, parents=[common, quadrature] if quad else [common], help=help_text)
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
         return p
 
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="k-expression, e.g. '0.3*sqrt(k)'")
     p.add_argument("--terms", type=int, default=200)
 
-    p = add("discriminate", "compare two signals through spectrogram samples", "json")
+    p = add("discriminate", "compare two signals through spectrogram samples", "json", quad=True)
     p.add_argument("--f", required=True, help="signal spec, e.g. 'gaussian(width=1)'")
     p.add_argument("--h", required=True)
     p.add_argument("--m", type=float, default=2.0)
@@ -401,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="4,8,16")
     p.add_argument("--n-theta", type=int, default=64, dest="n_theta")
 
-    p = add("scan-window", "ambiguity-function slice magnitudes for a window", "csv")
+    p = add("scan-window", "ambiguity-function slice magnitudes for a window", "csv", quad=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--xi0", type=float, default=None, help="modulation frequency")
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--grid", default="-5,5,1001", help="lo,hi,n")
 
-    p = add("reconstruct", "seeded magnitude-only reconstruction demo", "json")
+    p = add("reconstruct", "seeded magnitude-only reconstruction demo", "json", quad=True)
     p.add_argument("--iters", type=int, default=400)
     p.add_argument("--m", type=float, default=2.0)
     p.add_argument("--a", type=float, default=math.pi)
@@ -427,15 +428,13 @@ def run(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        quad = QuadratureConfig(radius=ns.quad_radius, nodes=ns.quad_nodes, tol=ns.quad_tol)
-        meta = {
-            "command": ns.command,
-            "format": ns.format,
-            "seed": ns.seed,
-            "quad_nodes": quad.nodes,
-            "quad_radius": "auto" if quad.radius is None else quad.radius,
-            "quad_tol": quad.tol,
-        }
+        meta = {"command": ns.command, "format": ns.format, "seed": ns.seed}
+        quad = None
+        if hasattr(ns, "quad_nodes"):
+            quad = QuadratureConfig(radius=ns.quad_radius, nodes=ns.quad_nodes, tol=ns.quad_tol)
+            meta.update({"quad_nodes": quad.nodes,
+                         "quad_radius": "auto" if quad.radius is None else quad.radius,
+                         "quad_tol": quad.tol})
         result, csv_text = _HANDLERS[ns.command](ns, quad, meta)
         if ns.format == "csv":
             if csv_text is None:

@@ -189,11 +189,15 @@ def window_l2_norm(window: WindowModel) -> float:
     return window.amplitude * math.sqrt(moment_integral(0, 2.0 * window.a, window.m))
 
 
-def _window_time_matrix(window: WindowModel, targets, quad: QuadratureConfig) -> np.ndarray:
+def _window_values(window: WindowModel, targets, quad: QuadratureConfig) -> np.ndarray:
     closed = time_window_closed_form(window)
-    if closed is not None:
-        return closed(targets)
-    return time_window_values(window, targets, quad)
+    return closed(targets) if closed is not None else time_window_values(window, targets, quad)
+
+
+def _window_time_matrix(window: WindowModel, t, shifts, quad: QuadratureConfig) -> np.ndarray:
+    """g(t_j - x_p) as a (len(t), len(shifts)) matrix, evaluated once per distinct shift."""
+    distinct, inverse = np.unique(shifts, return_inverse=True)
+    return _window_values(window, t[:, None] - distinct[None, :], quad)[:, inverse]
 
 
 def _signal_integral(f: Signal, assemble, quad: QuadratureConfig, what: str, linear: float = 0.0):
@@ -225,7 +229,7 @@ def _stft_batch(f: Signal, window: WindowModel, points, quad: QuadratureConfig) 
         for k in range(0, pts.shape[0], step):
             xs = pts[k:k + step, 0]
             oms = pts[k:k + step, 1]
-            gvals = _window_time_matrix(window, t[:, None] - xs[None, :], quad)
+            gvals = _window_time_matrix(window, t, xs, quad)
             kern = np.exp((-2j * math.pi) * t[:, None] * oms[None, :])
             out[k:k + step] = base @ (np.conj(gvals) * kern)
         return out, float(np.max(np.abs(out), initial=0.0))
@@ -401,7 +405,7 @@ def _stft_grid(f: Signal, window: WindowModel, xs: np.ndarray, oms: np.ndarray,
 
     def assemble(fv, t, wts):
         base = wts * fv
-        gmat = np.conj(_window_time_matrix(window, t[:, None] - xs[None, :], quad))
+        gmat = np.conj(_window_time_matrix(window, t, xs, quad))
         emat = np.exp((-2j * math.pi) * t[:, None] * oms[None, :])
         out = (gmat * base[:, None]).T @ emat
         return out, float(np.max(np.abs(out), initial=0.0))
@@ -453,7 +457,7 @@ def gs_reconstruct(magnitudes: SpectrogramSamples, window: WindowModel, grid: Si
     t = grid.times
     wts = _trapezoid_weights(grid.count, grid.step)
     pts = magnitudes.points
-    gmat = np.conj(_window_time_matrix(window, t[None, :] - pts[:, 0][:, None], quad))
+    gmat = np.conj(_window_time_matrix(window, t, pts[:, 0], quad)).T
     forward = gmat * np.exp((-2j * math.pi) * pts[:, 1][:, None] * t[None, :]) * wts[None, :]
     backward = np.linalg.pinv(forward)
     rng = np.random.default_rng(seed)
@@ -488,7 +492,7 @@ def extend_stft(f: Signal, window: WindowModel, z, zprime,
     linear = 2.0 * math.pi * abs(zp.imag)
 
     def assemble(fv, t, wts):
-        gvals = _window_time_matrix(window, t - z.conjugate(), quad)
+        gvals = _window_values(window, t - z.conjugate(), quad)
         kern = np.exp((2j * math.pi * zp) * t)
         integrand = wts * fv * np.conj(gvals) * kern
         val, mags = complex(np.sum(integrand)), np.abs(integrand)

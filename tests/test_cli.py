@@ -65,7 +65,8 @@ def test_bounds_values_and_determinism(capsys):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["meta"]["command"] == "bounds"
-    assert doc["meta"]["quad_radius"] == "auto"
+    # bounds runs no quadrature, so its meta records no quadrature settings
+    assert not any(key.startswith("quad_") for key in doc["meta"])
     assert math.isclose(doc["result"]["tau1_max"], 0.34219828031221655, rel_tol=1e-13)
     assert math.isclose(doc["result"]["tau2_max"], 0.34219828031221655, rel_tol=1e-13)
     code2, out2, _ = run_cli(capsys, *args)
@@ -177,10 +178,23 @@ def test_unstable_quadrature_exit_code(capsys):
 
 
 def test_invalid_quadrature_config_exit_code(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--m", "2", "--a", "3",
+    code, _, err = run_cli(capsys, "scan-window", "--m", "2", "--a", "3",
                            "--quad-nodes", "32")
     assert code == 2
-    assert last_json(err)["error"]["kind"] == "invalid-parameter"
+    assert "at least 64 nodes" in last_json(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ("bounds", "--m", "2", "--a", "3"),
+    ("sample-set", "--m", "2", "--a", "3"),
+    ("growth", "--m", "2", "--a", "3", "--estimate"),
+    ("classify", "--rho", "2", "--b", "3", "--seq", "0.3*sqrt(k)"),
+    ("counterexample", "--rho", "2", "--b", "3", "--seq", "1.5*sqrt(k)", "--terms", "100"),
+])
+def test_quadrature_flags_only_where_a_quadrature_runs(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--quad-tol", "1e-30")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --quad-tol" in last_json(err)["error"]["message"]
 
 
 # ------------------------------------------------------------- classify
@@ -209,7 +223,10 @@ def test_discriminate_equivalent(capsys):
                            "--f", "gaussian()", "--h", "gaussian(phase=1.0)",
                            "--n", "12")
     assert code == 0
-    res = json.loads(out)["result"]
+    doc = json.loads(out)
+    assert doc["meta"]["quad_radius"] == "auto"
+    assert doc["meta"]["quad_nodes"] == 2048 and doc["meta"]["quad_tol"] == 1e-10
+    res = doc["result"]
     assert res["verdict"] == "EquivalentUpToPhase"
     assert abs(res["alpha"] - (2.0 * math.pi - 1.0)) < 1e-9
     assert res["points"] == 48

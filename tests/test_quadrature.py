@@ -18,6 +18,7 @@ from stftuniq import (
     stft_eval,
     time_window_values,
 )
+from stftuniq import quadrature
 from stftuniq.quadrature import _legendre_rule, decay_truncation_radius, line_nodes, refine
 
 
@@ -81,6 +82,28 @@ def test_legendre_rule_against_mpmath(n):
             weight = 2 / ((1 - root * root) * dp * dp)
             assert abs(float(xi - root)) <= 1e-15
             assert abs(float((w[i] - weight) / weight)) <= 1e-9
+
+
+def test_bessel_zero_table():
+    with mpmath.workdps(30):
+        want = [float(mpmath.besseljzero(0, k)) for k in range(1, 31)]
+    assert np.max(np.abs(quadrature._BESSEL_J0_ZEROS - want) / want) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_legendre_rule_needs_one_newton_pass(n, monkeypatch):
+    # the Tricomi and Frenzen-Wong guesses are within 1e-15, so one pass confirms every node
+    calls = []
+    values = quadrature._legendre_values
+
+    def counting(n, x):
+        calls.append(x.size)
+        return values(n, x)
+
+    monkeypatch.setattr(quadrature, "_legendre_values", counting)
+    x = quadrature._legendre_rule.__wrapped__(n)[0]
+    assert calls == [n // 2]
+    np.testing.assert_array_equal(x, _legendre_rule(n)[0])
 
 
 def test_import_loads_no_scipy():

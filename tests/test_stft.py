@@ -23,6 +23,7 @@ from stftuniq import (
     gs_reconstruct,
     hermite_signal,
     make_generalized_gaussian,
+    make_modulated_generalized_gaussian,
     moyal_energy_check,
     spectrogram_on_set,
     stft_eval,
@@ -164,6 +165,41 @@ def test_quadrature_failure_propagates(gauss_window):
     c = chirp_signal(chirp_rate=60.0)
     with pytest.raises(QuadratureConvergenceError):
         stft_eval(c, gauss_window, 0.0, 0.0, QuadratureConfig(nodes=64, max_doublings=1))
+
+
+def _fourier_side_magnitude(fhat, a, m, x, w):
+    """|int fhat(w + eta) e^{-a |eta|^m} e^{2 pi i eta x} d eta| by scipy, split at the kink eta = 0."""
+    from scipy.integrate import quad as scipy_quad
+
+    reach = (45.0 / a) ** (1.0 / m)
+
+    def part(lo, hi, take):
+        return scipy_quad(lambda eta: take(fhat(w + eta) * math.exp(-a * abs(eta) ** m)
+                                           * cmath.exp(2j * math.pi * eta * x)),
+                          lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+    return abs(sum(complex(part(lo, hi, lambda v: v.real), part(lo, hi, lambda v: v.imag))
+                   for lo, hi in ((-reach, 0.0), (0.0, reach))))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_modulated_window_at_non_even_m():
+    # g = e^{2 pi i xi0 t} g0 gives |V_g f(x, w)| = |V_g0 f(x, w + xi0)|; the |.|^m
+    # kink of ghat sits at xi0, which the time-side quadrature must not cut through
+    a, m, xi0 = 2.0, 1.5, 0.7
+    width, center = 0.9, 0.3
+    f = gaussian_signal(width, center)
+    pts = np.array([[0.0, 0.0], [0.4, -0.5], [-0.8, 1.1], [1.3, 0.6]])
+    quad = QuadratureConfig(nodes=256)
+    got = spectrogram_on_set(f, make_modulated_generalized_gaussian(a, m, xi0), pts, quad).magnitudes
+
+    def fhat(xi):
+        return width * cmath.exp(-math.pi * (width * xi) ** 2 - 2j * math.pi * xi * center)
+
+    want = np.array([_fourier_side_magnitude(fhat, a, m, x, w + xi0) for x, w in pts])
+    assert np.max(np.abs(got - want)) <= quad.tol * want.max()
+    plain = spectrogram_on_set(f, make_generalized_gaussian(a, m), pts + [0.0, xi0], quad).magnitudes
+    assert np.max(np.abs(got - plain)) <= 1e-13 * want.max()
 
 
 # ------------------------------------------------------ spectrogram files

@@ -16,6 +16,7 @@ from stftuniq import (
     verify_decay,
     window_ambiguity_scan,
 )
+from stftuniq.quadrature import line_nodes
 from stftuniq.windows import WindowFamily, time_window_closed_form, time_window_values
 
 
@@ -74,13 +75,13 @@ def test_time_side_gaussian_closed_form():
 
 def test_time_side_closed_form_agrees_with_quadrature():
     # force the quadrature path by building a window the closed form also covers
-    w = make_modulated_generalized_gaussian(2.0, 2.0, 1.5)
-    ts = np.linspace(-2.0, 2.0, 9)
-    closed = time_window_closed_form(w)
-    assert closed is not None
-    direct = np.array([closed(t) for t in ts])
-    quad = time_window_values(w, ts)
-    assert np.max(np.abs(direct - quad)) / np.max(np.abs(direct)) < 1e-9
+    for w in (make_modulated_generalized_gaussian(2.0, 2.0, 1.5), make_generalized_gaussian(1.5, 2.0)):
+        for ts in (np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, 2.0, 9) + 0.4j):
+            closed = time_window_closed_form(w)
+            assert closed is not None
+            direct = np.array([closed(t) for t in ts])
+            quad = time_window_values(w, ts)
+            assert np.max(np.abs(direct - quad)) / np.max(np.abs(direct)) < 1e-9
     # no closed form outside m = 2
     assert time_window_closed_form(make_generalized_gaussian(2.0, 3.0)) is None
 
@@ -189,3 +190,51 @@ def test_ambiguity_scan_modulated_window_against_quad(m):
                             scipy_quad(lambda e: integrand(e, xi).imag, lo, hi, epsabs=1e-14, limit=200)[0])
                     for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
         assert abs(got - abs(total)) < 1e-9 * scan.magnitudes.max()
+
+
+# ------------------------------------------------ the cosine-transform path
+
+def _full_line(window, ts, radius, nodes):
+    """g(t) as the complex exponential sum over both halves of [xi0 - R, xi0 + R], split at xi0."""
+    eta, wt = line_nodes(radius, nodes)
+    xi = window.center + eta
+    return np.exp((2j * math.pi) * ts[:, None] * xi[None, :]) @ (window.fourier_eval(xi) * wt)
+
+
+def test_time_side_dtype_follows_the_times():
+    plain, mod = make_generalized_gaussian(2.0, 1.5), make_modulated_generalized_gaussian(2.0, 1.5, 0.7)
+    ts = np.linspace(-2.0, 2.0, 5)
+    assert time_window_values(plain, ts).dtype == np.float64
+    assert time_window_values(plain, np.arange(-2, 3)).dtype == np.float64
+    assert time_window_values(plain, ts + 0.25j).dtype == np.complex128
+    assert time_window_values(plain, ts.astype(complex)).dtype == np.complex128
+    assert time_window_values(mod, ts).dtype == np.complex128
+    closed, closed_mod = (time_window_closed_form(make_generalized_gaussian(2.0, 2.0)),
+                          time_window_closed_form(make_modulated_generalized_gaussian(2.0, 2.0, 0.7)))
+    assert closed(ts).dtype == np.float64
+    assert closed(ts + 0.25j).dtype == np.complex128
+    assert closed_mod(ts).dtype == np.complex128
+
+
+@pytest.mark.parametrize("m", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("xi0", [None, 0.7])
+@pytest.mark.parametrize("im", [0.0, 0.3])
+def test_cosine_transform_matches_the_full_line_sum(m, xi0, im):
+    window = (make_generalized_gaussian(2.0, m) if xi0 is None
+              else make_modulated_generalized_gaussian(2.0, m, xi0))
+    ts = np.linspace(-3.0, 3.0, 13) + 1j * im * np.linspace(-1.0, 1.0, 13)
+    if not im:
+        ts = ts.real
+    # a tolerance no change exceeds returns the level at 2 * 256 nodes after one doubling
+    got = time_window_values(window, ts, QuadratureConfig(radius=12.0, nodes=256, tol=0.5, max_doublings=1))
+    want = _full_line(window, ts, 12.0, 512)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1.2, 1.5, 3.0])
+def test_time_side_plain_window_is_even(m):
+    w = make_generalized_gaussian(2.0, m)
+    ts = np.linspace(0.0, 4.0, 41)
+    ts = np.concatenate([ts, -ts])
+    vals = time_window_values(w, ts)
+    assert np.max(np.abs(vals[:41] - vals[41:])) <= 4 * np.finfo(float).eps * np.max(np.abs(vals))
