@@ -41,6 +41,7 @@ from .entire import (
     taylor_coefficients,
 )
 from .sampling import (
+    _write_csv,
     classify_sequence,
     density_index,
     generate_sampling_set,
@@ -291,11 +292,8 @@ def _run_scan_window(ns, quad, meta):
         "xi": [float(v) for v in report.grid],
         "magnitude": [float(v) for v in report.magnitudes],
     }
-    lines = [f"# {k}={meta[k]!r}" for k in sorted(meta)]
-    lines.append("xi,magnitude")
-    for xi, mag in zip(report.grid, report.magnitudes):
-        lines.append(f"{xi:.17g},{mag:.17g}")
-    return result, "\n".join(lines) + "\n"
+    rows = (f"{xi:.17g},{mag:.17g}" for xi, mag in zip(report.grid, report.magnitudes))
+    return result, _write_csv(None, meta, "xi,magnitude", rows)
 
 
 def _run_reconstruct(ns, quad, meta):

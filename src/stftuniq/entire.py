@@ -3,8 +3,9 @@
 Closed-form Taylor coefficients of a window's entire extension (from the
 Gamma-function absolute moments), order/type estimation from coefficient
 decay and the predicted growth of a decay profile, Jensen circle means and
-zero-count bounds, and Weierstrass canonical products over positive zeros
-with banded evaluation, including the symmetric counterexample F(z) = V(z^2).
+zero-count bounds, and Weierstrass canonical products over finitely many
+positive zeros with banded evaluation, including the symmetric
+counterexample F(z) = V(z^2).
 Everything here works with the convention F(z) = int ghat(xi)
 e^{2 pi i xi z} d xi, so the coefficients are c_n = (2 pi i)^n / n! times the
 n-th moment of ghat.
@@ -42,16 +43,19 @@ class TaylorSeries:
     """Taylor coefficients c_0 .. c_N of an entire function about the origin."""
 
     coefficients: np.ndarray
-    truncation: int
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=complex)
         object.__setattr__(self, "coefficients", coeffs)
         _require(coeffs.ndim == 1, "coefficients must be one-dimensional")
-        _require(self.truncation == coeffs.size - 1, "truncation must equal len(coefficients) - 1")
-        _require(self.truncation >= 2, "need at least coefficients c_0, c_1, c_2")
+        _require(coeffs.size >= 3, "need at least coefficients c_0, c_1, c_2")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidParameterError("coefficients must all be finite")
+
+    @property
+    def truncation(self) -> int:
+        """The index N of the last coefficient."""
+        return self.coefficients.size - 1
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,10 @@ class GrowthEstimate:
 
 @dataclass(frozen=True)
 class CanonicalProduct:
-    """Truncated Weierstrass product with strictly increasing positive zeros."""
+    """Weierstrass product prod_k G(w / omega_k; p) over strictly increasing positive zeros."""
 
     zeros: np.ndarray
     genus: int
-    truncation: int
-    origin_multiplicity: int = 0
 
     def __post_init__(self) -> None:
         zeros = np.asarray(self.zeros, dtype=float)
@@ -78,9 +80,6 @@ class CanonicalProduct:
         _require(zeros.ndim == 1 and zeros.size >= 1, "need at least one zero")
         check_increasing(zeros, "zeros")
         _require(self.genus >= 0, "genus must be nonnegative")
-        _require(1 <= self.truncation <= zeros.size,
-                 f"truncation must lie in [1, {zeros.size}], got {self.truncation}")
-        _require(self.origin_multiplicity >= 0, "origin multiplicity must be nonnegative")
 
 
 def _log_moment(n: int, a: float, m: float) -> float:
@@ -140,7 +139,7 @@ def taylor_coefficients(window: WindowModel, n_terms: int) -> TaylorSeries:
                                           "outside the range of normal floats")
         # the phase is i^n, times sign(xi0)^n; (-i)^n = i^(-n)
         coeffs[n] = _I_POWERS[(n if xi0 >= 0 else -n) % 4] * math.exp(log_c)
-    return TaylorSeries(coeffs, n_terms)
+    return TaylorSeries(coeffs)
 
 
 def _usable_tail(series: TaylorSeries):
@@ -284,17 +283,16 @@ _CHUNK = 1 << 16
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _log_product(product: CanonicalProduct, ws: np.ndarray) -> np.ndarray:
-    """Complex log of w^{m0} prod_{k<=K} G(w / omega_k; p) on a flat complex array.
+    """Complex log of prod_k G(w / omega_k; p) on a flat complex array.
 
     Zeros within 2.2x of the batch's largest |w| contribute direct factor logs;
     the (typically vast) remainder enters through per-band power sums, an exact
     rearrangement of the tail log series. Bands are keyed to the largest |w|, so
     smaller points see larger ratios and the same truncation bound. A point on
-    a retained zero gets real part -inf.
+    a zero gets real part -inf.
     """
-    zeros = product.zeros[:product.truncation]
-    p, m0 = product.genus, product.origin_multiplicity
-    out = m0 * np.log(ws) if m0 else np.zeros(ws.shape, dtype=complex)
+    zeros, p = product.zeros, product.genus
+    out = np.zeros(ws.shape, dtype=complex)
     wmax = float(np.abs(ws).max()) if ws.size else 0.0
     if wmax == 0.0:
         return out
@@ -333,16 +331,16 @@ def _log_product(product: CanonicalProduct, ws: np.ndarray) -> np.ndarray:
 
 
 def canonical_product_eval(product: CanonicalProduct, w) -> complex:
-    """Evaluate w^{m0} prod_{k<=K} G(w / omega_k; p) at one point.
+    """Evaluate prod_k G(w / omega_k; p) at one point.
 
     The exp of the banded complex log, phase included; raises
     EvaluationOverflowError if the magnitude exponent leaves the float range.
-    Points equal to a retained zero return exactly 0.
+    Points equal to a zero return exactly 0.
     """
     w = complex(w)
-    zeros = product.zeros[:product.truncation]
+    zeros = product.zeros
     if w == 0:
-        return 0j if product.origin_multiplicity else 1 + 0j
+        return 1 + 0j
     if w.imag == 0.0:
         k = int(np.searchsorted(zeros, w.real))
         if k < zeros.size and zeros[k] == w.real:
@@ -354,82 +352,70 @@ def canonical_product_eval(product: CanonicalProduct, w) -> complex:
 
 
 def canonical_product_log_magnitudes(product: CanonicalProduct, ws) -> np.ndarray:
-    """log|product| on an array of points (the real part of the banded log; -inf on a retained zero)."""
+    """log|product| on an array of points (the real part of the banded log; -inf on a zero)."""
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
     return _log_product(product, ws.ravel()).real.reshape(ws.shape)
 
 
-def _warn_unless_separating(tail: np.ndarray, rho: float, b: float) -> None:
-    if not tail_density(tail) > nonuniqueness_threshold(rho, b):
-        warnings.warn("sequence density does not clear the non-uniqueness threshold; the "
-                      "vanishing construction does not separate anything here", RuntimeWarning)
-
-
-def build_counterexample_product(lambdas, rho: float, truncation: int | None = None,
-                                 b: float | None = None) -> CanonicalProduct:
+def build_counterexample_product(lambdas, rho: float) -> CanonicalProduct:
     """Canonical product with zeros lambda_k^2, genus matched to order rho in z.
 
     The product V(w) of genus floor(rho/2) over the squared sequence makes
     F(z) = V(z^2) an even entire function of order rho vanishing at every
-    +-lambda_k. When b is given, the sequence is classified against the
-    separation thresholds and a warning goes out if its density does not
-    clear the non-uniqueness bound (the construction then proves nothing).
+    +-lambda_k. Every given term is a factor; pass lambdas[:K] for fewer.
     """
     lam = np.asarray(lambdas, dtype=float)
     _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
     check_increasing(lam, "sequence entries")
     _require(rho > 1 and math.isfinite(rho), f"order rho must exceed 1, got {rho}")
-    K = lam.size if truncation is None else int(truncation)
-    _require(1 <= K <= lam.size, f"truncation must lie in [1, {lam.size}], got {truncation}")
-    if b is not None and lam.size >= 16:
-        _warn_unless_separating(tail_ratios(lam, rho), rho, b)
     # the product checks the squares once more: squaring can round neighbours together
-    return CanonicalProduct(zeros=lam * lam, genus=int(math.floor(rho / 2.0)), truncation=K)
+    return CanonicalProduct(zeros=lam * lam, genus=int(math.floor(rho / 2.0)))
 
 
-def counterexample_eval(lambdas, rho: float, z, truncation: int | None = None,
-                        b: float | None = None) -> complex:
+def counterexample_eval(lambdas, rho: float, z) -> complex:
     """F(z) = V(z^2) for the canonical product over the squared sequence.
 
-    Vanishes exactly at +-lambda_k for every retained k (the squared argument
-    hits the stored zero bit for bit).
+    Vanishes exactly at +-lambda_k for every k (the squared argument hits the
+    stored zero bit for bit).
     """
-    product = build_counterexample_product(lambdas, rho, truncation, b)
+    product = build_counterexample_product(lambdas, rho)
     z = complex(z)
     return canonical_product_eval(product, z * z)
 
 
-def counterexample_log_magnitudes(lambdas, rho: float, zs,
-                                  truncation: int | None = None) -> np.ndarray:
+def counterexample_log_magnitudes(lambdas, rho: float, zs) -> np.ndarray:
     """log|F| on an array of z points, through the banded product evaluation."""
-    product = build_counterexample_product(lambdas, rho, truncation)
+    product = build_counterexample_product(lambdas, rho)
     zs = np.asarray(zs, dtype=complex)
     return canonical_product_log_magnitudes(product, zs * zs)
 
 
 def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0),
-                                      truncation: int | None = None, n_theta: int = 64,
-                                      b: float | None = None):
+                                      n_theta: int = 64, b: float | None = None):
     """Fit log max_theta |F(r e^{i theta})| = coeff * r^rho + const over the radii.
 
     Returns (coeff, ((r, log_max), ...)). The fit is the operational check
-    that the construction stays within type b at the probed radii; it is a
-    power-law heuristic, so sequences far from lambda_k ~ c k^{1/rho} get a
-    warning rather than silent nonsense. When rho/2 is an integer, the
-    genus-rho/2 product grows like |u| log|u| in u = z^rho / c^rho, which is
-    infinite type: the fitted coefficient rises with the radii, so "below b"
-    depends on the radii chosen. At rho = 2, c = 1.5 it is 2.33, 2.91 and 3.48
-    for radii (4, 8, 16), (8, 16, 32) and (16, 32, 64).
+    that the construction stays within type b at the probed radii. When b is
+    given and there are at least 16 terms, a sequence whose density does not
+    clear the non-uniqueness threshold gets a warning: the construction then
+    separates nothing. The fit is a power-law heuristic, so sequences far
+    from lambda_k ~ c k^{1/rho} get a warning rather than silent nonsense.
+    When rho/2 is an integer, the genus-rho/2 product grows like |u| log|u|
+    in u = z^rho / c^rho, which is infinite type: the fitted coefficient
+    rises with the radii, so "below b" depends on the radii chosen. At
+    rho = 2, c = 1.5 it is 2.33, 2.91 and 3.48 for radii (4, 8, 16),
+    (8, 16, 32) and (16, 32, 64).
     """
     _require(n_theta >= 16, f"need n_theta >= 16, got {n_theta}")
     radii = np.asarray(radii, dtype=float)
     _require(radii.ndim == 1 and radii.size >= 2, "need at least two radii")
-    _require(bool(np.all(radii > 0)), "radii must be positive")
+    _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
     lam = np.asarray(lambdas, dtype=float)
-    product = build_counterexample_product(lam, rho, truncation)
+    product = build_counterexample_product(lam, rho)
     tail = tail_ratios(lam, rho)
-    if b is not None and lam.size >= 16:
-        _warn_unless_separating(tail, rho, b)
+    if b is not None and lam.size >= 16 and not tail_density(tail) > nonuniqueness_threshold(rho, b):
+        warnings.warn("sequence density does not clear the non-uniqueness threshold; the "
+                      "vanishing construction does not separate anything here", RuntimeWarning)
     if float(tail.max() / tail.min()) > 1.05:
         warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
                       RuntimeWarning)

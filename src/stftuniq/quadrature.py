@@ -116,11 +116,7 @@ def _legendre_rule(n: int):
 
 def line_nodes(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for [-radius, radius], split at 0, `nodes` points per half."""
-    x, w = _legendre_rule(nodes)
-    right = 0.5 * radius * (x + 1.0)
-    t = np.concatenate([right - radius, right])
-    wt = np.concatenate([w, w]) * (0.5 * radius)
-    return t, wt
+    return panel_nodes(np.array([-radius, 0.0, radius]), nodes)
 
 
 def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,18 +155,19 @@ def refine(level, cfg: QuadratureConfig, what: str):
 
 
 def decay_truncation_radius(a: float, m: float, log_scale: float = 0.0,
-                            linear: float = 0.0, log_tail: float = 45.0) -> float:
-    """Smallest R (within ~30%) with a*R^m - linear*R >= log_scale + log_tail.
+                            linear: float = 0.0) -> float:
+    """Smallest R (within ~30%) with a*R^m - linear*R >= log_scale + 45.
 
     Truncation radius for integrands bounded by
-    exp(log_scale) * exp(-a|x|^m + linear|x|). The super-exponential term must
-    dominate eventually, i.e. m > 1 whenever linear > 0.
+    exp(log_scale) * exp(-a|x|^m + linear|x|), so the cut-off tail is below
+    e^-45 of the scale. The super-exponential term must dominate eventually,
+    i.e. m > 1 whenever linear > 0.
     """
     if not (a > 0) or not (m >= 1):
         raise InvalidParameterError("decay radius needs a > 0 and m >= 1")
     if linear > 0 and m <= 1:
         raise InvalidParameterError("a linear growth term requires decay exponent m > 1")
-    target = log_scale + log_tail
+    target = log_scale + 45.0
     r = max(1.0, (max(target, 1.0) / a) ** (1.0 / m))
     if linear > 0:
         # past the turning point the decay term grows faster than the linear one

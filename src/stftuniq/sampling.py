@@ -7,7 +7,6 @@ plus a finite-sequence density surrogate and a classifier built on it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -335,17 +334,6 @@ class ThresholdReport:
             "density": self.density,
             "verdict": self.verdict.value,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ThresholdReport":
-        d = json.loads(text)
-        return cls(rho=float(d["rho"]), b=float(d["b"]),
-                   uniq_threshold=float(d["uniq_threshold"]),
-                   nonuniq_threshold=float(d["nonuniq_threshold"]),
-                   density=float(d["density"]), verdict=Verdict(d["verdict"]))
 
 
 def classify_sequence(lambdas, rho: float, b: float) -> ThresholdReport:

@@ -276,25 +276,40 @@ class SpectrogramSamples:
                    quad_config_id=meta.get("quad_config_id", "").strip("'\""))
 
 
+def _point_array(points) -> np.ndarray:
+    """(x, omega) rows of a SamplingSet or raw (n, 2) array; at least one row, all finite."""
+    pts = points.points if isinstance(points, SamplingSet) else np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 0:
+        raise InvalidParameterError("need at least one time-frequency point")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidParameterError("time-frequency points must be finite")
+    return pts
+
+
 def spectrogram_on_set(f: Signal, window: WindowModel, points,
                        quad: QuadratureConfig = DEFAULT_QUADRATURE) -> SpectrogramSamples:
     """|V_g f| on a SamplingSet (or raw (n, 2) array), in set order."""
-    pts = points.points if isinstance(points, SamplingSet) else np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _point_array(points)
     vals = _stft_batch(f, window, pts, quad)
     radius = "auto" if quad.radius is None else f"{quad.radius:g}"
     qid = f"gauss-legendre(radius={radius},nodes={quad.nodes},tol={quad.tol:g})"
     return SpectrogramSamples(points=pts, magnitudes=np.abs(vals), quad_config_id=qid)
 
 
+def _uniform_grid(values, name: str) -> np.ndarray:
+    """values as a float array, rejected unless 1-d, at least 2 long and uniformly increasing."""
+    g = np.asarray(values, dtype=float)
+    if g.ndim != 1 or g.size < 2:
+        raise InvalidParameterError(f"{name} must be a 1-d array of at least 2 points")
+    steps = np.diff(g)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0) or steps[0] <= 0:
+        raise InvalidParameterError(f"{name} must be uniformly increasing")
+    return g
+
+
 def _common_times(f: Signal, h: Signal, times) -> np.ndarray:
     if times is not None:
-        t = np.asarray(times, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise InvalidParameterError("times must be a 1-d array of at least 2 points")
-        steps = np.diff(t)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0) or steps[0] <= 0:
-            raise InvalidParameterError("times must be uniformly increasing")
-        return t
+        return _uniform_grid(times, "times")
     if isinstance(f, GridSignal):
         return f.times
     if isinstance(h, GridSignal):
@@ -383,7 +398,7 @@ def discriminate(f: Signal, h: Signal, window: WindowModel, points,
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     if not (residual_tol > 0):
         raise InvalidParameterError(f"residual_tol must be positive, got {residual_tol}")
-    pts = points.points if isinstance(points, SamplingSet) else np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = _point_array(points)
     sf = np.abs(_stft_batch(f, window, pts, quad))
     sh = np.abs(_stft_batch(h, window, pts, quad))
     scale = max(float(sf.max()), float(sh.max()), 1e-300)
@@ -422,14 +437,8 @@ def moyal_energy_check(f: Signal, window: WindowModel, x_grid, omega_grid,
     grid converges to it as the grid refines and widens, so this deviation
     is a resolution diagnostic, not a pass/fail test by itself.
     """
-    xs = np.asarray(x_grid, dtype=float)
-    oms = np.asarray(omega_grid, dtype=float)
-    for name, g in (("x_grid", xs), ("omega_grid", oms)):
-        if g.ndim != 1 or g.size < 2:
-            raise InvalidParameterError(f"{name} must be a 1-d array of at least 2 points")
-        steps = np.diff(g)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0) or steps[0] <= 0:
-            raise InvalidParameterError(f"{name} must be uniformly increasing")
+    xs = _uniform_grid(x_grid, "x_grid")
+    oms = _uniform_grid(omega_grid, "omega_grid")
     vals = _stft_grid(f, window, xs, oms, quad)
     dx = float(xs[1] - xs[0])
     dom = float(oms[1] - oms[0])

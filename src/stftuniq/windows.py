@@ -1,14 +1,13 @@
-"""Window models whose Fourier transforms decay like exp(-a |xi|^m), m > 1.
+"""Window models whose Fourier transforms decay like exp(-a |xi - xi0|^m), m > 1.
 
 The model is specified on the Fourier side, where the decay is explicit. The
 time-domain window has a closed form when the decay is quadratic; otherwise
 it is a truncated inverse transform. The centred profile C e^{-a |xi|^m} is
 real and even, so that transform is a real cosine transform on the half
-line, with the |xi|^m kink at its panel edge 0, and the modulated family
-multiplies it by e^{2 pi i xi0 t}. Real times give real values for the plain
-family; complex times or a modulation give complex values. Verification
-helpers check claimed decay envelopes and scan ambiguity-function slices for
-zeros.
+line, with the |xi|^m kink at its panel edge 0, and a window centred at
+xi0 != 0 multiplies it by e^{2 pi i xi0 t}. Real times give real values for
+a centred window; complex times or a modulation give complex values. An
+ambiguity-function scan looks for zeros along one frequency slice.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,35 +28,25 @@ from .quadrature import (
     refine,
 )
 
-_DEFAULT_SCAN_GRID = (-5.0, 5.0, 1001)
-
-
-class WindowFamily(Enum):
-    GENERALIZED_GAUSSIAN_FOURIER = "generalized_gaussian_fourier"
-    MODULATED_GENERALIZED_GAUSSIAN = "modulated_generalized_gaussian"
-
 
 @dataclass(frozen=True)
 class WindowModel:
     """A window given by its Fourier transform C exp(-a |xi - xi0|^m).
 
-    The plain family has xi0 = None (centered at zero); the modulated family
-    shifts the same profile to xi0, which shows up in time as the modulation
-    factor exp(2 pi i xi0 t). a > 0 and m > 1 keep the transform entire-ready;
+    center is xi0: the plain window has xi0 = 0, and a modulated one shifts
+    the same profile to xi0, which shows up in time as the modulation factor
+    exp(2 pi i xi0 t). a > 0 and m > 1 keep the transform entire-ready;
     a <= 1 is accepted but flagged, since the sampling bounds downstream are
     only meaningful for a > 1.
     """
 
-    family: WindowFamily
     a: float
     m: float
     amplitude: float = 1.0
-    modulation: float | None = None
+    center: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, WindowFamily):
-            raise InvalidParameterError(f"unknown window family: {self.family!r}")
-        for name in ("a", "m", "amplitude"):
+        for name in ("a", "m", "amplitude", "center"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise InvalidParameterError(f"window parameter {name} must be a finite real, got {v!r}")
@@ -68,11 +56,6 @@ class WindowModel:
             raise InvalidParameterError(f"decay exponent m must exceed 1, got {self.m}")
         if self.amplitude <= 0:
             raise InvalidParameterError(f"amplitude must be positive, got {self.amplitude}")
-        if self.family is WindowFamily.MODULATED_GENERALIZED_GAUSSIAN:
-            if self.modulation is None or not math.isfinite(self.modulation):
-                raise InvalidParameterError("modulated family needs a finite modulation frequency")
-        elif self.modulation is not None:
-            raise InvalidParameterError("plain family does not take a modulation frequency")
         if self.a <= 1:
             warnings.warn(
                 f"decay rate a = {self.a} is at or below 1; the window is accepted but the "
@@ -80,10 +63,6 @@ class WindowModel:
                 UserWarning,
                 stacklevel=3,
             )
-
-    @property
-    def center(self) -> float:
-        return self.modulation or 0.0
 
     def fourier_eval(self, xi):
         """C exp(-a |xi - xi0|^m) on an array (or scalar) of real frequencies."""
@@ -93,14 +72,13 @@ class WindowModel:
 
 def make_generalized_gaussian(a: float, m: float, amplitude: float = 1.0) -> WindowModel:
     """Window with Fourier transform C exp(-a |xi|^m)."""
-    return WindowModel(WindowFamily.GENERALIZED_GAUSSIAN_FOURIER, float(a), float(m), float(amplitude))
+    return WindowModel(float(a), float(m), float(amplitude))
 
 
 def make_modulated_generalized_gaussian(a: float, m: float, xi0: float,
                                         amplitude: float = 1.0) -> WindowModel:
     """Window with Fourier transform C exp(-a |xi - xi0|^m), modulated to frequency xi0."""
-    return WindowModel(WindowFamily.MODULATED_GENERALIZED_GAUSSIAN, float(a), float(m),
-                       float(amplitude), modulation=float(xi0))
+    return WindowModel(float(a), float(m), float(amplitude), float(xi0))
 
 
 def _time_array(ts) -> np.ndarray:
@@ -115,7 +93,7 @@ def time_window_closed_form(window: WindowModel):
     Returns a callable on arrays of times, or None when no closed form exists.
     For ghat = C e^{-a xi^2} the transform is C sqrt(pi/a) e^{-pi^2 t^2 / a},
     times the modulation factor e^{2 pi i xi0 t}. The dtype rule is that of
-    time_window_values: real times give real values for the plain family,
+    time_window_values: real times give real values for a centred window,
     complex times or a modulated window give complex values.
     """
     if window.m != 2.0:
@@ -182,51 +160,6 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
 
 
 @dataclass(frozen=True)
-class DecayReport:
-    """Outcome of checking samples against a claimed decay envelope."""
-
-    passes: bool
-    worst_ratio: float
-    worst_location: float
-
-
-def verify_decay(samples, a: float, m: float, amplitude: float = 1.0,
-                 grid=None, tol: float = 1e-9) -> DecayReport:
-    """Check |ghat(xi)| <= C exp(-a |xi|^m) on a grid.
-
-    samples is either an evaluator xi -> ghat(xi) or an (n, 2) array of
-    (xi, value) pairs, in which case its first column is the grid. The worst
-    ratio |value| / envelope is compared in the log domain so badly violating
-    windows report a finite location instead of overflowing.
-    """
-    if not (a > 0) or not (m > 1) or not (amplitude > 0):
-        raise InvalidParameterError("envelope needs a > 0, m > 1, amplitude > 0")
-    if callable(samples):
-        if grid is None:
-            lo, hi, n = _DEFAULT_SCAN_GRID
-            grid = np.linspace(lo, hi, n)
-        else:
-            grid = np.asarray(grid, dtype=float)
-        vals = np.asarray(samples(grid), dtype=complex)
-    else:
-        pairs = np.asarray(samples)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-            raise InvalidParameterError("sample array must have shape (n, 2) with n >= 1")
-        grid = pairs[:, 0].real.astype(float)
-        vals = pairs[:, 1].astype(complex)
-    if vals.shape != grid.shape:
-        raise InvalidParameterError("evaluator output shape does not match the grid")
-
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(np.abs(vals)) + a * np.abs(grid) ** m - math.log(amplitude)
-    worst = int(np.argmax(log_ratio))
-    with np.errstate(over="ignore"):
-        worst_ratio = float(np.exp(log_ratio[worst]))
-    passes = bool(log_ratio[worst] <= math.log1p(tol))
-    return DecayReport(passes=passes, worst_ratio=worst_ratio, worst_location=float(grid[worst]))
-
-
-@dataclass(frozen=True)
 class AmbiguityScanReport:
     """Magnitudes of one frequency slice of a window's ambiguity function."""
 
@@ -238,13 +171,12 @@ class AmbiguityScanReport:
 
 
 def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
-                          quad: QuadratureConfig = DEFAULT_QUADRATURE,
-                          near_zero_tol: float = 1e-10) -> AmbiguityScanReport:
+                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> AmbiguityScanReport:
     """Scan xi -> |int e^{2 pi i omega eta} ghat(-eta) conj(ghat(xi - eta)) d eta|.
 
     A window whose scan stays away from zero on every slice of interest is
     safe for phase retrieval from the ambiguity side; the report flags the
-    fraction of grid points within near_zero_tol of the slice's maximum
+    fraction of grid points within 1e-10 of the slice's maximum
     magnitude scale (all of them when the whole slice is zero, as it is far
     out in xi, where the two factors underflow against each other). Each grid
     column integrates over three panels of quad.nodes points, split where the
@@ -254,11 +186,7 @@ def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
     """
     if not isinstance(window, WindowModel):
         raise InvalidParameterError("window must be a WindowModel")
-    if grid is None:
-        lo, hi, n = _DEFAULT_SCAN_GRID
-        grid = np.linspace(lo, hi, n)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(-5.0, 5.0, 1001) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("scan grid must be nonempty")
     fhat = window.fourier_eval
@@ -294,5 +222,5 @@ def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
         grid=grid,
         magnitudes=mags,
         min_magnitude=float(np.min(mags)),
-        near_zero_fraction=float(np.mean(mags <= near_zero_tol * np.max(mags))),
+        near_zero_fraction=float(np.mean(mags <= 1e-10 * np.max(mags))),
     )

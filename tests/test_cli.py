@@ -256,6 +256,15 @@ def test_counterexample_report(capsys):
     assert len(res["log_max_samples"]) == 2
 
 
+@pytest.mark.parametrize("radii", ["1,inf", "nan,2", "0,2"])
+def test_counterexample_rejects_bad_radii(capsys, radii):
+    code, out, err = run_cli(capsys, "counterexample", "--rho", "2", "--b", "3.14",
+                             "--seq", "1.5*sqrt(k)", "--terms", "1000", "--radii", radii)
+    assert code == 2 and out == ""
+    assert last_json(err)["error"] == {"kind": "invalid-parameter",
+                                       "message": "radii must be positive and finite"}
+
+
 def test_counterexample_builds_the_product_once(capsys, monkeypatch):
     import stftuniq.entire as entire
     import stftuniq.sampling as sampling

@@ -130,19 +130,20 @@ def test_taylor_large_n_stays_in_range():
 
 
 def test_series_validation():
+    assert TaylorSeries(np.ones(3)).truncation == 2
     with pytest.raises(InvalidParameterError):
-        TaylorSeries(np.ones(3), truncation=4)
+        TaylorSeries(np.ones((3, 3)))
     with pytest.raises(InvalidParameterError):
-        TaylorSeries(np.ones(2), truncation=1)
+        TaylorSeries(np.ones(2))
     with pytest.raises(InvalidParameterError):
-        TaylorSeries(np.array([1.0, np.nan, 0.5]), truncation=2)
+        TaylorSeries(np.array([1.0, np.nan, 0.5]))
 
 
 # ------------------------------------------------------- order and type
 
 def test_estimate_order_exponential():
     c = np.array([1.0 / math.factorial(n) for n in range(61)])
-    est = estimate_order(TaylorSeries(c, truncation=60))
+    est = estimate_order(TaylorSeries(c))
     assert abs(est.order - 1.0) < 0.03
     assert len(est.n_used) >= 10
 
@@ -151,7 +152,7 @@ def test_estimate_order_even_lacunary():
     # sum z^{2k} / k! = exp(z^2), order 2
     c = np.zeros(81)
     c[0::2] = [1.0 / math.factorial(k) for k in range(41)]
-    est = estimate_order(TaylorSeries(c, truncation=80))
+    est = estimate_order(TaylorSeries(c))
     assert abs(est.order - 2.0) < 0.05
 
 
@@ -166,7 +167,7 @@ def test_estimate_order_window_transforms(m, a):
 def test_estimate_order_polynomial_is_zero():
     c = np.zeros(41)
     c[0], c[3] = 1.0, -2.0
-    est = estimate_order(TaylorSeries(c, truncation=40))
+    est = estimate_order(TaylorSeries(c))
     assert est.order == 0.0
 
 
@@ -174,12 +175,12 @@ def test_estimate_order_needs_data():
     c = np.zeros(41)
     c[[0, 5, 10, 15, 20, 25, 30, 35, 40]] = 1e-3
     with pytest.raises(InsufficientDataError):
-        estimate_order(TaylorSeries(c, truncation=40))
+        estimate_order(TaylorSeries(c))
 
 
 def test_estimate_type_exponential():
     c = np.array([1.0 / math.factorial(n) for n in range(61)])
-    est = estimate_type(TaylorSeries(c, truncation=60), 1.0)
+    est = estimate_type(TaylorSeries(c), 1.0)
     assert abs(est.type - 1.0) < 0.05
 
 
@@ -194,7 +195,7 @@ def test_estimate_type_window_transforms(m, a):
 def test_estimate_type_polynomial_is_zero():
     c = np.zeros(41)
     c[0] = 1.0
-    assert estimate_type(TaylorSeries(c, truncation=40), 1.0).type == 0.0
+    assert estimate_type(TaylorSeries(c), 1.0).type == 0.0
 
 
 def test_predicted_growth_values():
@@ -279,7 +280,7 @@ def test_weierstrass_log_bound(p, radius):
 
 def test_product_matches_sinh():
     zeros = np.arange(1, 201, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=0, truncation=200)
+    prod = CanonicalProduct(zeros=zeros, genus=0)
     val = canonical_product_eval(prod, -1.0)
     want = math.sinh(math.pi) / math.pi
     assert abs(val - want) / want < 0.01
@@ -288,13 +289,11 @@ def test_product_matches_sinh():
 
 def test_product_exact_zeros_and_origin():
     zeros = np.arange(1, 101, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=0, truncation=100)
+    prod = CanonicalProduct(zeros=zeros, genus=0)
     assert canonical_product_eval(prod, zeros[7]) == 0.0
     assert canonical_product_eval(prod, 0.0) == 1.0
     logs = canonical_product_log_magnitudes(prod, np.array([zeros[7], 4.5]))
     assert logs[0] == -math.inf and math.isfinite(logs[1])
-    rooted = CanonicalProduct(zeros=zeros, genus=0, truncation=100, origin_multiplicity=2)
-    assert canonical_product_eval(rooted, 0.0) == 0.0
 
 
 def _direct_log(zeros, genus, w):
@@ -306,27 +305,27 @@ def _direct_log(zeros, genus, w):
 
 def test_product_banded_matches_direct():
     zeros = np.arange(1, 100001, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=0, truncation=100000)
+    prod = CanonicalProduct(zeros=zeros, genus=0)
     banded = canonical_product_log_magnitudes(prod, np.array([-1.0]))[0]
     assert abs(banded - _direct_log(zeros, 0, -1.0).real) < 1e-10
 
 
 def test_product_overflow_guard():
     zeros = 0.01 * np.arange(1, 2001, dtype=float)
-    prod = CanonicalProduct(zeros=zeros, genus=1, truncation=2000)
+    prod = CanonicalProduct(zeros=zeros, genus=1)
     with pytest.raises(EvaluationOverflowError):
         canonical_product_eval(prod, 1e4)
 
 
 def test_product_validation():
     with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([1.0, 1.0, 2.0]), genus=0, truncation=3)
+        CanonicalProduct(zeros=np.array([1.0, 1.0, 2.0]), genus=0)
     with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([-1.0, 2.0]), genus=0, truncation=2)
+        CanonicalProduct(zeros=np.array([-1.0, 2.0]), genus=0)
     with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([1.0, 2.0]), genus=0, truncation=0)
+        CanonicalProduct(zeros=np.array([]), genus=0)
     with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([1.0, 2.0]), genus=-1, truncation=2)
+        CanonicalProduct(zeros=np.array([1.0, 2.0]), genus=-1)
 
 
 # --------------------------------------------------------- counterexamples
@@ -371,8 +370,8 @@ def test_counterexample_genus_and_validation():
 def test_counterexample_density_warning():
     # too sparse to clear the non-uniqueness threshold for (rho=2, b=pi)
     lam = 0.5 * np.arange(1, 101, dtype=float) ** 0.5
-    with pytest.warns(RuntimeWarning):
-        build_counterexample_product(lam, 2.0, b=math.pi)
+    with pytest.warns(RuntimeWarning, match="non-uniqueness threshold"):
+        counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi)
 
 
 def test_counterexample_irregular_sequence_warning():
@@ -385,11 +384,11 @@ def test_counterexample_irregular_sequence_warning():
                                  [math.nan, 1.0, 2.0], [0.0, 1.0, 2.0]])
 def test_counterexample_rejects_bad_sequences(bad):
     lam = np.array(bad)
-    for call in (lambda: build_counterexample_product(lam, 2.0, b=math.pi),
+    for call in (lambda: build_counterexample_product(lam, 2.0),
                  lambda: counterexample_eval(lam, 2.0, 0.5),
                  lambda: counterexample_log_magnitudes(lam, 2.0, np.array([0.5j])),
                  lambda: counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16),
-                 lambda: CanonicalProduct(zeros=lam, genus=0, truncation=lam.size),
+                 lambda: CanonicalProduct(zeros=lam, genus=0),
                  lambda: density_index(np.concatenate([lam, np.arange(10.0, 26.0)]), 2.0)):
         with pytest.raises(InvalidParameterError):
             call()
@@ -419,8 +418,8 @@ def test_counterexample_validates_each_sequence_once(monkeypatch):
     monkeypatch.setattr(entire, "check_increasing", counting_check)
     monkeypatch.setattr(sampling, "check_increasing", counting_check)
     monkeypatch.setattr(entire, "tail_ratios", counting_tail)
-    calls = (lambda: build_counterexample_product(lam, 2.0, b=math.pi),
-             lambda: counterexample_eval(lam, 2.0, lam[17], b=math.pi),
+    calls = (lambda: build_counterexample_product(lam, 2.0),
+             lambda: counterexample_eval(lam, 2.0, lam[17]),
              lambda: counterexample_log_magnitudes(lam, 2.0, np.array([1.0 + 1.0j])),
              lambda: counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi))
     for call in calls:
@@ -433,7 +432,7 @@ def test_counterexample_validates_each_sequence_once(monkeypatch):
         assert np.array_equal(checked[1], lam * lam)
         assert len(tails) <= 1
     checked.clear()
-    CanonicalProduct(zeros=lam * lam, genus=1, truncation=lam.size)
+    CanonicalProduct(zeros=lam * lam, genus=1)
     assert len(checked) == 1
 
 
@@ -457,7 +456,7 @@ def test_product_chunked_bands_match_direct(monkeypatch, chunk):
     size = entire._CHUNK
     # every band, the last most of all, holds a length that is no multiple of the slice size
     zeros = np.arange(1, 2 * size + 12346, dtype=float) ** 1.5
-    prod = CanonicalProduct(zeros=zeros, genus=1, truncation=zeros.size)
+    prod = CanonicalProduct(zeros=zeros, genus=1)
     ws = np.array([30.0 + 4.0j, -55.0, 2.0j, 100.0 * np.exp(0.7j)])
     got = canonical_product_log_magnitudes(prod, ws)
     for w, g in zip(ws, got):
@@ -467,7 +466,7 @@ def test_product_chunked_bands_match_direct(monkeypatch, chunk):
 @pytest.mark.parametrize("genus", [0, 1, 2])
 def test_product_eval_matches_direct_with_phase(genus):
     zeros = 10.0 + np.arange(1, 3001, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=genus, truncation=zeros.size)
+    prod = CanonicalProduct(zeros=zeros, genus=genus)
     near = [zeros[4] * (1.0 + 1e-7) + 1e-6j, zeros[12] - 0.01j, 0.5 * (zeros[9] + zeros[10])]
     far = [-250.0 + 30.0j, 150.0j, 0.05 - 0.02j, 250.0 * np.exp(2.5j)]
     for w in near + far:
@@ -479,7 +478,7 @@ def test_product_eval_matches_direct_with_phase(genus):
 def test_product_far_out_stays_finite():
     # |w|^j and omega^-j each leave the float range here; their ratio does not
     zeros = np.arange(1, 20001, dtype=float) ** 2 * 1e6
-    prod = CanonicalProduct(zeros=zeros, genus=0, truncation=zeros.size)
+    prod = CanonicalProduct(zeros=zeros, genus=0)
     w = -3.0e6
     want = _direct_log(zeros, 0, w).real
     assert abs(math.log(abs(canonical_product_eval(prod, w))) - want) < 1e-10

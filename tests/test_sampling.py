@@ -1,6 +1,7 @@
 """Sampling sets, admissible step bounds, and density classification."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -184,8 +185,8 @@ def test_classify_three_verdicts():
 def test_threshold_report_json_round_trip():
     k = np.arange(1, 101, dtype=float)
     report = classify_sequence(0.3 * np.sqrt(k), 2.0, math.pi)
-    back = ThresholdReport.from_json(report.to_json())
+    d = json.loads(json.dumps(report.to_json_dict()))
+    back = ThresholdReport(**{**d, "verdict": Verdict(d["verdict"])})
     assert back == report
-    d = report.to_json_dict()
     assert d["verdict"] == "Unique"
     assert set(d) == {"rho", "b", "uniq_threshold", "nonuniq_threshold", "density", "verdict"}

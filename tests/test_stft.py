@@ -319,6 +319,18 @@ def test_discriminate_accepts_raw_points_and_validates(gauss_window):
                      residual_tol=-1.0)
 
 
+@pytest.mark.parametrize("pts, match", [
+    (np.zeros((0, 2)), "at least one"),
+    (np.array([[0.0, 0.0], [math.nan, 0.2]]), "finite"),
+    (np.array([[0.0, math.inf]]), "finite"),
+])
+def test_points_must_be_nonempty_and_finite(gauss_window, pts, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        discriminate(gaussian_signal(), gaussian_signal(), gauss_window, pts)
+    with pytest.raises(InvalidParameterError, match=match):
+        spectrogram_on_set(gaussian_signal(), gauss_window, pts)
+
+
 # ------------------------------------------------------- energy identity
 
 def test_moyal_ladder_converges(gauss_window):

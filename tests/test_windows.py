@@ -1,4 +1,4 @@
-"""Window models: spectral profiles, time-side values, decay and zero checks."""
+"""Window models: spectral profiles, time-side values and ambiguity scans."""
 
 import math
 
@@ -13,11 +13,10 @@ from stftuniq import (
     WindowModel,
     make_generalized_gaussian,
     make_modulated_generalized_gaussian,
-    verify_decay,
     window_ambiguity_scan,
 )
 from stftuniq.quadrature import line_nodes
-from stftuniq.windows import WindowFamily, time_window_closed_form, time_window_values
+from stftuniq.windows import time_window_closed_form, time_window_values
 
 
 def test_constructor_validation():
@@ -31,11 +30,17 @@ def test_constructor_validation():
     ):
         with pytest.raises(InvalidParameterError):
             make_generalized_gaussian(a, m, amplitude=amp)
-    # family and modulation must agree
-    with pytest.raises(InvalidParameterError):
-        WindowModel(WindowFamily.MODULATED_GENERALIZED_GAUSSIAN, a=2.0, m=2.0)
-    with pytest.raises(InvalidParameterError):
-        WindowModel(WindowFamily.GENERALIZED_GAUSSIAN_FOURIER, a=2.0, m=2.0, modulation=1.0)
+    for xi0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            make_modulated_generalized_gaussian(2.0, 2.0, xi0)
+        with pytest.raises(InvalidParameterError):
+            WindowModel(a=2.0, m=2.0, center=xi0)
+
+
+def test_modulation_at_zero_is_the_plain_window():
+    assert make_modulated_generalized_gaussian(2.0, 1.5, 0.0) == make_generalized_gaussian(2.0, 1.5)
+    scaled = make_generalized_gaussian(1.3, 3.0, amplitude=0.7)
+    assert make_modulated_generalized_gaussian(1.3, 3.0, 0.0, amplitude=0.7) == scaled
 
 
 def test_slow_decay_rate_warns():
@@ -109,32 +114,6 @@ def test_modulation_is_a_time_phase():
     vm = time_window_values(mod, ts)
     want = vb * np.exp(2j * math.pi * 1.5 * ts)
     assert np.max(np.abs(vm - want)) / np.max(np.abs(vb)) < 1e-9
-
-
-def test_verify_decay_own_parameters():
-    w = make_generalized_gaussian(1.3, 3.0, amplitude=0.7)
-    report = verify_decay(w.fourier_eval, 1.3, 3.0, amplitude=0.7)
-    assert report.passes
-    assert report.worst_ratio <= 1.0 + 1e-12
-
-
-def test_verify_decay_flags_violation():
-    # e^{-xi^2} decays far too slowly for the (a=1, m=3) envelope
-    report = verify_decay(lambda xi: np.exp(-np.asarray(xi, dtype=float) ** 2),
-                          1.0, 3.0)
-    assert not report.passes
-    assert abs(report.worst_location) == 5.0
-    # ratio at the worst point is e^{125 - 25} = e^{100}
-    assert math.isclose(report.worst_ratio, math.exp(100.0), rel_tol=1e-9)
-
-
-def test_verify_decay_array_samples():
-    xs = np.linspace(-4.0, 4.0, 201)
-    pairs = np.column_stack([xs, np.exp(-2.0 * np.abs(xs) ** 1.5)])
-    report = verify_decay(pairs, 2.0, 1.5)
-    assert report.passes
-    with pytest.raises(InvalidParameterError):
-        verify_decay(np.zeros((5, 3)), 2.0, 1.5)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
