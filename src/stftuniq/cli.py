@@ -32,8 +32,7 @@ from .errors import (
 from .quadrature import QuadratureConfig
 from .windows import make_generalized_gaussian, make_modulated_generalized_gaussian, window_ambiguity_scan
 from .entire import (
-    build_counterexample_product,
-    canonical_product_eval,
+    counterexample_eval,
     counterexample_growth_coefficient,
     predicted_growth,
     estimate_order,
@@ -260,11 +259,9 @@ def _run_counterexample(ns, quad, meta):
     coeff, samples = counterexample_growth_coefficient(lam, ns.rho, radii,
                                                        n_theta=ns.n_theta, b=ns.b)
     density = density_index(lam, ns.rho)
-    # F(z) = V(z^2) hits the stored zero lam_k^2 bit for bit at z = +-lam_k
-    product = build_counterexample_product(lam, ns.rho)
+    # F(z) = V(z^2) hits the square lam_k * lam_k bit for bit at z = +-lam_k
     probe = min(4, lam.size - 1)
-    vanishes = all(canonical_product_eval(product, z * z) == 0
-                   for z in (complex(lam[0]), complex(-lam[probe])))
+    vanishes = all(counterexample_eval(lam, ns.rho, z) == 0 for z in (lam[0], -lam[probe]))
     result = {
         "rho": ns.rho,
         "b": ns.b,

@@ -5,7 +5,11 @@ Gamma-function absolute moments), order/type estimation from coefficient
 decay and the predicted growth of a decay profile, Jensen circle means and
 zero-count bounds, and Weierstrass canonical products over finitely many
 positive zeros with banded evaluation, including the symmetric
-counterexample F(z) = V(z^2).
+counterexample F(z) = V(z^2). The counterexample functions read the sequence
+lambda_k itself and form the zeros lambda_k^2 one slice at a time inside the
+evaluator's loops, so no array of squares is ever built. Their validation
+squares only the ends of the sequence: squares of floats in [2^-511, 2^511)
+cannot round together (see sampling.check_squares_increasing).
 Everything here works with the convention F(z) = int ghat(xi)
 e^{2 pi i xi z} d xi, so the coefficients are c_n = (2 pi i)^n / n! times the
 n-th moment of ghat.
@@ -25,7 +29,13 @@ from .errors import (
     InvalidParameterError,
     ZeroAtOriginError,
 )
-from .sampling import check_increasing, nonuniqueness_threshold, tail_density, tail_ratios
+from .sampling import (
+    check_increasing,
+    check_squares_increasing,
+    nonuniqueness_threshold,
+    tail_density,
+    tail_ratios,
+)
 from .windows import WindowModel
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -281,28 +291,65 @@ _BAND_EDGES = (2.2, 8.0, 64.0, 1024.0)
 _CHUNK = 1 << 16
 
 
+def _cut(zeros: np.ndarray, t: float, side: str, squared: bool) -> int:
+    """np.searchsorted(zeros, t, side), or of zeros * zeros when squared, without the squares.
+
+    The squares fl(x * x) of positive floats never decrease as x grows, so the
+    first index past t among them is found by a search on sqrt(t) and a step
+    or two of correction against the rounded squares themselves.
+    """
+    if not squared:
+        return int(np.searchsorted(zeros, t, side))
+    if t != t:
+        return zeros.size  # NaN sorts last
+    k = int(np.searchsorted(zeros, math.sqrt(max(t, 0.0)), side))
+
+    def before(x):
+        x = float(x)  # a Python float square past the range is inf without a warning
+        return x * x <= t if side == "right" else x * x < t
+
+    while k > 0 and not before(zeros[k - 1]):
+        k -= 1
+    while k < zeros.size and before(zeros[k]):
+        k += 1
+    return k
+
+
+def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * x, silent on overflow.
+
+    A square past the float range is an infinitely far zero, and the
+    validation of the sequence has warned of it already.
+    """
+    with np.errstate(over="ignore"):
+        return np.multiply(x, x, out=out)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
-def _log_product(product: CanonicalProduct, ws: np.ndarray) -> np.ndarray:
+def _log_product(zeros: np.ndarray, p: int, ws: np.ndarray, squared: bool = False) -> np.ndarray:
     """Complex log of prod_k G(w / omega_k; p) on a flat complex array.
 
     Zeros within 2.2x of the batch's largest |w| contribute direct factor logs;
     the (typically vast) remainder enters through per-band power sums, an exact
     rearrangement of the tail log series. Bands are keyed to the largest |w|, so
     smaller points see larger ratios and the same truncation bound. A point on
-    a zero gets real part -inf.
+    a zero gets real part -inf. With squared, the zeros are omega_k = x_k^2 for
+    the given x_k, squared one slice at a time where they are read, so no
+    sequence-length array of squares is ever formed; the squares are the same
+    floats as those of zeros * zeros, and so is the result.
     """
-    zeros, p = product.zeros, product.genus
     out = np.zeros(ws.shape, dtype=complex)
     wmax = float(np.abs(ws).max()) if ws.size else 0.0
     if wmax == 0.0:
         return out
 
-    cuts = [int(np.searchsorted(zeros, e * wmax, side="right")) for e in _BAND_EDGES] + [zeros.size]
+    cuts = [_cut(zeros, e * wmax, "right", squared) for e in _BAND_EDGES] + [zeros.size]
     near = zeros[:cuts[0]]
     step = max(1, _CHUNK // max(near.size, 1))
     for i in range(0, ws.size, step):
         for k in range(0, near.size, _CHUNK):
-            u = ws[i:i + step, None] / near[k:k + _CHUNK]
+            omega = _square(near[k:k + _CHUNK]) if squared else near[k:k + _CHUNK]
+            u = ws[i:i + step, None] / omega
             term = np.log(1.0 - u)
             for j in range(1, p + 1):
                 term = term + u**j / j
@@ -316,7 +363,9 @@ def _log_product(product: CanonicalProduct, ws: np.ndarray) -> np.ndarray:
     for j_max, lo, hi in zip(j_caps, cuts[:-1], cuts[1:]):
         for k in range(lo, hi, _CHUNK):
             n = min(_CHUNK, hi - k)
-            iv, pw = np.divide(wmax, zeros[k:k + n], out=inv[:n]), power[:n]
+            iv, pw = inv[:n], power[:n]
+            omega = _square(zeros[k:k + n], out=iv) if squared else zeros[k:k + n]
+            np.divide(wmax, omega, out=iv)
             pw[:] = 1.0
             for j in range(1, j_max + 1):
                 pw *= iv
@@ -330,6 +379,28 @@ def _log_product(product: CanonicalProduct, ws: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eval_point(zeros: np.ndarray, p: int, w: complex, squared: bool = False) -> complex:
+    """One point of the product, exactly 0 on a zero; the evaluator behind both public point calls."""
+    if w == 0:
+        return 1 + 0j
+    if w.imag == 0.0:
+        k = _cut(zeros, w.real, "left", squared)
+        if k < zeros.size:
+            x = float(zeros[k])
+            if (x * x if squared else x) == w.real:
+                return 0j
+    total = complex(_log_product(zeros, p, np.array([w]), squared)[0])
+    if total.real > _LOG_FLOAT_MAX:
+        raise EvaluationOverflowError(f"product magnitude exponent {total.real:.1f} exceeds the float range")
+    return complex(np.exp(total))
+
+
+def _log_magnitudes(zeros: np.ndarray, p: int, ws, squared: bool = False) -> np.ndarray:
+    """Real part of the banded log on an array of points of any shape."""
+    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
+    return _log_product(zeros, p, ws.ravel(), squared).real.reshape(ws.shape)
+
+
 def canonical_product_eval(product: CanonicalProduct, w) -> complex:
     """Evaluate prod_k G(w / omega_k; p) at one point.
 
@@ -337,24 +408,27 @@ def canonical_product_eval(product: CanonicalProduct, w) -> complex:
     EvaluationOverflowError if the magnitude exponent leaves the float range.
     Points equal to a zero return exactly 0.
     """
-    w = complex(w)
-    zeros = product.zeros
-    if w == 0:
-        return 1 + 0j
-    if w.imag == 0.0:
-        k = int(np.searchsorted(zeros, w.real))
-        if k < zeros.size and zeros[k] == w.real:
-            return 0j
-    total = complex(_log_product(product, np.array([w]))[0])
-    if total.real > _LOG_FLOAT_MAX:
-        raise EvaluationOverflowError(f"product magnitude exponent {total.real:.1f} exceeds the float range")
-    return complex(np.exp(total))
+    return _eval_point(product.zeros, product.genus, complex(w))
 
 
 def canonical_product_log_magnitudes(product: CanonicalProduct, ws) -> np.ndarray:
     """log|product| on an array of points (the real part of the banded log; -inf on a zero)."""
-    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
-    return _log_product(product, ws.ravel()).real.reshape(ws.shape)
+    return _log_magnitudes(product.zeros, product.genus, ws)
+
+
+def _counterexample_sequence(lambdas, rho: float) -> tuple[np.ndarray, int]:
+    """The validated sequence and the genus floor(rho/2) of its product over the squares.
+
+    Checks what CanonicalProduct(lam * lam) would, with the same errors, from
+    one pass over lam: check_squares_increasing squares only the ends where
+    neighbouring squares can round together.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
+    check_increasing(lam, "sequence entries")
+    _require(rho > 1 and math.isfinite(rho), f"order rho must exceed 1, got {rho}")
+    check_squares_increasing(lam, "zeros")
+    return lam, int(math.floor(rho / 2.0))
 
 
 def build_counterexample_product(lambdas, rho: float) -> CanonicalProduct:
@@ -363,31 +437,35 @@ def build_counterexample_product(lambdas, rho: float) -> CanonicalProduct:
     The product V(w) of genus floor(rho/2) over the squared sequence makes
     F(z) = V(z^2) an even entire function of order rho vanishing at every
     +-lambda_k. Every given term is a factor; pass lambdas[:K] for fewer.
+    The counterexample_* functions evaluate the same product without building
+    it, from the sequence itself.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
-    check_increasing(lam, "sequence entries")
-    _require(rho > 1 and math.isfinite(rho), f"order rho must exceed 1, got {rho}")
-    # the product checks the squares once more: squaring can round neighbours together
-    return CanonicalProduct(zeros=lam * lam, genus=int(math.floor(rho / 2.0)))
+    lam, genus = _counterexample_sequence(lambdas, rho)
+    # the product checks all the squares once more, as it does for any zeros
+    return CanonicalProduct(zeros=lam * lam, genus=genus)
 
 
 def counterexample_eval(lambdas, rho: float, z) -> complex:
     """F(z) = V(z^2) for the canonical product over the squared sequence.
 
     Vanishes exactly at +-lambda_k for every k (the squared argument hits the
-    stored zero bit for bit).
+    square lambda_k * lambda_k bit for bit). The squares are formed per slice
+    where the evaluation reads them, and validated as build_counterexample_product
+    does, from one pass over the sequence.
     """
-    product = build_counterexample_product(lambdas, rho)
+    lam, genus = _counterexample_sequence(lambdas, rho)
     z = complex(z)
-    return canonical_product_eval(product, z * z)
+    return _eval_point(lam, genus, z * z, squared=True)
 
 
 def counterexample_log_magnitudes(lambdas, rho: float, zs) -> np.ndarray:
-    """log|F| on an array of z points, through the banded product evaluation."""
-    product = build_counterexample_product(lambdas, rho)
+    """log|F| on an array of z points, through the banded product evaluation.
+
+    The squares of the sequence are formed per slice, as in counterexample_eval.
+    """
+    lam, genus = _counterexample_sequence(lambdas, rho)
     zs = np.asarray(zs, dtype=complex)
-    return canonical_product_log_magnitudes(product, zs * zs)
+    return _log_magnitudes(lam, genus, zs * zs, squared=True)
 
 
 def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0),
@@ -410,8 +488,7 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
     radii = np.asarray(radii, dtype=float)
     _require(radii.ndim == 1 and radii.size >= 2, "need at least two radii")
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
-    lam = np.asarray(lambdas, dtype=float)
-    product = build_counterexample_product(lam, rho)
+    lam, genus = _counterexample_sequence(lambdas, rho)
     tail = tail_ratios(lam, rho)
     if b is not None and lam.size >= 16 and not tail_density(tail) > nonuniqueness_threshold(rho, b):
         warnings.warn("sequence density does not clear the non-uniqueness threshold; the "
@@ -420,7 +497,7 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
         warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
                       RuntimeWarning)
     zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))
-    log_max = canonical_product_log_magnitudes(product, zs * zs).max(axis=1)
+    log_max = _log_magnitudes(lam, genus, zs * zs, squared=True).max(axis=1)
     basis = np.stack([radii**rho, np.ones_like(radii)], axis=1)
     beta, *_ = np.linalg.lstsq(basis, log_max, rcond=None)
     samples = tuple((float(r), float(v)) for r, v in zip(radii, log_max))

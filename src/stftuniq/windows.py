@@ -13,6 +13,7 @@ ambiguity-function scan looks for zeros along one frequency slice.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,18 @@ from .quadrature import (
     panel_nodes,
     refine,
 )
+
+
+def _caller_stacklevel() -> int:
+    """stacklevel at which a warning from WindowModel.__post_init__ names the caller's line.
+
+    Frames above __post_init__: the dataclass __init__, then the caller, or a
+    factory of this module and then the caller.
+    """
+    frame, level = sys._getframe(3), 3
+    while frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class WindowModel:
                 f"decay rate a = {self.a} is at or below 1; the window is accepted but the "
                 "sampling-step bounds assume a > 1",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     def fourier_eval(self, xi):

@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import gammaln
 
@@ -394,12 +398,110 @@ def test_counterexample_rejects_bad_sequences(bad):
             call()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_counterexample_rejects_squares_that_round_together():
-    # distinct entries whose squares land on the same subnormal float
-    lam = np.array([1e-160, 1.0001e-160, 1.0])
-    assert lam[0] ** 2 == lam[1] ** 2
-    with pytest.raises(InvalidParameterError, match="zeros must be strictly increasing"):
-        build_counterexample_product(lam, 2.0)
+    cases = (
+        # distinct entries whose squares land on the same subnormal float
+        ([1e-160, 1.0001e-160, 1.0], "zeros must be strictly increasing"),
+        # a first square that underflows to zero
+        ([1e-170, 1.0, 2.0], "zeros must be positive"),
+        # two squares that overflow to inf
+        ([1.0, 1e155, 2e155], "zeros must be strictly increasing"),
+    )
+    for bad, message in cases:
+        lam = np.array(bad)
+        with pytest.raises(InvalidParameterError, match=message):
+            CanonicalProduct(zeros=lam * lam, genus=1)
+        for call in (lambda: build_counterexample_product(lam, 2.0),
+                     lambda: counterexample_eval(lam, 2.0, 0.5),
+                     lambda: counterexample_log_magnitudes(lam, 2.0, np.array([0.5j])),
+                     lambda: counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16)):
+            with pytest.raises(InvalidParameterError, match=message):
+                call()
+
+
+def _squares_check_outcome(check, values):
+    try:
+        check(values, "zeros")
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+_positive_floats = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_positive_floats, min_size=1, max_size=12, unique=True),
+       st.lists(st.integers(0, 3), min_size=1, max_size=12))
+def test_square_check_matches_the_full_check(entries, steps):
+    # clusters of neighbouring floats, so that squares at both ends do merge
+    values = sorted(entries)
+    for v, n in zip(list(values), steps):
+        for _ in range(n):
+            v = math.nextafter(v, math.inf)
+            values.append(v)
+    lam = np.unique(np.array(values))
+    assert (_squares_check_outcome(sampling.check_squares_increasing, lam)
+            == _squares_check_outcome(sampling.check_increasing, lam * lam))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=2.0**-511, max_value=math.sqrt(sys.float_info.max), exclude_max=True))
+def test_squares_of_neighbouring_normal_floats_stay_apart(a):
+    b = math.nextafter(a, math.inf)
+    assume(math.isfinite(b * b))
+    assert a * a < b * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=40, unique=True),
+       st.integers(0, 39), st.sampled_from([-1, 0, 1]), st.sampled_from(["left", "right"]))
+def test_square_cut_matches_a_search_on_the_squares(entries, pick, shift, side):
+    lam = np.sort(np.array(entries))
+    t = float(lam[pick % lam.size]) ** 2
+    t = math.nextafter(t, shift * math.inf) if shift else t
+    assert entire._cut(lam, t, side, True) == int(np.searchsorted(lam * lam, t, side))
+    for t in (-1.0, 0.0, math.inf, math.nan):
+        assert entire._cut(lam, t, side, True) == int(np.searchsorted(lam * lam, t, side))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_counterexample_calls_equal_the_built_product(monkeypatch):
+    monkeypatch.setattr(entire, "_CHUNK", 1000)
+    lam = 1.5 * np.sqrt(np.arange(1, 30001, dtype=float))
+    product = build_counterexample_product(lam, 2.0)
+    zs = np.array([[4.0 * cmath.exp(0.3j), -7.0 + 1.0j], [2.5j, 60.0 + 0.5j]])
+    assert np.array_equal(counterexample_log_magnitudes(lam, 2.0, zs),
+                          canonical_product_log_magnitudes(product, zs * zs))
+    for z in (0.0, 3.0 + 1.0j, -2.0j, 12.0, complex(lam[0]), complex(-lam[2999]), 0.5 * (lam[9] + lam[10])):
+        assert counterexample_eval(lam, 2.0, z) == canonical_product_eval(product, complex(z) ** 2)
+    # one square beyond the float range is an infinitely far zero, for both
+    lam = np.array([1.0, 1e155])
+    product = build_counterexample_product(lam, 3.0)
+    assert product.zeros[-1] == math.inf
+    assert np.array_equal(counterexample_log_magnitudes(lam, 3.0, zs),
+                          canonical_product_log_magnitudes(product, zs * zs))
+
+
+def test_counterexample_calls_make_no_copy_of_the_sequence():
+    lam = 1.5 * np.sqrt(np.arange(1, 10**6 + 1, dtype=float))
+    ring = np.exp(1j * (np.arange(64) + 0.5) * (2.0 * math.pi / 64))
+    calls = (lambda: counterexample_eval(lam, 2.0, lam[700000]),
+             lambda: counterexample_eval(lam, 2.0, 10.0 + 1.0j),
+             lambda: counterexample_log_magnitudes(lam, 2.0, 5.0 * ring),
+             # the near band holds most of the sequence here
+             lambda: counterexample_log_magnitudes(lam, 2.0, 800.0 * ring[::16]),
+             lambda: counterexample_growth_coefficient(lam, 2.0, (4.0, 8.0, 16.0), b=math.pi))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < lam.nbytes
 
 
 def test_counterexample_validates_each_sequence_once(monkeypatch):
@@ -418,19 +520,23 @@ def test_counterexample_validates_each_sequence_once(monkeypatch):
     monkeypatch.setattr(entire, "check_increasing", counting_check)
     monkeypatch.setattr(sampling, "check_increasing", counting_check)
     monkeypatch.setattr(entire, "tail_ratios", counting_tail)
-    calls = (lambda: build_counterexample_product(lam, 2.0),
-             lambda: counterexample_eval(lam, 2.0, lam[17]),
+    calls = (lambda: counterexample_eval(lam, 2.0, lam[17]),
              lambda: counterexample_log_magnitudes(lam, 2.0, np.array([1.0 + 1.0j])),
              lambda: counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi))
     for call in calls:
         checked.clear()
         tails.clear()
         call()
-        # one pass over the sequence and one over its squares, never a second over either
-        assert len(checked) == 2
+        # one pass over the sequence; its squares are only formed slice by slice
+        assert len(checked) == 1
         assert np.shares_memory(checked[0], lam)
-        assert np.array_equal(checked[1], lam * lam)
         assert len(tails) <= 1
+    # the built product checks the sequence and then all of its squares
+    checked.clear()
+    build_counterexample_product(lam, 2.0)
+    assert len(checked) == 2
+    assert np.shares_memory(checked[0], lam)
+    assert np.array_equal(checked[1], lam * lam)
     checked.clear()
     CanonicalProduct(zeros=lam * lam, genus=1)
     assert len(checked) == 1

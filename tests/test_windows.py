@@ -50,6 +50,14 @@ def test_slow_decay_rate_warns():
         make_generalized_gaussian(0.3, 2.0)
 
 
+def test_slow_decay_warning_names_the_caller():
+    for make in (lambda: WindowModel(0.5, 2.0), lambda: make_generalized_gaussian(0.5, 2.0),
+                 lambda: make_modulated_generalized_gaussian(0.5, 2.0, 0.3)):
+        with pytest.warns(UserWarning, match="at or below 1") as record:
+            make()
+        assert record[0].filename == __file__
+
+
 def test_fourier_profile():
     w = make_generalized_gaussian(2.0, 3.0, amplitude=2.5)
     assert w.fourier_eval(0.0) == 2.5
