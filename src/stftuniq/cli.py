@@ -180,8 +180,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InvalidParameterError(f"cannot parse grid spec {text!r}") from None
-    if not (hi > lo and n >= 2):
-        raise InvalidParameterError(f"grid spec needs hi > lo and n >= 2, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and n >= 2):
+        raise InvalidParameterError(f"grid spec needs finite lo < hi and n >= 2, got {text!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -259,7 +259,7 @@ def _run_counterexample(ns, quad, meta):
     coeff, samples = counterexample_growth_coefficient(lam, ns.rho, radii,
                                                        n_theta=ns.n_theta, b=ns.b)
     density = density_index(lam, ns.rho)
-    # F(z) = V(z^2) hits the square lam_k * lam_k bit for bit at z = +-lam_k
+    # F is exactly 0 where z is real and |z| is a sequence entry
     probe = min(4, lam.size - 1)
     vanishes = all(counterexample_eval(lam, ns.rho, z) == 0 for z in (lam[0], -lam[probe]))
     result = {
@@ -296,6 +296,10 @@ def _run_scan_window(ns, quad, meta):
 def _run_reconstruct(ns, quad, meta):
     meta.update({"iters": ns.iters, "m": ns.m, "a": ns.a, "grid_half": ns.grid_half,
                  "grid_step": ns.grid_step, "tf_step": ns.tf_step})
+    for flag, value in (("--grid-half", ns.grid_half), ("--grid-step", ns.grid_step),
+                        ("--tf-step", ns.tf_step)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParameterError(f"{flag} must be finite and positive, got {value}")
     rng = np.random.default_rng(ns.seed)
     count = int(round(2.0 * ns.grid_half / ns.grid_step)) + 1
     times = -ns.grid_half + ns.grid_step * np.arange(count)

@@ -5,11 +5,10 @@ Gamma-function absolute moments), order/type estimation from coefficient
 decay and the predicted growth of a decay profile, Jensen circle means and
 zero-count bounds, and Weierstrass canonical products over finitely many
 positive zeros with banded evaluation, including the symmetric
-counterexample F(z) = V(z^2). The counterexample functions read the sequence
-lambda_k itself and form the zeros lambda_k^2 one slice at a time inside the
-evaluator's loops, so no array of squares is ever built. Their validation
-squares only the ends of the sequence: squares of floats in [2^-511, 2^511)
-cannot round together (see sampling.check_squares_increasing).
+counterexample F(z) = V(z^2). The counterexample functions evaluate F in z
+itself, as the product of G((z / lambda_k)^2; p) over the sequence, so they
+neither form nor check the squares lambda_k^2; F vanishes exactly at every
++-lambda_k, which are distinct whenever the lambda_k are.
 Everything here works with the convention F(z) = int ghat(xi)
 e^{2 pi i xi z} d xi, so the coefficients are c_n = (2 pi i)^n / n! times the
 n-th moment of ghat.
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .sampling import (
     check_increasing,
-    check_squares_increasing,
     nonuniqueness_threshold,
     tail_density,
     tail_ratios,
@@ -282,81 +280,53 @@ def zero_count_bound(r: float, s: float, c_bound: float, b: float, rho: float) -
     return max(0, math.floor(value))
 
 
-# Ratio edges for the banded far-zero evaluation. Zeros at least 2.2 |w| away
-# admit a geometric tail series; the per-band term count keeps the truncation
-# error near 1e-19 at the inner edge and shrinks as the ratio grows.
+# Ratio edges for the banded far-zero evaluation. Zeros with a factor argument
+# |u| = (|v| / zeta_k)^q of at most 1/2.2 admit a geometric tail series; the
+# per-band term count keeps the truncation error near 1e-19 at the inner edge
+# and shrinks as the ratio grows.
 _BAND_EDGES = (2.2, 8.0, 64.0, 1024.0)
 # Zeros per slice in the evaluator's loops. Its two 512 KB buffers stay in a 2 MB
 # per-core L2 cache; 2^17 spilled it and ran the band sums at half the speed.
 _CHUNK = 1 << 16
 
 
-def _cut(zeros: np.ndarray, t: float, side: str, squared: bool) -> int:
-    """np.searchsorted(zeros, t, side), or of zeros * zeros when squared, without the squares.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.ndarray:
+    """Complex log of prod_k G((v / zeta_k)^q; p) on a flat complex array.
 
-    The squares fl(x * x) of positive floats never decrease as x grows, so the
-    first index past t among them is found by a search on sqrt(t) and a step
-    or two of correction against the rounded squares themselves.
+    q = 1 is the canonical product over the zeros zeta_k; q = 2 is the even
+    product V(z^2) over the squares zeta_k^2, read in z, so the squares are
+    never formed. Zeros within (2.2)^(1/q) of the batch's largest |v|
+    contribute direct factor logs; the (typically vast) remainder enters
+    through per-band power sums, an exact rearrangement of the tail log
+    series. Bands are keyed to the largest |v|, so smaller points see larger
+    ratios and the same truncation bound. A point on a zero gets real part -inf;
+    a factor argument past the float range raises EvaluationOverflowError.
     """
-    if not squared:
-        return int(np.searchsorted(zeros, t, side))
-    if t != t:
-        return zeros.size  # NaN sorts last
-    k = int(np.searchsorted(zeros, math.sqrt(max(t, 0.0)), side))
-
-    def before(x):
-        x = float(x)  # a Python float square past the range is inf without a warning
-        return x * x <= t if side == "right" else x * x < t
-
-    while k > 0 and not before(zeros[k - 1]):
-        k -= 1
-    while k < zeros.size and before(zeros[k]):
-        k += 1
-    return k
-
-
-def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x * x, silent on overflow.
-
-    A square past the float range is an infinitely far zero, and the
-    validation of the sequence has warned of it already.
-    """
-    with np.errstate(over="ignore"):
-        return np.multiply(x, x, out=out)
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _log_product(zeros: np.ndarray, p: int, ws: np.ndarray, squared: bool = False) -> np.ndarray:
-    """Complex log of prod_k G(w / omega_k; p) on a flat complex array.
-
-    Zeros within 2.2x of the batch's largest |w| contribute direct factor logs;
-    the (typically vast) remainder enters through per-band power sums, an exact
-    rearrangement of the tail log series. Bands are keyed to the largest |w|, so
-    smaller points see larger ratios and the same truncation bound. A point on
-    a zero gets real part -inf. With squared, the zeros are omega_k = x_k^2 for
-    the given x_k, squared one slice at a time where they are read, so no
-    sequence-length array of squares is ever formed; the squares are the same
-    floats as those of zeros * zeros, and so is the result.
-    """
-    out = np.zeros(ws.shape, dtype=complex)
-    wmax = float(np.abs(ws).max()) if ws.size else 0.0
-    if wmax == 0.0:
+    out = np.zeros(vs.shape, dtype=complex)
+    vmax = float(np.abs(vs).max()) if vs.size else 0.0
+    if not math.isfinite(vmax):
+        raise InvalidParameterError("evaluation points must be finite")
+    if vmax == 0.0:
         return out
 
-    cuts = [_cut(zeros, e * wmax, "right", squared) for e in _BAND_EDGES] + [zeros.size]
+    # (vmax / zeta_k)^q <= 1 / e from the band edge e on
+    cuts = [int(np.searchsorted(zeros, e ** (1.0 / q) * vmax, "right")) for e in _BAND_EDGES] + [zeros.size]
     near = zeros[:cuts[0]]
     step = max(1, _CHUNK // max(near.size, 1))
-    for i in range(0, ws.size, step):
+    for i in range(0, vs.size, step):
         for k in range(0, near.size, _CHUNK):
-            omega = _square(near[k:k + _CHUNK]) if squared else near[k:k + _CHUNK]
-            u = ws[i:i + step, None] / omega
+            u = vs[i:i + step, None] / near[k:k + _CHUNK]
+            if q != 1:
+                u **= q
             term = np.log(1.0 - u)
             for j in range(1, p + 1):
                 term = term + u**j / j
             out[i:i + step] += term.sum(axis=1)
 
-    # per-band sums T_j = sum (wmax / omega_k)^j = wmax^j S_j, all below 1 per term, so
-    # no power leaves the float range; they are consumed as -sum_{j>p} (w / wmax)^j T_j / j
+    # per-band sums T_j = sum (vmax / zeta_k)^(q j), all below 1 per term, so
+    # no power leaves the float range; they are consumed as
+    # -sum_{j>p} (v / vmax)^(q j) T_j / j
     j_caps = [max(p + 1, min(60, math.ceil(43.0 / math.log(e)))) for e in _BAND_EDGES]
     sums = np.zeros(max(j_caps) + 1)
     inv, power = np.empty(_CHUNK), np.empty(_CHUNK)
@@ -364,41 +334,47 @@ def _log_product(zeros: np.ndarray, p: int, ws: np.ndarray, squared: bool = Fals
         for k in range(lo, hi, _CHUNK):
             n = min(_CHUNK, hi - k)
             iv, pw = inv[:n], power[:n]
-            omega = _square(zeros[k:k + n], out=iv) if squared else zeros[k:k + n]
-            np.divide(wmax, omega, out=iv)
+            np.divide(vmax, zeros[k:k + n], out=iv)
+            if q != 1:
+                iv **= q
             pw[:] = 1.0
             for j in range(1, j_max + 1):
                 pw *= iv
                 if j > p:
                     sums[j] += pw.sum()
-    ratio = ws / wmax
-    wpow = ratio ** (p + 1)
+    ratio = vs / vmax
+    if q != 1:
+        ratio **= q
+    vpow = ratio ** (p + 1)
     for j in range(p + 1, sums.size):
-        out -= wpow * (sums[j] / j)
-        wpow *= ratio
+        out -= vpow * (sums[j] / j)
+        vpow *= ratio
+    # an overflowed u leaves log|1 - u| + Re sum u^j / j at inf, or at inf - inf = nan
+    if not np.all(out.real < math.inf):
+        raise EvaluationOverflowError("a factor of the product leaves the float range")
     return out
 
 
-def _eval_point(zeros: np.ndarray, p: int, w: complex, squared: bool = False) -> complex:
+def _eval_point(zeros: np.ndarray, p: int, v: complex, q: int = 1) -> complex:
     """One point of the product, exactly 0 on a zero; the evaluator behind both public point calls."""
-    if w == 0:
+    if v == 0:
         return 1 + 0j
-    if w.imag == 0.0:
-        k = _cut(zeros, w.real, "left", squared)
-        if k < zeros.size:
-            x = float(zeros[k])
-            if (x * x if squared else x) == w.real:
-                return 0j
-    total = complex(_log_product(zeros, p, np.array([w]), squared)[0])
+    if v.imag == 0.0:
+        # (v / zeta_k)^q = 1 has the real root v = zeta_k, and v = -zeta_k for even q
+        x = v.real if q % 2 else abs(v.real)
+        k = int(np.searchsorted(zeros, x))
+        if k < zeros.size and zeros[k] == x:
+            return 0j
+    total = complex(_log_product(zeros, p, np.array([v]), q)[0])
     if total.real > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"product magnitude exponent {total.real:.1f} exceeds the float range")
     return complex(np.exp(total))
 
 
-def _log_magnitudes(zeros: np.ndarray, p: int, ws, squared: bool = False) -> np.ndarray:
+def _log_magnitudes(zeros: np.ndarray, p: int, vs, q: int = 1) -> np.ndarray:
     """Real part of the banded log on an array of points of any shape."""
-    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
-    return _log_product(zeros, p, ws.ravel(), squared).real.reshape(ws.shape)
+    vs = np.atleast_1d(np.asarray(vs, dtype=complex))
+    return _log_product(zeros, p, vs.ravel(), q).real.reshape(vs.shape)
 
 
 def canonical_product_eval(product: CanonicalProduct, w) -> complex:
@@ -419,26 +395,26 @@ def canonical_product_log_magnitudes(product: CanonicalProduct, ws) -> np.ndarra
 def _counterexample_sequence(lambdas, rho: float) -> tuple[np.ndarray, int]:
     """The validated sequence and the genus floor(rho/2) of its product over the squares.
 
-    Checks what CanonicalProduct(lam * lam) would, with the same errors, from
-    one pass over lam: check_squares_increasing squares only the ends where
-    neighbouring squares can round together.
+    One pass over the sequence: the zeros +-lambda_k of F are distinct
+    exactly when the lambda_k are positive and strictly increasing.
     """
     lam = np.asarray(lambdas, dtype=float)
     _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
     check_increasing(lam, "sequence entries")
     _require(rho > 1 and math.isfinite(rho), f"order rho must exceed 1, got {rho}")
-    check_squares_increasing(lam, "zeros")
     return lam, int(math.floor(rho / 2.0))
 
 
 def build_counterexample_product(lambdas, rho: float) -> CanonicalProduct:
     """Canonical product with zeros lambda_k^2, genus matched to order rho in z.
 
-    The product V(w) of genus floor(rho/2) over the squared sequence makes
+    The product V(w) of genus floor(rho/2) over the squares lambda_k^2 makes
     F(z) = V(z^2) an even entire function of order rho vanishing at every
     +-lambda_k. Every given term is a factor; pass lambdas[:K] for fewer.
-    The counterexample_* functions evaluate the same product without building
-    it, from the sequence itself.
+    The product stores the squares as floats, so it rejects a sequence whose
+    squares leave the float range or round onto each other. The
+    counterexample_* functions evaluate F without building it, from the
+    sequence itself.
     """
     lam, genus = _counterexample_sequence(lambdas, rho)
     # the product checks all the squares once more, as it does for any zeros
@@ -446,26 +422,24 @@ def build_counterexample_product(lambdas, rho: float) -> CanonicalProduct:
 
 
 def counterexample_eval(lambdas, rho: float, z) -> complex:
-    """F(z) = V(z^2) for the canonical product over the squared sequence.
+    """F(z) = V(z^2), evaluated in z as the product of G((z / lambda_k)^2; p).
 
-    Vanishes exactly at +-lambda_k for every k (the squared argument hits the
-    square lambda_k * lambda_k bit for bit). The squares are formed per slice
-    where the evaluation reads them, and validated as build_counterexample_product
-    does, from one pass over the sequence.
+    Vanishes exactly at +-lambda_k for every k. Agrees with the built product
+    at z^2 to rounding, and also takes sequences whose squares the built
+    product rejects; raises EvaluationOverflowError where |F(z)| leaves the
+    float range.
     """
     lam, genus = _counterexample_sequence(lambdas, rho)
-    z = complex(z)
-    return _eval_point(lam, genus, z * z, squared=True)
+    return _eval_point(lam, genus, complex(z), q=2)
 
 
 def counterexample_log_magnitudes(lambdas, rho: float, zs) -> np.ndarray:
-    """log|F| on an array of z points, through the banded product evaluation.
+    """log|F| on an array of z points, through the banded product evaluation in z.
 
-    The squares of the sequence are formed per slice, as in counterexample_eval.
+    -inf at +-lambda_k; the sequence is read as in counterexample_eval.
     """
     lam, genus = _counterexample_sequence(lambdas, rho)
-    zs = np.asarray(zs, dtype=complex)
-    return _log_magnitudes(lam, genus, zs * zs, squared=True)
+    return _log_magnitudes(lam, genus, zs, q=2)
 
 
 def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0),
@@ -486,8 +460,9 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
     """
     _require(n_theta >= 16, f"need n_theta >= 16, got {n_theta}")
     radii = np.asarray(radii, dtype=float)
-    _require(radii.ndim == 1 and radii.size >= 2, "need at least two radii")
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
+    # the fit has two unknowns, so one radius, however often repeated, cannot fix them
+    _require(radii.ndim == 1 and np.unique(radii).size >= 2, "need at least two distinct radii")
     lam, genus = _counterexample_sequence(lambdas, rho)
     tail = tail_ratios(lam, rho)
     if b is not None and lam.size >= 16 and not tail_density(tail) > nonuniqueness_threshold(rho, b):
@@ -497,7 +472,7 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
         warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
                       RuntimeWarning)
     zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))
-    log_max = _log_magnitudes(lam, genus, zs * zs, squared=True).max(axis=1)
+    log_max = _log_magnitudes(lam, genus, zs, q=2).max(axis=1)
     basis = np.stack([radii**rho, np.ones_like(radii)], axis=1)
     beta, *_ = np.linalg.lstsq(basis, log_max, rcond=None)
     samples = tuple((float(r), float(v)) for r, v in zip(radii, log_max))

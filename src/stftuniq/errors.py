@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and where its warnings point."""
+
+import sys
+
+
+def _caller_stacklevel() -> int:
+    """stacklevel at which a warning names the first frame outside the module that warns.
+
+    Call it inside the warnings.warn call. The frames skipped are those run in
+    that module's globals: its own functions, and the __init__ that dataclasses
+    generates for a class defined there.
+    """
+    frame, level = sys._getframe(1), 1
+    module = frame.f_globals.get("__name__")
+    while frame is not None and frame.f_globals.get("__name__") == module:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class InvalidParameterError(ValueError):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InsufficientDataError, InvalidParameterError, _caller_stacklevel
 
 _SET_HEADER = "n,sign_x,sign_omega,x,omega"
 _QUADRANT_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -42,7 +42,7 @@ def _check_window_params(m: float, a: float) -> None:
         warnings.warn(
             f"decay rate a = {a} is at or below 1; the step bounds are formal there",
             UserWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
 
 
@@ -277,36 +277,6 @@ def check_increasing(values: np.ndarray, what: str) -> None:
         raise InvalidParameterError(f"{what} must be positive")
     if not np.all(values[1:] > values[:-1]):
         raise InvalidParameterError(f"{what} must be strictly increasing")
-
-
-# Squares of floats in [2^-511, 2^511) cannot round together. Take floats a < b
-# there and write a = m 2^e with 1 <= m < 2. Then b >= a + 2^(e-52), so
-# b^2 - a^2 > 2a 2^(e-52) = m 2^(2e-51); a^2 is normal and b^2 finite. Let h be
-# the float spacing in the binade of a^2. Rounding moves a^2 by at most h/2, and
-# the gap above fl(a^2) is h, or 2h where a^2 rounds up to a power of two, so
-# fl(b^2) > fl(a^2) once b^2 - a^2 exceeds h, or 1.5h in the second case. If
-# m^2 < 2, h = 2^(2e-52) and the margin is 2m h >= 2h. If m^2 >= 2,
-# h = 2^(2e-51) and the margin is m h >= sqrt(2) h, while a^2 rounds up to
-# 2^(2e+2) only for m > 1.99. So squares can merge only below 2^-511 (subnormal
-# or zero squares) and from 2^511 up (squares that overflow).
-_SQUARES_SAFE = (2.0**-511, 2.0**511)
-
-
-def check_squares_increasing(values: np.ndarray, what: str) -> None:
-    """Raise as check_increasing(values * values, what) would, without forming the squares.
-
-    values must already have passed check_increasing. By the lemma above only
-    the entries below 2^-511 and those from 2^511 up can square onto a
-    neighbour's square, so only those ends are squared, each with its boundary
-    neighbour; a sequence inside [2^-511, 2^511) costs two binary searches.
-    """
-    lo, hi = np.searchsorted(values, _SQUARES_SAFE)
-    if lo:
-        end = values[:lo + 1]
-        check_increasing(end * end, what)
-    if hi < values.size:
-        end = values[max(hi - 1, 0):]
-        check_increasing(end * end, what)
 
 
 def tail_ratios(lam: np.ndarray, rho: float) -> np.ndarray:

@@ -13,13 +13,12 @@ ambiguity-function scan looks for zeros along one frequency slice.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _caller_stacklevel
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -28,18 +27,6 @@ from .quadrature import (
     panel_nodes,
     refine,
 )
-
-
-def _caller_stacklevel() -> int:
-    """stacklevel at which a warning from WindowModel.__post_init__ names the caller's line.
-
-    Frames above __post_init__: the dataclass __init__, then the caller, or a
-    factory of this module and then the caller.
-    """
-    frame, level = sys._getframe(3), 3
-    while frame.f_code.co_filename == __file__:
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 @dataclass(frozen=True)
@@ -202,6 +189,8 @@ def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
     grid = np.linspace(-5.0, 5.0, 1001) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("scan grid must be nonempty")
+    if not (math.isfinite(omega) and np.all(np.isfinite(grid))):
+        raise InvalidParameterError("scan frequency omega and grid must be finite")
     fhat = window.fourier_eval
     radius = _auto_time_radius(window) + abs(window.center) + float(np.max(np.abs(grid)))
     center = window.center

@@ -256,13 +256,13 @@ def test_counterexample_report(capsys):
     assert len(res["log_max_samples"]) == 2
 
 
-@pytest.mark.parametrize("radii", ["1,inf", "nan,2", "0,2"])
+@pytest.mark.parametrize("radii", ["1,inf", "nan,2", "0,2", "4,4"])
 def test_counterexample_rejects_bad_radii(capsys, radii):
     code, out, err = run_cli(capsys, "counterexample", "--rho", "2", "--b", "3.14",
                              "--seq", "1.5*sqrt(k)", "--terms", "1000", "--radii", radii)
     assert code == 2 and out == ""
-    assert last_json(err)["error"] == {"kind": "invalid-parameter",
-                                       "message": "radii must be positive and finite"}
+    message = "need at least two distinct radii" if radii == "4,4" else "radii must be positive and finite"
+    assert last_json(err)["error"] == {"kind": "invalid-parameter", "message": message}
 
 
 def test_counterexample_builds_the_product_once(capsys, monkeypatch):
@@ -329,6 +329,16 @@ def test_scan_window_off_gaussian_against_quad(capsys):
         assert abs(mags[i] - want) < 1e-9 * scale
 
 
+@pytest.mark.parametrize("flag", ["--omega=nan", "--omega=inf", "--grid=-inf,1,5", "--grid=0,inf,5"])
+def test_scan_window_rejects_non_finite_input(capsys, flag):
+    code, out, err = run_cli(capsys, "scan-window", "--m", "1.5", "--a", "2", flag)
+    option, _, value = flag.partition("=")
+    message = ("scan frequency omega and grid must be finite" if option == "--omega"
+               else f"grid spec needs finite lo < hi and n >= 2, got {value!r}")
+    assert code == 2 and out == ""
+    assert last_json(err)["error"] == {"kind": "invalid-parameter", "message": message}
+
+
 # ----------------------------------------------------------- reconstruct
 
 def test_reconstruct_demo(capsys):
@@ -337,6 +347,15 @@ def test_reconstruct_demo(capsys):
     res = json.loads(out)["result"]
     assert res["tf_points"] == 289
     assert res["residual"] < 1e-2
+
+
+@pytest.mark.parametrize("flag,value", [("--grid-step", "0"), ("--tf-step", "0"), ("--grid-half", "-1"),
+                                        ("--grid-half", "nan"), ("--tf-step", "inf")])
+def test_reconstruct_rejects_bad_grid_flags(capsys, flag, value):
+    code, out, err = run_cli(capsys, "reconstruct", "--iters", "5", flag, value)
+    assert code == 2 and out == ""
+    assert last_json(err)["error"] == {"kind": "invalid-parameter",
+                                       "message": f"{flag} must be finite and positive, got {float(value)}"}
 
 
 # -------------------------------------------------------------- process

@@ -2,13 +2,12 @@
 
 import cmath
 import math
-import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import gammaln
@@ -330,6 +329,14 @@ def test_product_validation():
         CanonicalProduct(zeros=np.array([]), genus=0)
     with pytest.raises(InvalidParameterError):
         CanonicalProduct(zeros=np.array([1.0, 2.0]), genus=-1)
+    prod = CanonicalProduct(zeros=np.array([1.0, 2.0]), genus=1)
+    for bad in (math.nan, complex(0.5, math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(InvalidParameterError, match="points must be finite"):
+            canonical_product_eval(prod, bad)
+        with pytest.raises(InvalidParameterError, match="points must be finite"):
+            canonical_product_log_magnitudes(prod, np.array([0.5, bad]))
+        with pytest.raises(InvalidParameterError, match="points must be finite"):
+            counterexample_eval(prod.zeros, 2.0, bad)
 
 
 # --------------------------------------------------------- counterexamples
@@ -369,6 +376,9 @@ def test_counterexample_genus_and_validation():
         build_counterexample_product(lam, 1.0)
     with pytest.raises(InvalidParameterError):
         build_counterexample_product(np.array([2.0, 1.0, 3.0]), 2.0)
+    # one radius, however often repeated, cannot fix the two unknowns of the fit
+    with pytest.raises(InvalidParameterError, match="two distinct radii"):
+        counterexample_growth_coefficient(lam, 2.0, (4.0, 4.0), n_theta=16)
 
 
 def test_counterexample_density_warning():
@@ -410,79 +420,63 @@ def test_counterexample_rejects_squares_that_round_together():
     )
     for bad, message in cases:
         lam = np.array(bad)
+        # the built product stores the squares, so it rejects them
         with pytest.raises(InvalidParameterError, match=message):
             CanonicalProduct(zeros=lam * lam, genus=1)
-        for call in (lambda: build_counterexample_product(lam, 2.0),
-                     lambda: counterexample_eval(lam, 2.0, 0.5),
-                     lambda: counterexample_log_magnitudes(lam, 2.0, np.array([0.5j])),
-                     lambda: counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16)):
-            with pytest.raises(InvalidParameterError, match=message):
+        with pytest.raises(InvalidParameterError, match=message):
+            build_counterexample_product(lam, 2.0)
+        # the calls read F in z, where the zeros +-lambda_k are all distinct
+        for z in (lam[0], -lam[1], lam[2], -lam[2]):
+            assert counterexample_eval(lam, 2.0, z) == 0.0
+    lam = np.array([1.0, 1e155, 2e155])
+    assert np.all(counterexample_log_magnitudes(lam, 2.0, np.array([1.0, -1.0])) == -math.inf)
+    assert math.isfinite(counterexample_eval(lam, 2.0, 0.5).real)
+    assert np.all(np.isfinite(counterexample_log_magnitudes(lam, 2.0, np.array([0.5j, 0.5, 3.0 + 1.0j]))))
+    coeff, samples = counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16)
+    assert math.isfinite(coeff) and all(math.isfinite(v) for _, v in samples)
+    # with a zero at 1e-160, |F(0.5)| = |(1 - u) e^u| at u = 2.5e319 is past the float range
+    for bad, _ in cases[:2]:
+        lam = np.array(bad)
+        for call in (lambda: counterexample_eval(lam, 2.0, 0.5),
+                     lambda: counterexample_log_magnitudes(lam, 2.0, np.array([0.5, 0.5j])),
+                     lambda: counterexample_growth_coefficient(lam, 2.0, (0.5, 1.0), n_theta=16)):
+            with pytest.raises(EvaluationOverflowError):
                 call()
 
 
-def _squares_check_outcome(check, values):
-    try:
-        check(values, "zeros")
-    except InvalidParameterError as exc:
-        return str(exc)
-    return None
-
-
-_positive_floats = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=True)
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_positive_floats, min_size=1, max_size=12, unique=True),
-       st.lists(st.integers(0, 3), min_size=1, max_size=12))
-def test_square_check_matches_the_full_check(entries, steps):
-    # clusters of neighbouring floats, so that squares at both ends do merge
-    values = sorted(entries)
-    for v, n in zip(list(values), steps):
-        for _ in range(n):
-            v = math.nextafter(v, math.inf)
-            values.append(v)
-    lam = np.unique(np.array(values))
-    assert (_squares_check_outcome(sampling.check_squares_increasing, lam)
-            == _squares_check_outcome(sampling.check_increasing, lam * lam))
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.floats(min_value=2.0**-511, max_value=math.sqrt(sys.float_info.max), exclude_max=True))
-def test_squares_of_neighbouring_normal_floats_stay_apart(a):
-    b = math.nextafter(a, math.inf)
-    assume(math.isfinite(b * b))
-    assert a * a < b * b
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=40, unique=True),
-       st.integers(0, 39), st.sampled_from([-1, 0, 1]), st.sampled_from(["left", "right"]))
-def test_square_cut_matches_a_search_on_the_squares(entries, pick, shift, side):
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=5e-324, max_value=1e308), min_size=1, max_size=30, unique=True),
+       st.integers(0, 29), st.sampled_from([2.0, 3.0, 4.5]))
+def test_counterexample_vanishes_at_every_zero(entries, pick, rho):
+    # the whole float range, so neighbouring squares may round together or overflow
     lam = np.sort(np.array(entries))
-    t = float(lam[pick % lam.size]) ** 2
-    t = math.nextafter(t, shift * math.inf) if shift else t
-    assert entire._cut(lam, t, side, True) == int(np.searchsorted(lam * lam, t, side))
-    for t in (-1.0, 0.0, math.inf, math.nan):
-        assert entire._cut(lam, t, side, True) == int(np.searchsorted(lam * lam, t, side))
+    x = float(lam[pick % lam.size])
+    for z in (x, -x, complex(x), complex(-x, 0.0)):
+        assert counterexample_eval(lam, rho, z) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_counterexample_calls_equal_the_built_product(monkeypatch):
     monkeypatch.setattr(entire, "_CHUNK", 1000)
     lam = 1.5 * np.sqrt(np.arange(1, 30001, dtype=float))
     product = build_counterexample_product(lam, 2.0)
     zs = np.array([[4.0 * cmath.exp(0.3j), -7.0 + 1.0j], [2.5j, 60.0 + 0.5j]])
-    assert np.array_equal(counterexample_log_magnitudes(lam, 2.0, zs),
-                          canonical_product_log_magnitudes(product, zs * zs))
-    for z in (0.0, 3.0 + 1.0j, -2.0j, 12.0, complex(lam[0]), complex(-lam[2999]), 0.5 * (lam[9] + lam[10])):
-        assert counterexample_eval(lam, 2.0, z) == canonical_product_eval(product, complex(z) ** 2)
-    # one square beyond the float range is an infinitely far zero, for both
+    got, want = counterexample_log_magnitudes(lam, 2.0, zs), canonical_product_log_magnitudes(product, zs * zs)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    for z in (3.0 + 1.0j, -2.0j, 0.5 * (lam[9] + lam[10]), 9.0 * cmath.exp(2.0j)):
+        want = canonical_product_eval(product, complex(z) ** 2)
+        assert abs(counterexample_eval(lam, 2.0, z) - want) <= 1e-13 * abs(want)
+    assert counterexample_eval(lam, 2.0, 0.0) == canonical_product_eval(product, 0.0) == 1.0
+    for z in (12.0, complex(lam[0]), complex(-lam[2999])):
+        assert counterexample_eval(lam, 2.0, z) == canonical_product_eval(product, complex(z) ** 2) == 0.0
+    # one square beyond the float range is an infinitely far zero for the product;
+    # in z it is a zero at 1e155, whose factor is 1 to rounding here
     lam = np.array([1.0, 1e155])
-    product = build_counterexample_product(lam, 3.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        product = build_counterexample_product(lam, 3.0)
     assert product.zeros[-1] == math.inf
-    assert np.array_equal(counterexample_log_magnitudes(lam, 3.0, zs),
-                          canonical_product_log_magnitudes(product, zs * zs))
+    got, want = counterexample_log_magnitudes(lam, 3.0, zs), canonical_product_log_magnitudes(product, zs * zs)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_counterexample_calls_make_no_copy_of_the_sequence():
@@ -527,7 +521,7 @@ def test_counterexample_validates_each_sequence_once(monkeypatch):
         checked.clear()
         tails.clear()
         call()
-        # one pass over the sequence; its squares are only formed slice by slice
+        # one pass over the sequence, and none over its squares
         assert len(checked) == 1
         assert np.shares_memory(checked[0], lam)
         assert len(tails) <= 1

@@ -12,7 +12,9 @@ from stftuniq import (
     QuadratureConvergenceError,
     WindowModel,
     make_generalized_gaussian,
+    generate_sampling_set,
     make_modulated_generalized_gaussian,
+    max_tau_bounds,
     window_ambiguity_scan,
 )
 from stftuniq.quadrature import line_nodes
@@ -52,7 +54,9 @@ def test_slow_decay_rate_warns():
 
 def test_slow_decay_warning_names_the_caller():
     for make in (lambda: WindowModel(0.5, 2.0), lambda: make_generalized_gaussian(0.5, 2.0),
-                 lambda: make_modulated_generalized_gaussian(0.5, 2.0, 0.3)):
+                 lambda: make_modulated_generalized_gaussian(0.5, 2.0, 0.3),
+                 lambda: max_tau_bounds(2.0, 0.5),
+                 lambda: generate_sampling_set(2.0, 0.1, 0.1, 3, a=0.5)):
         with pytest.warns(UserWarning, match="at or below 1") as record:
             make()
         assert record[0].filename == __file__
@@ -146,6 +150,13 @@ def test_ambiguity_scan_zero_window():
                                  grid=np.linspace(50.0, 60.0, 11))
     assert scan.min_magnitude == 0.0
     assert scan.near_zero_fraction == 1.0
+
+
+@pytest.mark.parametrize("omega,grid", [(math.nan, None), (math.inf, None), (-math.inf, None),
+                                        (0.0, [-1.0, math.nan, 1.0]), (0.5, [-math.inf, 0.0, 1.0])])
+def test_ambiguity_scan_rejects_non_finite_input(omega, grid):
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        window_ambiguity_scan(make_generalized_gaussian(2.0, 1.5), omega, grid)
 
 
 def test_ambiguity_scan_honours_max_doublings():
