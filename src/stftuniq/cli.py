@@ -29,7 +29,7 @@ from .errors import (
     ZeroAtOriginError,
     ZeroNormError,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .windows import make_generalized_gaussian, make_modulated_generalized_gaussian, window_ambiguity_scan
 from .entire import (
     counterexample_eval,
@@ -342,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument("--quad-radius", type=float, default=None, dest="quad_radius",
                             help="override the automatic truncation radius")
-    quadrature.add_argument("--quad-nodes", type=int, default=2048, dest="quad_nodes",
+    quadrature.add_argument("--quad-nodes", type=int, default=DEFAULT_QUADRATURE.nodes, dest="quad_nodes",
                             help="quadrature nodes per half interval")
-    quadrature.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
+    quadrature.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.tol, dest="quad_tol",
                             help="node-doubling stability tolerance")
 
     parser = _Parser(prog="stftuniq",

@@ -27,6 +27,7 @@ from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     ZeroAtOriginError,
+    _caller_stacklevel,
 )
 from .sampling import (
     check_increasing,
@@ -255,7 +256,8 @@ def jensen_integral(f, r: float, n_theta: int = 1024) -> float:
     vals = _eval_complex(f, r * np.exp(1j * theta))
     mags = np.abs(vals)
     if np.any(mags < 1e-300):
-        warnings.warn("log|f| is singular on the circle; the mean may be -inf", RuntimeWarning)
+        warnings.warn("log|f| is singular on the circle; the mean may be -inf", RuntimeWarning,
+                      stacklevel=_caller_stacklevel())
     with np.errstate(divide="ignore"):
         logs = np.log(mags)
     return float(np.mean(logs) - math.log(abs(f0)))
@@ -300,13 +302,22 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
     contribute direct factor logs; the (typically vast) remainder enters
     through per-band power sums, an exact rearrangement of the tail log
     series. Bands are keyed to the largest |v|, so smaller points see larger
-    ratios and the same truncation bound. A point on a zero gets real part -inf;
-    a factor argument past the float range raises EvaluationOverflowError.
+    ratios and the same truncation bound. A point on a zero gets -inf and
+    enters no sum, so the other factors at that point cannot overflow; a
+    factor argument past the float range raises EvaluationOverflowError.
     """
-    out = np.zeros(vs.shape, dtype=complex)
     vmax = float(np.abs(vs).max()) if vs.size else 0.0
     if not math.isfinite(vmax):
         raise InvalidParameterError("evaluation points must be finite")
+    # (v / zeta_k)^q = 1 has the real root v = zeta_k, and v = -zeta_k for even q
+    x = vs.real if q % 2 else np.abs(vs.real)
+    k = np.minimum(np.searchsorted(zeros, x), zeros.size - 1)
+    on_zero = (vs.imag == 0.0) & (zeros[k] == x)
+    if on_zero.any():
+        out = np.full(vs.shape, complex(-math.inf, 0.0))
+        out[~on_zero] = _log_product(zeros, p, vs[~on_zero], q)
+        return out
+    out = np.zeros(vs.shape, dtype=complex)
     if vmax == 0.0:
         return out
 
@@ -357,14 +368,6 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
 
 def _eval_point(zeros: np.ndarray, p: int, v: complex, q: int = 1) -> complex:
     """One point of the product, exactly 0 on a zero; the evaluator behind both public point calls."""
-    if v == 0:
-        return 1 + 0j
-    if v.imag == 0.0:
-        # (v / zeta_k)^q = 1 has the real root v = zeta_k, and v = -zeta_k for even q
-        x = v.real if q % 2 else abs(v.real)
-        k = int(np.searchsorted(zeros, x))
-        if k < zeros.size and zeros[k] == x:
-            return 0j
     total = complex(_log_product(zeros, p, np.array([v]), q)[0])
     if total.real > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"product magnitude exponent {total.real:.1f} exceeds the float range")
@@ -467,10 +470,11 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
     tail = tail_ratios(lam, rho)
     if b is not None and lam.size >= 16 and not tail_density(tail) > nonuniqueness_threshold(rho, b):
         warnings.warn("sequence density does not clear the non-uniqueness threshold; the "
-                      "vanishing construction does not separate anything here", RuntimeWarning)
+                      "vanishing construction does not separate anything here", RuntimeWarning,
+                      stacklevel=_caller_stacklevel())
     if float(tail.max() / tail.min()) > 1.05:
         warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
-                      RuntimeWarning)
+                      RuntimeWarning, stacklevel=_caller_stacklevel())
     zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))
     log_max = _log_magnitudes(lam, genus, zs, q=2).max(axis=1)
     basis = np.stack([radii**rho, np.ones_like(radii)], axis=1)

@@ -3,16 +3,20 @@
 import sys
 
 
+_PACKAGE = __name__.rpartition(".")[0]
+
+
 def _caller_stacklevel() -> int:
-    """stacklevel at which a warning names the first frame outside the module that warns.
+    """stacklevel at which a warning names the first frame outside this package.
 
     Call it inside the warnings.warn call. The frames skipped are those run in
-    that module's globals: its own functions, and the __init__ that dataclasses
-    generates for a class defined there.
+    the globals of a package module: its functions, the __init__ that
+    dataclasses generates for a class defined there, and the package's calls
+    into one another, so a warning raised two calls deep still names the
+    caller's line.
     """
     frame, level = sys._getframe(1), 1
-    module = frame.f_globals.get("__name__")
-    while frame is not None and frame.f_globals.get("__name__") == module:
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
         frame, level = frame.f_back, level + 1
     return level
 

@@ -2,22 +2,34 @@
 
 Every line integral in this package reduces to a smooth, super-exponentially
 decaying integrand on a symmetric interval [-R, R], possibly with a derivative
-kink at the origin (|xi|^m terms with non-integer m). Gauss-Legendre panels
-split at zero handle both. Every quadrature in the package is checked by one
-routine, refine: it doubles the nodes until two successive levels agree to
-tol against the finer level's scale, at most max_doublings times, so the
-worst case is nodes * 2**max_doublings points per half.
+kink (|xi|^m terms with m not an even integer). Gauss-Legendre panels put
+every kink on a panel edge. On a plain panel a d^m kink at the edge limits
+the error to n^(-2(m+1)) (Davis & Rabinowitz, Methods of Numerical
+Integration, 1984), so graded_nodes maps the panel quadratically onto the
+kink: the kink term becomes y^(2m), which is polynomial at m = 1.5 and far
+smoother at other m, and the error falls spectrally again (a polynomial
+grading in the spirit of Sidi's 1993 transformations). Against a
+65536-node plain rule, the half-line cosine transform of e^(-2 xi^m) on
+t in [0, 8] is within 2e-14 of max|g| from 512 graded nodes at m = 1.1,
+1.2, 1.5 and 3; 512 plain nodes give 1.5e-10 at m = 1.1.
+Every quadrature in the package is checked by one routine, refine: it
+doubles the nodes until two successive levels agree to tol against the
+finer level's scale, at most max_doublings times, so the worst case is
+nodes * 2**max_doublings points per half, 4096 at the defaults.
 
 An n-point Gauss-Legendre rule is built once per process by Newton's method,
 with P_n and P_n' from the three-term recurrence vectorised over the nodes.
 The start is Tricomi's asymptotic guess in the interior and the Frenzen-Wong
-Bessel-zero guess for the 30 nodes nearest each end; from n = 2048 on every
+Bessel-zero guess for the 30 nodes nearest each end. From n = 2048 on every
 Newton step is then below the 1e-14 stopping test, so one pass over all
-nodes confirms them. That is O(n^2) flops, about 0.01 s at n = 2048 and
-0.03 s at n = 4096 on a 2-core Xeon, against 0.13 s and 0.48 s for the
-Golub-Welsch eigenvalue route. Against a 32-digit mpmath recurrence the
-nodes are correct to 1e-16 and the weights to 2e-11 relative at the
-outermost node (n = 4096), 1e-14 in the interior.
+nodes confirms them. At n = 256 and 512 most steps are still above it, so
+a second pass confirms the nodes the first one moved (128, then 122 nodes at
+n = 256; 256, then 220 at n = 512). That is O(n^2) flops: about 3 ms at
+n = 256, 6 ms at n = 512, 0.02 s at n = 2048 and 0.03 s at n = 4096 on a
+2-core Xeon, against 0.13 s and 0.48 s for the Golub-Welsch eigenvalue
+route at the last two. Against a 32-digit mpmath recurrence the nodes are
+correct to 1e-16 and the weights to 2e-11 relative at the outermost node
+(n = 4096), 1e-14 in the interior.
 """
 
 from __future__ import annotations
@@ -37,12 +49,15 @@ class QuadratureConfig:
 
     radius None means the truncation radius is chosen at the call site from
     the integrand's decay parameters. nodes counts Gauss-Legendre points per
-    half-interval; doubling stops once successive results agree to tol
-    relative to the result's scale.
+    half-interval or panel; doubling stops once successive results agree to
+    tol relative to the result's scale. The default starts at 256 nodes, which
+    suffices for the smooth integrands and, with graded panels, for the
+    |xi|^m kinks; the ceiling is 256 * 2**4 = 4096 nodes per half, and a case
+    that needs more raises QuadratureConvergenceError.
     """
 
     radius: float | None = None
-    nodes: int = 2048
+    nodes: int = 256
     tol: float = 1e-10
     max_doublings: int = 4
 
@@ -129,6 +144,22 @@ def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     lo, half = edges[..., :-1, None], 0.5 * np.diff(edges, axis=-1)[..., None]
     shape = edges.shape[:-1] + (-1,)
     return (lo + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
+
+
+def graded_nodes(kinks, ends, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on the panels from each kink to its end, graded toward the kink.
+
+    y in [0, 1] maps to kink + (end - kink) * y^2 with weight 2 |end - kink| y,
+    so a d^m kink at the panel's kink edge enters the rule as y^(2m + 1).
+    kinks and ends broadcast to shape (..., P); both outputs have shape
+    (..., P * nodes), and a panel of zero length gets zero weights.
+    """
+    x, w = _legendre_rule(nodes)
+    y = 0.5 * (x + 1.0)
+    kinks = np.asarray(kinks, dtype=float)[..., None]
+    span = np.asarray(ends, dtype=float)[..., None] - kinks
+    shape = np.broadcast_shapes(kinks.shape, span.shape)[:-2] + (-1,)
+    return (kinks + span * (y * y)).reshape(shape), (np.abs(span) * (w * y)).reshape(shape)
 
 
 def refine(level, cfg: QuadratureConfig, what: str):

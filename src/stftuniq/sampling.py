@@ -220,7 +220,7 @@ def generate_sampling_set(m: float, tau1: float, tau2: float, count: int,
         if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 1):
             raise InvalidParameterError(f"decay exponent m must be a finite real > 1, got {m!r}")
         warnings.warn("no decay rate supplied; step scales were not validated against the bounds",
-                      UserWarning)
+                      UserWarning, stacklevel=_caller_stacklevel())
     n = np.arange(1, count + 1, dtype=float)
     xmag = tau1 * n ** ((m - 1.0) / m)
     wmag = tau2 * n ** (1.0 / m)
@@ -292,7 +292,7 @@ def tail_density(tail: np.ndarray) -> float:
     """Density surrogate from the tail ratios, warning when they are still rising."""
     if tail[-1] > 1.25 * tail[0] and bool(np.all(tail[1:] >= tail[:-1])):
         warnings.warn("normalized ratios keep increasing; the density surrogate may be diverging",
-                      RuntimeWarning)
+                      RuntimeWarning, stacklevel=_caller_stacklevel())
     return float(np.min(tail))
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, ZeroNormError
+from .errors import InvalidParameterError, ZeroNormError, _caller_stacklevel
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, refine
 from .sampling import SamplingSet, _read_csv, _write_csv
 from .entire import moment_integral
@@ -509,7 +509,8 @@ def extend_stft(f: Signal, window: WindowModel, z, zprime,
             peak = float(mags.max())
             if peak > 0 and max(float(mags[0]), float(mags[-1])) > 1e-10 * peak:
                 warnings.warn("integrand is not negligible at the grid edge; "
-                              "the extension is truncated by the signal grid", RuntimeWarning)
+                              "the extension is truncated by the signal grid", RuntimeWarning,
+                              stacklevel=_caller_stacklevel())
         return val, max(abs(val), float(mags.sum()))
 
     return _signal_integral(f, assemble, quad, "extension quadrature", linear=linear)

@@ -4,10 +4,11 @@ The model is specified on the Fourier side, where the decay is explicit. The
 time-domain window has a closed form when the decay is quadratic; otherwise
 it is a truncated inverse transform. The centred profile C e^{-a |xi|^m} is
 real and even, so that transform is a real cosine transform on the half
-line, with the |xi|^m kink at its panel edge 0, and a window centred at
-xi0 != 0 multiplies it by e^{2 pi i xi0 t}. Real times give real values for
-a centred window; complex times or a modulation give complex values. An
-ambiguity-function scan looks for zeros along one frequency slice.
+line, with the |xi|^m kink at its panel edge 0 (graded there unless m is an
+even integer), and a window centred at xi0 != 0 multiplies it by
+e^{2 pi i xi0 t}. Real times give real values for a centred window; complex
+times or a modulation give complex values. An ambiguity-function scan looks
+for zeros along one frequency slice.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     decay_truncation_radius,
+    graded_nodes,
     line_nodes,
     panel_nodes,
     refine,
@@ -125,7 +127,8 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     The centred profile p(xi) = C e^{-a |xi|^m} is real and even, so its
     transform is the cosine transform g0(t) = 2 int_0^R p(xi) cos(2 pi xi t) dxi
     on the half line, and the modulated family is g(t) = e^{2 pi i xi0 t} g0(t).
-    The |xi|^m kink sits at the panel edge 0 for both families. A given
+    The |xi|^m kink sits at the panel edge 0 for both families, and the panel
+    is graded toward it unless m is an even integer (no kink). A given
     quad.radius is the half-width R of the profile around xi0. Real times
     give real values for the plain family; complex times (the radius then
     accounts for the exponential growth of the cosine) or a modulated window
@@ -142,9 +145,13 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     arg = (2.0 * math.pi) * flat
     phase = np.exp((2j * math.pi * window.center) * flat) if window.center else None
     dtype = flat.dtype if phase is None else complex
+    kinked = window.m % 2 != 0
 
     def level(nodes: int):
-        xi, wt = panel_nodes(np.array([0.0, radius]), nodes)
+        if kinked:
+            xi, wt = graded_nodes(0.0, radius, nodes)
+        else:
+            xi, wt = panel_nodes(np.array([0.0, radius]), nodes)
         pw = (2.0 * window.amplitude) * np.exp(-window.a * xi**window.m) * wt
         out = np.empty(flat.shape, dtype)
         # blocks of 2^16 entries (512 KB) stay in cache between the cosine and the product
@@ -179,10 +186,11 @@ def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
     fraction of grid points within 1e-10 of the slice's maximum
     magnitude scale (all of them when the whole slice is zero, as it is far
     out in xi, where the two factors underflow against each other). Each grid
-    column integrates over three panels of quad.nodes points, split where the
-    |.|^m kinks of the two factors sit; a window with even integer m has no
-    kinks, so all columns share one rule on the whole line. The nodes double
-    until the slice changes by at most quad.tol of its scale.
+    column splits the line where the |.|^m kinks of the two factors sit, and
+    halves the span between them, into four panels of quad.nodes points, each
+    graded toward its kink; a window with even integer m has no kinks, so all
+    columns share one rule on the whole line. The nodes double until the
+    slice changes by at most quad.tol of its scale.
     """
     if not isinstance(window, WindowModel):
         raise InvalidParameterError("window must be a WindowModel")
@@ -195,9 +203,11 @@ def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
     radius = _auto_time_radius(window) + abs(window.center) + float(np.max(np.abs(grid)))
     center = window.center
     # ghat(-eta) has its kink at eta = -center, ghat(xi - eta) at eta = xi - center
-    kinks = np.sort(np.stack([np.full(grid.size, -center), grid - center], axis=1), axis=1)
-    edges = np.concatenate([np.full((grid.size, 1), -radius), kinks,
-                            np.full((grid.size, 1), radius)], axis=1)
+    lo, hi = np.sort(np.stack([np.full(grid.size, -center), grid - center]), axis=0)
+    mid = 0.5 * (lo + hi)
+    # panels from each kink out to -radius, to the midpoint between the kinks, and to radius
+    kinks = np.stack([lo, lo, hi, hi], axis=1)
+    ends = np.stack([np.full(grid.size, -radius), mid, mid, np.full(grid.size, radius)], axis=1)
 
     # ghat is real, so the conjugate in the integrand is dropped
     def level(nodes: int):
@@ -209,9 +219,9 @@ def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
             for k in range(0, grid.size, step):
                 out[k:k + step] = base @ fhat(grid[k:k + step] - eta[:, None])
             return out, float(np.max(np.abs(out)))
-        step = max(1, (1 << 20) // (3 * nodes))
+        step = max(1, (1 << 20) // (4 * nodes))
         for k in range(0, grid.size, step):
-            eta, wt = panel_nodes(edges[k:k + step], nodes)
+            eta, wt = graded_nodes(kinks[k:k + step], ends[k:k + step], nodes)
             vals = fhat(-eta) * fhat(grid[k:k + step, None] - eta)
             if omega:
                 vals = vals * np.exp((2j * math.pi * omega) * eta)

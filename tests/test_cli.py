@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from stftuniq import SamplingSet
+from stftuniq import DEFAULT_QUADRATURE, SamplingSet
 from stftuniq.cli import main, parse_sequence_expr, parse_signal_spec
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -225,7 +225,8 @@ def test_discriminate_equivalent(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["meta"]["quad_radius"] == "auto"
-    assert doc["meta"]["quad_nodes"] == 2048 and doc["meta"]["quad_tol"] == 1e-10
+    assert doc["meta"]["quad_nodes"] == DEFAULT_QUADRATURE.nodes
+    assert doc["meta"]["quad_tol"] == DEFAULT_QUADRATURE.tol
     res = doc["result"]
     assert res["verdict"] == "EquivalentUpToPhase"
     assert abs(res["alpha"] - (2.0 * math.pi - 1.0)) < 1e-9

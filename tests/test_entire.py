@@ -238,9 +238,10 @@ def test_jensen_guards():
         jensen_integral(np.exp, 0.0)
     with pytest.raises(InvalidParameterError):
         jensen_integral(np.exp, 1.0, n_theta=32)
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
         val = jensen_integral(lambda z: 1.0 - z, 1.0)
     assert val == -math.inf
+    assert record[0].filename == __file__
 
 
 def test_zero_count_bound():
@@ -384,14 +385,20 @@ def test_counterexample_genus_and_validation():
 def test_counterexample_density_warning():
     # too sparse to clear the non-uniqueness threshold for (rho=2, b=pi)
     lam = 0.5 * np.arange(1, 101, dtype=float) ** 0.5
-    with pytest.warns(RuntimeWarning, match="non-uniqueness threshold"):
+    with pytest.warns(RuntimeWarning, match="non-uniqueness threshold") as record:
         counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi)
+    assert record[0].filename == __file__
 
 
 def test_counterexample_irregular_sequence_warning():
     lam = np.arange(1, 65, dtype=float)
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="power law") as record:
         counterexample_growth_coefficient(lam, 3.0, (2.0, 3.0), n_theta=16)
+    # with b the tail density is read too, and its ratios still rise at rho = 2
+    with pytest.warns(RuntimeWarning) as density_record:
+        counterexample_growth_coefficient(lam, 2.0, (2.0, 3.0), n_theta=16, b=math.pi)
+    assert "keep increasing" in str(density_record[0].message)
+    assert [r.filename for r in [*record, *density_record]] == [__file__] * 3
 
 
 @pytest.mark.parametrize("bad", [[1.0, -2.0, 3.0], [1.0, 2.0, math.nan, 4.0], [1.0, 3.0, 2.0],
@@ -426,8 +433,11 @@ def test_counterexample_rejects_squares_that_round_together():
         with pytest.raises(InvalidParameterError, match=message):
             build_counterexample_product(lam, 2.0)
         # the calls read F in z, where the zeros +-lambda_k are all distinct
-        for z in (lam[0], -lam[1], lam[2], -lam[2]):
+        zs = np.array([lam[0], -lam[1], lam[2], -lam[2]])
+        for z in zs:
             assert counterexample_eval(lam, 2.0, z) == 0.0
+        # a point on a zero skips the sums, where the factors of the tiny zeros would overflow
+        assert np.all(counterexample_log_magnitudes(lam, 2.0, zs) == -math.inf)
     lam = np.array([1.0, 1e155, 2e155])
     assert np.all(counterexample_log_magnitudes(lam, 2.0, np.array([1.0, -1.0])) == -math.inf)
     assert math.isfinite(counterexample_eval(lam, 2.0, 0.5).real)

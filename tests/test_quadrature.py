@@ -69,7 +69,7 @@ def _mp_legendre(n, x):
     return p1, n * (p0 - x * p1) / (1 - x * x)
 
 
-@pytest.mark.parametrize("n", [2048, 4096])
+@pytest.mark.parametrize("n", [256, 512, 2048, 4096])
 def test_legendre_rule_against_mpmath(n):
     x, w = _legendre_rule(n)
     with mpmath.workdps(32):
@@ -149,7 +149,7 @@ _GRID = np.linspace(-2.0, 2.0, 5)
     (lambda q: stft_eval(_CHIRP, _GAUSS, 0.0, 0.0, q), 5),
     (lambda q: extend_stft(_CHIRP, _GAUSS, 0.1, 0.2, q), 5),
     (lambda q: moyal_energy_check(_CHIRP, _GAUSS, _GRID, _GRID, q), 5),
-    (lambda q: time_window_values(make_generalized_gaussian(2.0, 1.5), _GRID, q), 3),
+    (lambda q: time_window_values(make_generalized_gaussian(2.0, 1.5), 4.0 * _GRID, q), 3),
 ], ids=["stft_eval", "extend_stft", "moyal_energy_check", "time_window_values"])
 def test_every_site_honours_max_doublings(site, k):
     with pytest.raises(QuadratureConvergenceError, match=f"after {k - 1} node doublings"):

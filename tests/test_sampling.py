@@ -93,8 +93,9 @@ def test_generate_rejects_steps_at_the_bound():
 
 
 def test_generate_without_rate_warns():
-    with pytest.warns(UserWarning, match="not validated"):
+    with pytest.warns(UserWarning, match="not validated") as record:
         generate_sampling_set(2.0, 0.1, 0.5, 4)
+    assert record[0].filename == __file__
 
 
 def test_csv_round_trip_is_exact():
@@ -170,9 +171,10 @@ def test_density_index_guards():
         density_index(np.array([3.0, 2.0] * 10), 2.0)
     with pytest.raises(InvalidParameterError):
         density_index(np.arange(1.0, 33.0), 1.0)
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match="keep increasing") as record:
         # linear growth has no finite rho = 2 density
         density_index(np.arange(1.0, 65.0), 2.0)
+    assert record[0].filename == __file__
 
 
 def test_classify_three_verdicts():

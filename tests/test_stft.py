@@ -433,8 +433,9 @@ def test_extension_is_quadratic_in_imaginary_frequency(gauss_window):
 def test_extension_grid_edge_warning(gauss_window):
     ts = np.arange(-64, 65) / 32.0
     gf = grid_signal(np.exp(-math.pi * ts**2), -2.0, 1 / 32.0)
-    with pytest.warns(RuntimeWarning, match="grid edge"):
+    with pytest.warns(RuntimeWarning, match="grid edge") as record:
         extend_stft(gf, gauss_window, 0.0, 2j)
+    assert record[0].filename == __file__
 
 
 def test_extension_quadrature_failure(gauss_window):

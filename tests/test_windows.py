@@ -17,7 +17,7 @@ from stftuniq import (
     max_tau_bounds,
     window_ambiguity_scan,
 )
-from stftuniq.quadrature import line_nodes
+from stftuniq.quadrature import decay_truncation_radius, graded_nodes, panel_nodes
 from stftuniq.windows import time_window_closed_form, time_window_values
 
 
@@ -160,12 +160,13 @@ def test_ambiguity_scan_rejects_non_finite_input(omega, grid):
 
 
 def test_ambiguity_scan_honours_max_doublings():
-    # the |eta|^1.5 kinks sit on panel edges, so each doubling gains about 2^-5
+    # the graded panels absorb the |eta|^1.5 kinks, so the nodes are needed for
+    # the oscillation e^{2 pi i omega eta}: 64 nodes resolve it after four doublings
     w = make_generalized_gaussian(2.0, 1.5)
     grid = np.linspace(-3.0, 3.0, 13)
     with pytest.raises(QuadratureConvergenceError, match="after 3 node doublings"):
-        window_ambiguity_scan(w, 0.0, grid, QuadratureConfig(nodes=64, max_doublings=3))
-    scan = window_ambiguity_scan(w, 0.0, grid, QuadratureConfig(nodes=64, max_doublings=4))
+        window_ambiguity_scan(w, 15.0, grid, QuadratureConfig(nodes=64, max_doublings=3))
+    scan = window_ambiguity_scan(w, 15.0, grid, QuadratureConfig(nodes=64, max_doublings=4))
     assert scan.min_magnitude > 0.0
 
 
@@ -190,11 +191,47 @@ def test_ambiguity_scan_modulated_window_against_quad(m):
         assert abs(got - abs(total)) < 1e-9 * scan.magnitudes.max()
 
 
+def _plain_reference(edges, nodes=2048, pieces=8):
+    """A composite plain rule: each panel between edges cut into equal pieces of `nodes` points."""
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    cuts = (lo + (hi - lo) * np.linspace(0.0, 1.0, pieces + 1))[..., 1:]
+    return panel_nodes(np.concatenate([edges[..., :1], cuts.reshape(cuts.shape[:-2] + (-1,))], axis=-1), nodes)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.3])
+def test_ambiguity_scan_graded_panels_against_a_fine_plain_rule(omega):
+    w = make_generalized_gaussian(2.0, 1.5)
+    grid = np.linspace(-3.0, 3.0, 13)
+    got = window_ambiguity_scan(w, omega, grid).magnitudes
+    radius = decay_truncation_radius(2.0, 1.5) + 3.0
+    kinks = np.sort(np.stack([np.zeros(grid.size), grid], axis=1), axis=1)
+    edges = np.concatenate([np.full((grid.size, 1), -radius), kinks, np.full((grid.size, 1), radius)], axis=1)
+    # 24 plain pieces of 2048 nodes per column, the kinks on piece edges
+    eta, wt = _plain_reference(edges)
+    vals = w.fourier_eval(-eta) * w.fourier_eval(grid[:, None] - eta) * np.exp((2j * math.pi * omega) * eta)
+    want = np.abs(np.einsum("ij,ij->i", vals, wt))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
 # ------------------------------------------------ the cosine-transform path
 
+@pytest.mark.parametrize("m, xi0", [(1.1, None), (1.2, None), (1.5, None), (3.0, None), (1.5, 0.7)])
+def test_graded_window_against_a_fine_plain_rule(m, xi0):
+    window = (make_generalized_gaussian(2.0, m) if xi0 is None
+              else make_modulated_generalized_gaussian(2.0, m, xi0))
+    ts = np.linspace(-8.0, 8.0, 33)
+    got = time_window_values(window, ts)
+    # 32 plain pieces of 2048 nodes, 65536 in all, the kink on the first piece's edge
+    xi, wt = _plain_reference(np.array([0.0, decay_truncation_radius(2.0, m)]), pieces=32)
+    want = np.cos((2.0 * math.pi) * ts[:, None] * xi) @ (2.0 * np.exp(-2.0 * xi**m) * wt)
+    if xi0 is not None:
+        want = want * np.exp((2j * math.pi * xi0) * ts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def _full_line(window, ts, radius, nodes):
-    """g(t) as the complex exponential sum over both halves of [xi0 - R, xi0 + R], split at xi0."""
-    eta, wt = line_nodes(radius, nodes)
+    """g(t) as the complex exponential sum over both halves of [xi0 - R, xi0 + R], graded toward xi0."""
+    eta, wt = graded_nodes(0.0, np.array([-radius, radius]), nodes)
     xi = window.center + eta
     return np.exp((2j * math.pi) * ts[:, None] * xi[None, :]) @ (window.fourier_eval(xi) * wt)
 
