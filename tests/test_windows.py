@@ -215,7 +215,8 @@ def test_ambiguity_scan_graded_panels_against_a_fine_plain_rule(omega):
 
 # ------------------------------------------------ the cosine-transform path
 
-@pytest.mark.parametrize("m, xi0", [(1.1, None), (1.2, None), (1.5, None), (3.0, None), (1.5, 0.7)])
+@pytest.mark.parametrize("m, xi0", [(1.1, None), (1.2, None), (1.5, None), (2.0, None), (3.0, None),
+                                   (4.0, None), (1.5, 0.7)])
 def test_graded_window_against_a_fine_plain_rule(m, xi0):
     window = (make_generalized_gaussian(2.0, m) if xi0 is None
               else make_modulated_generalized_gaussian(2.0, m, xi0))
