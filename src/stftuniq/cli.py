@@ -42,10 +42,11 @@ from .entire import (
 from .sampling import (
     _write_csv,
     classify_sequence,
-    density_index,
     generate_sampling_set,
     max_tau_bounds,
     nonuniqueness_threshold,
+    tail_density,
+    tail_ratios,
 )
 from .stft import (
     SignalGrid,
@@ -256,9 +257,11 @@ def _run_counterexample(ns, quad, meta):
     meta.update({"rho": ns.rho, "b": ns.b, "seq": ns.seq, "terms": ns.terms,
                  "radii": list(radii), "n_theta": ns.n_theta})
     lam = parse_sequence_expr(ns.seq, ns.terms)
+    if lam.size < 16:
+        raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size}")
     coeff, samples = counterexample_growth_coefficient(lam, ns.rho, radii,
                                                        n_theta=ns.n_theta, b=ns.b)
-    density = density_index(lam, ns.rho)
+    density = tail_density(tail_ratios(lam, ns.rho))
     # F is exactly 0 where z is real and |z| is a sequence entry
     probe = min(4, lam.size - 1)
     vanishes = all(counterexample_eval(lam, ns.rho, z) == 0 for z in (lam[0], -lam[probe]))

@@ -30,6 +30,7 @@ from .errors import (
     _caller_stacklevel,
 )
 from .sampling import (
+    _CHUNK,
     check_increasing,
     nonuniqueness_threshold,
     tail_density,
@@ -283,13 +284,11 @@ def zero_count_bound(r: float, s: float, c_bound: float, b: float, rho: float) -
 
 
 # Ratio edges for the banded far-zero evaluation. Zeros with a factor argument
-# |u| = (|v| / zeta_k)^q of at most 1/2.2 admit a geometric tail series; the
-# per-band term count keeps the truncation error near 1e-19 at the inner edge
-# and shrinks as the ratio grows.
+# |u| = (|v| / zeta_k)^q of at most 1/2.2 admit a geometric tail series. Each
+# slice of them sums the powers its first (largest) ratio needs for a truncation
+# error near e^-43 = 2e-19: 55 at the inner edge, fewer further out.
 _BAND_EDGES = (2.2, 8.0, 64.0, 1024.0)
-# Zeros per slice in the evaluator's loops. Its two 512 KB buffers stay in a 2 MB
-# per-core L2 cache; 2^17 spilled it and ran the band sums at half the speed.
-_CHUNK = 1 << 16
+_TERMS_CAP = math.ceil(43.0 / math.log(_BAND_EDGES[0]))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -300,11 +299,11 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
     product V(z^2) over the squares zeta_k^2, read in z, so the squares are
     never formed. Zeros within (2.2)^(1/q) of the batch's largest |v|
     contribute direct factor logs; the (typically vast) remainder enters
-    through per-band power sums, an exact rearrangement of the tail log
-    series. Bands are keyed to the largest |v|, so smaller points see larger
-    ratios and the same truncation bound. A point on a zero gets -inf and
-    enters no sum, so the other factors at that point cannot overflow; a
-    factor argument past the float range raises EvaluationOverflowError.
+    through power sums, an exact rearrangement of the tail log series, each
+    slice summed up to the power its own first ratio needs; points below the
+    largest |v| see a tighter bound. A point on a zero gets -inf and enters no
+    sum, so the other factors at that point cannot overflow; a factor argument
+    past the float range raises EvaluationOverflowError.
     """
     vmax = float(np.abs(vs).max()) if vs.size else 0.0
     if not math.isfinite(vmax):
@@ -324,7 +323,8 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
     # (vmax / zeta_k)^q <= 1 / e from the band edge e on
     cuts = [int(np.searchsorted(zeros, e ** (1.0 / q) * vmax, "right")) for e in _BAND_EDGES] + [zeros.size]
     near = zeros[:cuts[0]]
-    step = max(1, _CHUNK // max(near.size, 1))
+    # blocks of _CHUNK / 8 complex entries: four live temporaries fill one float slice
+    step = max(1, _CHUNK // 8 // max(near.size, 1))
     for i in range(0, vs.size, step):
         for k in range(0, near.size, _CHUNK):
             u = vs[i:i + step, None] / near[k:k + _CHUNK]
@@ -335,24 +335,26 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
                 term = term + u**j / j
             out[i:i + step] += term.sum(axis=1)
 
-    # per-band sums T_j = sum (vmax / zeta_k)^(q j), all below 1 per term, so
-    # no power leaves the float range; they are consumed as
+    # sums T_j = sum (vmax / zeta_k)^(q j) over the far zeros, all below 1 per
+    # term, so no power leaves the float range; they are consumed as
     # -sum_{j>p} (v / vmax)^(q j) T_j / j
-    j_caps = [max(p + 1, min(60, math.ceil(43.0 / math.log(e)))) for e in _BAND_EDGES]
-    sums = np.zeros(max(j_caps) + 1)
+    sums = np.zeros(max(p + 1, _TERMS_CAP) + 1)
     inv, power = np.empty(_CHUNK), np.empty(_CHUNK)
-    for j_max, lo, hi in zip(j_caps, cuts[:-1], cuts[1:]):
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
         for k in range(lo, hi, _CHUNK):
             n = min(_CHUNK, hi - k)
             iv, pw = inv[:n], power[:n]
             np.divide(vmax, zeros[k:k + n], out=iv)
             if q != 1:
                 iv **= q
-            pw[:] = 1.0
-            for j in range(1, j_max + 1):
+            j_max = min(_TERMS_CAP, math.ceil(43.0 / (q * math.log(zeros[k] / vmax))))
+            pw[:] = iv
+            for _ in range(p):
                 pw *= iv
-                if j > p:
-                    sums[j] += pw.sum()
+            sums[p + 1] += pw.sum()
+            for j in range(p + 2, j_max + 1):
+                pw *= iv
+                sums[j] += pw.sum()
     ratio = vs / vmax
     if q != 1:
         ratio **= q
@@ -403,8 +405,8 @@ def _counterexample_sequence(lambdas, rho: float) -> tuple[np.ndarray, int]:
     """
     lam = np.asarray(lambdas, dtype=float)
     _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
-    check_increasing(lam, "sequence entries")
     _require(rho > 1 and math.isfinite(rho), f"order rho must exceed 1, got {rho}")
+    check_increasing(lam, "sequence entries")
     return lam, int(math.floor(rho / 2.0))
 
 
@@ -466,13 +468,14 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
     # the fit has two unknowns, so one radius, however often repeated, cannot fix them
     _require(radii.ndim == 1 and np.unique(radii).size >= 2, "need at least two distinct radii")
+    threshold = None if b is None else nonuniqueness_threshold(rho, b)
     lam, genus = _counterexample_sequence(lambdas, rho)
     tail = tail_ratios(lam, rho)
-    if b is not None and lam.size >= 16 and not tail_density(tail) > nonuniqueness_threshold(rho, b):
+    if threshold is not None and lam.size >= 16 and not tail_density(tail) > threshold:
         warnings.warn("sequence density does not clear the non-uniqueness threshold; the "
                       "vanishing construction does not separate anything here", RuntimeWarning,
                       stacklevel=_caller_stacklevel())
-    if float(tail.max() / tail.min()) > 1.05:
+    if tail.high / tail.low > 1.05:
         warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
                       RuntimeWarning, stacklevel=_caller_stacklevel())
     zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))

@@ -20,6 +20,11 @@ from .errors import InsufficientDataError, InvalidParameterError, _caller_stackl
 
 _SET_HEADER = "n,sign_x,sign_omega,x,omega"
 _QUADRANT_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# Entries per slice of the O(K) passes here and in entire: 256 KB of floats stays in L2
+_CHUNK = 1 << 15
+# The tail ratios as the checks read them: extremes, end values, and whether they never fall
+TailSummary = NamedTuple("TailSummary", [("low", float), ("high", float), ("first", float),
+                                         ("last", float), ("rising", bool)])
 
 
 class Verdict(Enum):
@@ -275,25 +280,34 @@ def check_increasing(values: np.ndarray, what: str) -> None:
     """Raise unless a nonempty 1-d array starts positive and rises strictly; NaN fails."""
     if not values[0] > 0:
         raise InvalidParameterError(f"{what} must be positive")
-    if not np.all(values[1:] > values[:-1]):
+    parts = (values[k:k + _CHUNK + 1] for k in range(0, values.size, _CHUNK))
+    if not all(np.all(part[1:] > part[:-1]) for part in parts):
         raise InvalidParameterError(f"{what} must be strictly increasing")
 
 
-def tail_ratios(lam: np.ndarray, rho: float) -> np.ndarray:
-    """lambda_k / k^{1/rho} over the tail half k > K/2, the only ratios any check reads."""
+def tail_ratios(lam: np.ndarray, rho: float) -> TailSummary:
+    """Summary of lambda_k / k^{1/rho} over the tail half k > K/2, the only ratios any check reads.
+
+    Formed and reduced one slice at a time, so no K/2 array is ever built.
+    """
     start = lam.size // 2
-    tail = np.arange(start + 1, lam.size + 1, dtype=float)
-    tail **= 1.0 / rho
-    np.divide(lam[start:], tail, out=tail)
-    return tail
+    low, high, rising, last = math.inf, -math.inf, True, -math.inf
+    for k in range(start, lam.size, _CHUNK):
+        r = np.arange(k + 1, min(k + _CHUNK, lam.size) + 1, dtype=float)
+        r **= 1.0 / rho
+        np.divide(lam[k:k + r.size], r, out=r)
+        first = r[0] if k == start else first
+        low, high = min(low, float(r.min())), max(high, float(r.max()))
+        rising, last = rising and last <= r[0] and bool(np.all(r[1:] >= r[:-1])), r[-1]
+    return TailSummary(low, high, float(first), float(last), rising)
 
 
-def tail_density(tail: np.ndarray) -> float:
-    """Density surrogate from the tail ratios, warning when they are still rising."""
-    if tail[-1] > 1.25 * tail[0] and bool(np.all(tail[1:] >= tail[:-1])):
+def tail_density(tail: TailSummary) -> float:
+    """Density surrogate from the tail summary, warning when the ratios are still rising."""
+    if tail.last > 1.25 * tail.first and tail.rising:
         warnings.warn("normalized ratios keep increasing; the density surrogate may be diverging",
                       RuntimeWarning, stacklevel=_caller_stacklevel())
-    return float(np.min(tail))
+    return tail.low
 
 
 def density_index(lambdas, rho: float) -> float:
@@ -308,9 +322,9 @@ def density_index(lambdas, rho: float) -> float:
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 16:
         raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size if lam.ndim == 1 else lam.shape}")
-    check_increasing(lam, "sequence entries")
     if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 1):
         raise InvalidParameterError(f"order rho must be a finite real > 1, got {rho!r}")
+    check_increasing(lam, "sequence entries")
     return tail_density(tail_ratios(lam, rho))
 
 

@@ -257,6 +257,14 @@ def test_counterexample_report(capsys):
     assert len(res["log_max_samples"]) == 2
 
 
+def test_counterexample_needs_sixteen_terms(capsys):
+    code, out, err = run_cli(capsys, "counterexample", "--rho", "2", "--b", "3.14",
+                             "--seq", "1.5*sqrt(k)", "--terms", "15")
+    assert code == 2 and out == ""
+    assert last_json(err)["error"] == {"kind": "invalid-parameter",
+                                       "message": "need at least 16 sequence terms, got 15"}
+
+
 @pytest.mark.parametrize("radii", ["1,inf", "nan,2", "0,2", "4,4"])
 def test_counterexample_rejects_bad_radii(capsys, radii):
     code, out, err = run_cli(capsys, "counterexample", "--rho", "2", "--b", "3.14",
@@ -284,9 +292,10 @@ def test_counterexample_builds_the_product_once(capsys, monkeypatch):
                            "--radii", "2,3", "--n-theta", "32")
     assert code == 0
     assert json.loads(out)["result"]["vanishes_at_sampled_zeros"] is True
-    # one pass over the sequence each: growth fit, density and the two zero probes;
-    # no call builds the product or checks a full array of squares
-    assert calls == ["sequence entries"] * 4
+    # one pass over the sequence each: growth fit and the two zero probes; the density
+    # reads the tail of the sequence the fit checked, and no call builds the product
+    # or checks a full array of squares
+    assert calls == ["sequence entries"] * 3
 
 
 # ---------------------------------------------------------- scan-window

@@ -508,6 +508,40 @@ def test_counterexample_calls_make_no_copy_of_the_sequence():
         assert peak < lam.nbytes
 
 
+def test_counterexample_fit_and_density_stay_below_an_eighth_of_the_sequence():
+    # the first calls load modules lazily (numpy.ma), which would count towards the peak
+    small = 1.5 * np.sqrt(np.arange(1, 1001, dtype=float))
+    counterexample_growth_coefficient(small, 2.0, b=math.pi)
+    density_index(small, 2.0)
+    lam = 1.5 * np.sqrt(np.arange(1, 10**6 + 1, dtype=float))
+    for call in (lambda: counterexample_growth_coefficient(lam, 2.0, (4.0, 8.0, 16.0), b=math.pi),
+                 lambda: density_index(lam, 2.0)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # slices of the validation, the tail and the far band, never a K-sized temporary
+        assert peak < lam.nbytes / 8
+
+
+def test_scalar_arguments_fail_before_the_sequence_pass(monkeypatch):
+    lam = 1.5 * np.sqrt(np.arange(1, 1001, dtype=float))
+    checked = []
+    monkeypatch.setattr(entire, "check_increasing", lambda values, what: checked.append(what))
+    monkeypatch.setattr(sampling, "check_increasing", lambda values, what: checked.append(what))
+    for call in (lambda: counterexample_eval(lam, 1.0, 1.0j),
+                 lambda: counterexample_log_magnitudes(lam, math.nan, [1.0j]),
+                 lambda: counterexample_growth_coefficient(lam, 0.5, (1.0, 2.0)),
+                 lambda: counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), b=-1.0),
+                 lambda: build_counterexample_product(lam, math.inf),
+                 lambda: density_index(lam, 1.0)):
+        with pytest.raises(InvalidParameterError):
+            call()
+    assert checked == []
+
+
 def test_counterexample_validates_each_sequence_once(monkeypatch):
     lam = 1.5 * np.sqrt(np.arange(1, 5001, dtype=float))
     checked, tails = [], []
@@ -571,6 +605,25 @@ def test_product_chunked_bands_match_direct(monkeypatch, chunk):
     got = canonical_product_log_magnitudes(prod, ws)
     for w, g in zip(ws, got):
         assert abs(g - _direct_log(zeros, 1, w).real) < 1e-10
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_capped_far_band_matches_direct(monkeypatch, genus, q):
+    monkeypatch.setattr(entire, "_CHUNK", 1000)
+    lam = 2.0 * np.arange(1, 12001, dtype=float) ** 0.75
+    vs = np.array([20.0 * np.exp(0.4j), -13.0 + 2.0j, 7.5j, 0.3 - 0.1j])
+    vmax = float(np.abs(vs).max())
+    far = lam[np.searchsorted(lam, 2.2 ** (1.0 / q) * vmax, "right"):]
+    # the far band spans several slices, each with its own power count
+    assert far.size >= 3 * 1000
+    caps = {math.ceil(43.0 / (q * math.log(far[k] / vmax))) for k in range(0, far.size, 1000)}
+    assert len(caps) >= 3 and max(caps) <= entire._TERMS_CAP
+    got = entire._log_product(lam, genus, vs, q)
+    for v, g in zip(vs, got):
+        want = _direct_log(lam, genus, v) if q == 1 else _direct_log(lam * lam, genus, v * v)
+        # e^-25 in place of e^-43 in the caps moves the q = 1 cases past this bound
+        assert abs(g - want) <= 2e-14 * max(abs(want), 1.0), (v, g, want)
 
 
 @pytest.mark.parametrize("genus", [0, 1, 2])

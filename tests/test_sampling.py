@@ -3,10 +3,12 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import stftuniq.sampling as sampling
 from stftuniq import (
     InsufficientDataError,
     InvalidParameterError,
@@ -175,6 +177,44 @@ def test_density_index_guards():
         # linear growth has no finite rho = 2 density
         density_index(np.arange(1.0, 65.0), 2.0)
     assert record[0].filename == __file__
+
+
+def _array_summary(lam, rho):
+    """The tail ratios as one array, reduced there, apart from the sliced pass."""
+    start = lam.size // 2
+    tail = lam[start:] / np.arange(start + 1, lam.size + 1, dtype=float) ** (1.0 / rho)
+    return (float(tail.min()), float(tail.max()), float(tail[0]), float(tail[-1]),
+            bool(np.all(tail[1:] >= tail[:-1])))
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_tail_summary_matches_the_full_array(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    for size in (16, 17, 129, 1000, 70001):
+        noisy = np.cumsum(rng.uniform(0.5, 1.5, size))
+        for lam, rho in ((noisy, 1.5), (noisy, 3.0), (0.3 * np.sqrt(np.arange(1.0, size + 1)), 2.0),
+                         (np.arange(1.0, size + 1), 2.0)):
+            assert tuple(sampling.tail_ratios(lam, rho)) == _array_summary(lam, rho)
+
+
+def test_tail_rise_across_slice_edges(monkeypatch):
+    monkeypatch.setattr(sampling, "_CHUNK", 64)
+    # ratios sqrt(k) rise through every slice edge of the tail, by 41% end to end
+    lam = np.arange(1.0, 1001.0)
+    summary = sampling.tail_ratios(lam, 2.0)
+    assert summary == _array_summary(lam, 2.0) and summary.rising
+    with pytest.warns(RuntimeWarning, match="keep increasing"):
+        assert density_index(lam, 2.0) == summary.low
+    # a fall only where one slice meets the next: each slice still rises on its own
+    edge = 500 + 3 * 64
+    lam[edge] = lam[edge - 1] + 0.1
+    summary = sampling.tail_ratios(lam, 2.0)
+    assert summary == _array_summary(lam, 2.0) and not summary.rising
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density_index(lam, 2.0)
 
 
 def test_classify_three_verdicts():
