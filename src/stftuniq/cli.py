@@ -2,11 +2,11 @@
 
 One subcommand per workflow: window step bounds, sampling-set generation,
 growth prediction/estimation, zero-sequence classification, two-signal
-discrimination, counterexample growth, window ambiguity scans, and a seeded
-reconstruction demo. Output goes to stdout or --output as JSON
-{"meta": ..., "result": ...} (keys sorted, no timestamps, byte-deterministic)
-or as CSV with "# key=value" metadata comments. Parameter errors exit 2 and
-numerical failures exit 3, both with a JSON error object on stderr.
+discrimination, counterexample growth, and window ambiguity scans. Output
+goes to stdout or --output as JSON {"meta": ..., "result": ...} (keys
+sorted, no timestamps, byte-deterministic) or as CSV with "# key=value"
+metadata comments. Parameter errors exit 2 and numerical failures exit 3,
+both with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .windows import make_generalized_gaussian, make_modulated_generalized_gaussian, window_ambiguity_scan
 from .entire import (
-    counterexample_eval,
     counterexample_growth_coefficient,
+    counterexample_log_magnitudes,
     predicted_growth,
     estimate_order,
     estimate_type,
@@ -49,15 +49,10 @@ from .sampling import (
     tail_ratios,
 )
 from .stft import (
-    SignalGrid,
     chirp_signal,
     discriminate,
     gaussian_signal,
-    global_phase_residual,
-    grid_signal,
-    gs_reconstruct,
     hermite_signal,
-    spectrogram_on_set,
 )
 
 _PARAM_ERRORS = (InvalidParameterError, InsufficientDataError, ZeroAtOriginError, ZeroNormError)
@@ -113,7 +108,9 @@ def parse_sequence_expr(text: str, count: int) -> np.ndarray:
             return _ALLOWED_FUNCS[node.func.id](ev(node.args[0]))
         raise InvalidParameterError(f"unsupported element in sequence expression {text!r}")
 
-    vals = np.asarray(ev(tree), dtype=float) * np.ones_like(k)
+    # overflow, log(0) and the like surface as non-finite terms, reported below
+    with np.errstate(all="ignore"):
+        vals = np.asarray(ev(tree), dtype=float) * np.ones_like(k)
     if not np.all(np.isfinite(vals)):
         raise InvalidParameterError(f"sequence expression {text!r} produced non-finite terms")
     return vals
@@ -262,9 +259,9 @@ def _run_counterexample(ns, quad, meta):
     coeff, samples = counterexample_growth_coefficient(lam, ns.rho, radii,
                                                        n_theta=ns.n_theta, b=ns.b)
     density = tail_density(tail_ratios(lam, ns.rho))
-    # F is exactly 0 where z is real and |z| is a sequence entry
+    # log|F| is exactly -inf where z is real and |z| is a sequence entry
     probe = min(4, lam.size - 1)
-    vanishes = all(counterexample_eval(lam, ns.rho, z) == 0 for z in (lam[0], -lam[probe]))
+    vanishes = np.all(counterexample_log_magnitudes(lam, ns.rho, [lam[0], -lam[probe]]) == -math.inf)
     result = {
         "rho": ns.rho,
         "b": ns.b,
@@ -296,36 +293,6 @@ def _run_scan_window(ns, quad, meta):
     return result, _write_csv(None, meta, "xi,magnitude", rows)
 
 
-def _run_reconstruct(ns, quad, meta):
-    meta.update({"iters": ns.iters, "m": ns.m, "a": ns.a, "grid_half": ns.grid_half,
-                 "grid_step": ns.grid_step, "tf_step": ns.tf_step})
-    for flag, value in (("--grid-half", ns.grid_half), ("--grid-step", ns.grid_step),
-                        ("--tf-step", ns.tf_step)):
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidParameterError(f"{flag} must be finite and positive, got {value}")
-    rng = np.random.default_rng(ns.seed)
-    count = int(round(2.0 * ns.grid_half / ns.grid_step)) + 1
-    times = -ns.grid_half + ns.grid_step * np.arange(count)
-    components = int(rng.integers(1, 4))
-    vals = np.zeros(count, dtype=complex)
-    for _ in range(components):
-        amp = rng.uniform(0.5, 1.5) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        center = rng.uniform(-2.0, 2.0)
-        width = rng.uniform(0.6, 1.4)
-        vals += amp * np.exp(-math.pi * ((times - center) / width) ** 2)
-    truth = grid_signal(vals, -ns.grid_half, ns.grid_step)
-    window = make_generalized_gaussian(ns.a, ns.m)
-    tf = np.arange(-ns.grid_half, ns.grid_half + 0.5 * ns.tf_step, ns.tf_step)
-    pts = np.stack(np.meshgrid(tf, tf, indexing="ij"), axis=-1).reshape(-1, 2)
-    mags = spectrogram_on_set(truth, window, pts, quad)
-    recon = gs_reconstruct(mags, window, SignalGrid(-ns.grid_half, ns.grid_step, count),
-                           ns.iters, seed=ns.seed, quad=quad)
-    alpha, residual = global_phase_residual(recon, truth)
-    result = {"seed": ns.seed, "iterations": ns.iters, "components": components,
-              "tf_points": int(pts.shape[0]), "alpha": alpha, "residual": residual}
-    return result, None
-
-
 _HANDLERS = {
     "bounds": _run_bounds,
     "sample-set": _run_sample_set,
@@ -334,14 +301,12 @@ _HANDLERS = {
     "discriminate": _run_discriminate,
     "counterexample": _run_counterexample,
     "scan-window": _run_scan_window,
-    "reconstruct": _run_reconstruct,
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument("--quad-radius", type=float, default=None, dest="quad_radius",
                             help="override the automatic truncation radius")
@@ -411,14 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--grid", default="-5,5,1001", help="lo,hi,n")
 
-    p = add("reconstruct", "seeded magnitude-only reconstruction demo", "json", quad=True)
-    p.add_argument("--iters", type=int, default=400)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--a", type=float, default=math.pi)
-    p.add_argument("--grid-half", type=float, default=4.0, dest="grid_half")
-    p.add_argument("--grid-step", type=float, default=0.125, dest="grid_step")
-    p.add_argument("--tf-step", type=float, default=0.5, dest="tf_step")
-
     return parser
 
 
@@ -430,7 +387,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        meta = {"command": ns.command, "format": ns.format, "seed": ns.seed}
+        meta = {"command": ns.command, "format": ns.format}
         quad = None
         if hasattr(ns, "quad_nodes"):
             quad = QuadratureConfig(radius=ns.quad_radius, nodes=ns.quad_nodes, tol=ns.quad_tol)

@@ -5,8 +5,7 @@ Signals are either closed-form models (Gaussian bumps, Hermite functions,
 linear chirps) integrated by node-doubling quadrature, or samples on a
 uniform grid integrated by the trapezoid rule. On top of the transform sit
 spectrogram sampling, phase-aware discrimination, an energy identity check,
-an iterative magnitude-only reconstruction, and the entire extension of the
-transform to complex arguments.
+and the entire extension of the transform to complex arguments.
 """
 
 from __future__ import annotations
@@ -18,13 +17,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, ZeroNormError, _caller_stacklevel
+from .errors import EvaluationOverflowError, InvalidParameterError, ZeroNormError, _caller_stacklevel
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, refine
 from .sampling import SamplingSet, _read_csv, _write_csv
 from .entire import moment_integral
 from .windows import WindowModel, time_window_closed_form, time_window_values
 
 _TAIL_LOG = 43.0
+_MAX_COMMON_POINTS = 1 << 22
 _SPECTROGRAM_HEADER = "x,omega,magnitude"
 
 
@@ -54,13 +54,15 @@ class ClosedFormSignal:
     def __post_init__(self) -> None:
         if not isinstance(self.family, SignalFamily):
             raise InvalidParameterError(f"unknown signal family: {self.family!r}")
-        if not (self.width > 0 and math.isfinite(self.width)):
-            raise InvalidParameterError(f"width must be a finite positive real, got {self.width}")
         if not math.isfinite(self.center):
             raise InvalidParameterError("center must be finite")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not (isinstance(self.hermite_index, (int, np.integer)) and self.hermite_index >= 0):
             raise InvalidParameterError(f"hermite_index must be an integer >= 0, got {self.hermite_index!r}")
+        if not (self.width > 0 and 0.0 < self._envelope_rate() < math.inf
+                and math.isfinite(self.support_radius())):
+            raise InvalidParameterError(f"width must be a positive real with a finite, nonzero envelope "
+                                        f"rate and support radius, got {self.width} at center {self.center}")
+        object.__setattr__(self, "amplitude", complex(self.amplitude))
 
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -84,14 +86,16 @@ class ClosedFormSignal:
         # Gaussian envelope families: integral of |A|^2 e^{-2 pi u^2} s du
         return abs(self.amplitude) * math.sqrt(self.width) * 2.0 ** -0.25
 
+    def _envelope_rate(self) -> float:
+        """alpha of the envelope e^{-alpha (t - c)^2}: c = 1/2 for Hermite, pi otherwise."""
+        w2 = self.width * self.width
+        return (0.5 if self.family is SignalFamily.HERMITE else math.pi) / w2 if w2 > 0 else math.inf
+
     def support_radius(self, linear: float = 0.0) -> float:
         """Radius beyond which |f(t)| e^{linear |t|} is negligible (~e^-43)."""
-        if self.family is SignalFamily.HERMITE:
-            alpha = 0.5 / (self.width * self.width)
-            tail = _TAIL_LOG + 3.0 * self.hermite_index + linear * abs(self.center)
-        else:
-            alpha = math.pi / (self.width * self.width)
-            tail = _TAIL_LOG + linear * abs(self.center)
+        alpha = self._envelope_rate()
+        index_tail = 3.0 * self.hermite_index if self.family is SignalFamily.HERMITE else 0.0
+        tail = _TAIL_LOG + index_tail + linear * abs(self.center)
         x = (linear + math.sqrt(linear * linear + 4.0 * alpha * tail)) / (2.0 * alpha)
         return abs(self.center) + x
 
@@ -128,25 +132,6 @@ class GridSignal:
 
 
 Signal = ClosedFormSignal | GridSignal
-
-
-@dataclass(frozen=True)
-class SignalGrid:
-    """Uniform time grid on which a reconstruction lives."""
-
-    start: float
-    step: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise InvalidParameterError(f"grid step must be a finite positive real, got {self.step}")
-        if not (isinstance(self.count, (int, np.integer)) and self.count >= 2):
-            raise InvalidParameterError(f"grid count must be an integer >= 2, got {self.count!r}")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.count)
 
 
 def gaussian_signal(width: float = 1.0, center: float = 0.0, amplitude=1.0) -> ClosedFormSignal:
@@ -315,6 +300,9 @@ def _common_times(f: Signal, h: Signal, times) -> np.ndarray:
     if isinstance(h, GridSignal):
         return h.times
     radius = max(f.support_radius(), h.support_radius())
+    if not radius * 128.0 <= _MAX_COMMON_POINTS:
+        raise InvalidParameterError(f"a shared grid at step 1/64 out to |t| = {radius:.3g} needs more than "
+                                    f"{_MAX_COMMON_POINTS} points; pass times= explicitly")
     half = int(math.ceil(radius * 64.0))
     return np.arange(-half, half + 1) / 64.0
 
@@ -341,18 +329,21 @@ def global_phase_residual(f: Signal, h: Signal, times=None) -> tuple[float, floa
     fa = _values_on(f, t)
     ha = _values_on(h, t)
     w = _trapezoid_weights(t.size, float(t[1] - t[0]))
-    nf2 = float(np.sum(w * np.abs(fa) ** 2))
-    nh2 = float(np.sum(w * np.abs(ha) ** 2))
-    if nf2 <= 0.0:
-        raise ZeroNormError("reference signal has zero norm on the comparison grid")
-    if nh2 <= 0.0:
-        raise ZeroNormError("candidate signal has zero norm on the comparison grid")
-    inner = complex(np.sum(w * fa * np.conj(ha)))
-    alpha = 0.0
-    if abs(inner) > 64.0 * np.finfo(float).eps * math.sqrt(nf2 * nh2):
-        alpha = float(np.angle(inner)) % (2.0 * math.pi)
-    diff = fa - np.exp(1j * alpha) * ha
-    residual = math.sqrt(float(np.sum(w * np.abs(diff) ** 2)) / nf2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nf2 = float(np.sum(w * np.abs(fa) ** 2))
+        nh2 = float(np.sum(w * np.abs(ha) ** 2))
+        if nf2 <= 0.0:
+            raise ZeroNormError("reference signal has zero norm on the comparison grid")
+        if nh2 <= 0.0:
+            raise ZeroNormError("candidate signal has zero norm on the comparison grid")
+        inner = complex(np.sum(w * fa * np.conj(ha)))
+        alpha = 0.0
+        if abs(inner) > 64.0 * np.finfo(float).eps * math.sqrt(nf2 * nh2):
+            alpha = float(np.angle(inner)) % (2.0 * math.pi)
+        diff = fa - np.exp(1j * alpha) * ha
+        residual = math.sqrt(float(np.sum(w * np.abs(diff) ** 2)) / nf2)
+    if not (math.isfinite(nf2) and math.isfinite(nh2) and math.isfinite(residual)):
+        raise EvaluationOverflowError("signal energy on the comparison grid leaves the float range")
     return alpha, residual
 
 
@@ -399,12 +390,13 @@ def discriminate(f: Signal, h: Signal, window: WindowModel, points,
     if not (residual_tol > 0):
         raise InvalidParameterError(f"residual_tol must be positive, got {residual_tol}")
     pts = _point_array(points)
+    # the alignment first: it rejects signals no shared grid can hold before any transform runs
+    alpha, residual = global_phase_residual(f, h)
     sf = np.abs(_stft_batch(f, window, pts, quad))
     sh = np.abs(_stft_batch(h, window, pts, quad))
     scale = max(float(sf.max()), float(sh.max()), 1e-300)
     max_dev = float(np.max(np.abs(sf - sh)))
     match = max_dev <= tol * scale
-    alpha, residual = global_phase_residual(f, h)
     if match:
         verdict = (DiscriminationVerdict.EQUIVALENT_UP_TO_PHASE if residual < residual_tol
                    else DiscriminationVerdict.INCONSISTENT)
@@ -447,37 +439,6 @@ def moyal_energy_check(f: Signal, window: WindowModel, x_grid, omega_grid,
     if reference == 0.0:
         return 0.0
     return abs(energy - reference) / reference
-
-
-def gs_reconstruct(magnitudes: SpectrogramSamples, window: WindowModel, grid: SignalGrid,
-                   iterations: int, seed: int = 0,
-                   quad: QuadratureConfig = DEFAULT_QUADRATURE) -> GridSignal:
-    """Alternating-projection reconstruction from spectrogram magnitudes.
-
-    Projects between the range of the discrete transform (the trapezoid
-    matrix of the grid) and the magnitude constraint, starting from a seeded
-    complex Gaussian draw. Returns the grid signal after the last iteration;
-    convergence is up to the usual global phase. Plain alternating
-    projections can stagnate on strongly multimodal signals; denser
-    time-frequency sampling or another seed usually recovers.
-    """
-    if not (isinstance(iterations, (int, np.integer)) and iterations >= 1):
-        raise InvalidParameterError(f"iterations must be an integer >= 1, got {iterations!r}")
-    t = grid.times
-    wts = _trapezoid_weights(grid.count, grid.step)
-    pts = magnitudes.points
-    gmat = np.conj(_window_time_matrix(window, t, pts[:, 0], quad)).T
-    forward = gmat * np.exp((-2j * math.pi) * pts[:, 1][:, None] * t[None, :]) * wts[None, :]
-    backward = np.linalg.pinv(forward)
-    rng = np.random.default_rng(seed)
-    est = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
-    target = magnitudes.magnitudes
-    for _ in range(iterations):
-        proj = forward @ est
-        mag = np.abs(proj)
-        phase = np.where(mag > 0, proj / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
-        est = backward @ (target * phase)
-    return GridSignal(values=est, start=grid.start, step=grid.step)
 
 
 def extend_stft(f: Signal, window: WindowModel, z, zprime,

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,22 @@ def run_cli(capsys, *args):
 
 def last_json(text):
     return json.loads(text.strip().splitlines()[-1])
+
+
+def only_json_error(capsys, *args):
+    """Exit code and the error object of a run whose stderr must be exactly one JSON line.
+
+    Warnings are recorded and must be absent: in a process each would print
+    one more stderr line ahead of the error.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *args)
+    assert [str(w.message) for w in caught] == []
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])["error"]
 
 
 # -------------------------------------------------------------- parsing
@@ -216,6 +233,15 @@ def test_classify_bad_expression(capsys):
     assert last_json(err)["error"]["kind"] == "invalid-parameter"
 
 
+@pytest.mark.parametrize("seq", ["k^400", "exp(k)", "sqrt(k-5)", "log(k-1)", "k/0"])
+def test_non_finite_sequence_is_one_json_error(capsys, seq):
+    code, error = only_json_error(capsys, "classify", "--rho", "2", "--b", "3",
+                                  "--seq", seq, "--terms", "800")
+    assert code == 2
+    assert error == {"kind": "invalid-parameter",
+                     "message": f"sequence expression {seq!r} produced non-finite terms"}
+
+
 # --------------------------------------------------------- discriminate
 
 def test_discriminate_equivalent(capsys):
@@ -239,6 +265,18 @@ def test_discriminate_distinct(capsys):
                            "--n", "12")
     assert code == 0
     assert json.loads(out)["result"]["verdict"] == "Distinct"
+
+
+@pytest.mark.parametrize("spec,code,kind,fragment", [
+    ("gaussian(width=1e-200)", 2, "invalid-parameter", "width must be"),
+    ("gaussian(width=1e200)", 2, "invalid-parameter", "width must be"),
+    ("gaussian(center=1e300)", 2, "invalid-parameter", "pass times="),
+    ("gaussian(amp=1e308)", 3, "numerical-failure", "leaves the float range"),
+])
+def test_extreme_signal_is_one_json_error(capsys, spec, code, kind, fragment):
+    got, error = only_json_error(capsys, "discriminate", "--f", spec, "--h", "gaussian", "--n", "2")
+    assert got == code
+    assert error["kind"] == kind and fragment in error["message"]
 
 
 # ------------------------------------------------------- counterexample
@@ -292,10 +330,10 @@ def test_counterexample_builds_the_product_once(capsys, monkeypatch):
                            "--radii", "2,3", "--n-theta", "32")
     assert code == 0
     assert json.loads(out)["result"]["vanishes_at_sampled_zeros"] is True
-    # one pass over the sequence each: growth fit and the two zero probes; the density
-    # reads the tail of the sequence the fit checked, and no call builds the product
-    # or checks a full array of squares
-    assert calls == ["sequence entries"] * 3
+    # one pass over the sequence each: growth fit and the one call that probes both
+    # zeros; the density reads the tail of the sequence the fit checked, and no call
+    # builds the product or checks a full array of squares
+    assert calls == ["sequence entries"] * 2
 
 
 # ---------------------------------------------------------- scan-window
@@ -347,25 +385,6 @@ def test_scan_window_rejects_non_finite_input(capsys, flag):
                else f"grid spec needs finite lo < hi and n >= 2, got {value!r}")
     assert code == 2 and out == ""
     assert last_json(err)["error"] == {"kind": "invalid-parameter", "message": message}
-
-
-# ----------------------------------------------------------- reconstruct
-
-def test_reconstruct_demo(capsys):
-    code, out, _ = run_cli(capsys, "reconstruct", "--iters", "500", "--seed", "3")
-    assert code == 0
-    res = json.loads(out)["result"]
-    assert res["tf_points"] == 289
-    assert res["residual"] < 1e-2
-
-
-@pytest.mark.parametrize("flag,value", [("--grid-step", "0"), ("--tf-step", "0"), ("--grid-half", "-1"),
-                                        ("--grid-half", "nan"), ("--tf-step", "inf")])
-def test_reconstruct_rejects_bad_grid_flags(capsys, flag, value):
-    code, out, err = run_cli(capsys, "reconstruct", "--iters", "5", flag, value)
-    assert code == 2 and out == ""
-    assert last_json(err)["error"] == {"kind": "invalid-parameter",
-                                       "message": f"{flag} must be finite and positive, got {float(value)}"}
 
 
 # -------------------------------------------------------------- process
