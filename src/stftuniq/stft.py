@@ -2,10 +2,11 @@
 
 Convention: V_g f(x, omega) = int f(t) conj(g(t - x)) e^{-2 pi i omega t} dt.
 Signals are either closed-form models (Gaussian bumps, Hermite functions,
-linear chirps) integrated by node-doubling quadrature, or samples on a
-uniform grid integrated by the trapezoid rule. On top of the transform sit
-spectrogram sampling, phase-aware discrimination, an energy identity check,
-and the entire extension of the transform to complex arguments.
+linear chirps) integrated by node-doubling quadrature around their centre,
+or samples on a uniform grid integrated by the trapezoid rule. One kernel,
+_transform, computes the integral at a list of (shift, frequency) pairs;
+spectrogram sampling, phase-aware discrimination, an energy identity check
+and the entire extension to complex arguments all call it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,13 @@ class ClosedFormSignal:
                 and math.isfinite(self.support_radius())):
             raise InvalidParameterError(f"width must be a positive real with a finite, nonzero envelope "
                                         f"rate and support radius, got {self.width} at center {self.center}")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        # |h_k| <= pi^{-1/4} (Cramer's bound), so a Hermite signal peaks below pi^{-1/4} / sqrt(width)
+        peak = math.pi ** -0.25 / math.sqrt(self.width) if self.family is SignalFamily.HERMITE else 1.0
+        amplitude = complex(self.amplitude)
+        if not math.isfinite(math.hypot(amplitude.real, amplitude.imag) * peak):
+            raise InvalidParameterError(f"amplitude must be finite with a finite peak |amplitude| * {peak:.3g}, "
+                                        f"got {self.amplitude}")
+        object.__setattr__(self, "amplitude", amplitude)
 
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -179,53 +186,64 @@ def _window_values(window: WindowModel, targets, quad: QuadratureConfig) -> np.n
     return closed(targets) if closed is not None else time_window_values(window, targets, quad)
 
 
-def _window_time_matrix(window: WindowModel, t, shifts, quad: QuadratureConfig) -> np.ndarray:
-    """g(t_j - x_p) as a (len(t), len(shifts)) matrix, evaluated once per distinct shift."""
-    distinct, inverse = np.unique(shifts, return_inverse=True)
-    return _window_values(window, t[:, None] - distinct[None, :], quad)[:, inverse]
+def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureConfig, what: str) -> np.ndarray:
+    """int f(t) conj(g(t - conj(z))) e^{2 pi i z' t} dt at each pair (z, z') of shifts and freqs.
 
-
-def _signal_integral(f: Signal, assemble, quad: QuadratureConfig, what: str, linear: float = 0.0):
-    """Integrate against f through assemble(f(t), t, weights) -> (values, scale).
-
-    A grid signal is integrated once, by the trapezoid rule on its own
-    samples; a closed-form signal is refined over line_nodes on its support
-    radius (widened for an e^{linear |t|} growth factor).
+    V_g f(x, omega) is the pair (x, -omega); complex pairs give the entire
+    extension. The window is evaluated once per distinct shift and the
+    exponential once per distinct frequency, and the pairs of each shift
+    are summed by one product. The scale of the result is the largest
+    absolute integrand mass over the pairs: off the real axes the integrand
+    is amplified super-exponentially and cancels back down, so a result's
+    own magnitude can sit below the reachable roundoff floor. A grid signal
+    is integrated once, by the trapezoid rule on its own samples; it cannot
+    widen its own grid, so an integrand above 1e-10 of the scale at a grid
+    edge only warns. A closed-form signal is refined, against the scale, on
+    [c - x, c + x] around its centre c, where x (quad.radius when given)
+    covers the e^{2 pi |Im z'| |t|} growth.
     """
+    zs, at_shift = np.unique(np.conj(shifts), return_inverse=True)
+    ws, at_freq = np.unique(freqs, return_inverse=True)
+    rates, at_rate = np.unique(ws.imag, return_inverse=True)
+    at_rate = at_rate[at_freq]
+    order = np.argsort(at_shift, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(at_shift[order])) + 1)
+
+    def level(t, wts, fv):
+        gw = (wts * fv)[:, None] * np.conj(_window_values(window, t[:, None] - zs, quad))
+        kern = np.exp((2j * math.pi) * t[:, None] * ws)
+        out = np.empty(at_shift.size, dtype=complex)
+        for j, cols in enumerate(groups):
+            out[cols] = gw[:, j] @ kern[:, at_freq[cols]]
+        # |e^{2 pi i z' t}| = e^{-2 pi Im(z') t}: the integrand's magnitudes need one column per decay rate
+        mags, growth = np.abs(gw), np.exp((-2.0 * math.pi) * t[:, None] * rates)
+        scale = float(np.max((mags.T @ growth)[at_shift, at_rate]))
+        edge = float(np.max(mags[[0, -1]][:, at_shift] * growth[[0, -1]][:, at_rate]))
+        return out, scale, edge
+
     if isinstance(f, GridSignal):
-        t = f.times
-        return assemble(f.values, t, _trapezoid_weights(t.size, f.step))[0]
-    radius = quad.radius if quad.radius is not None else f.support_radius(linear=linear)
+        out, scale, edge = level(f.times, _trapezoid_weights(f.values.size, f.step), f.values)
+        if edge > 1e-10 * scale:
+            warnings.warn("integrand is not negligible at the grid edge; "
+                          "the transform is truncated by the signal grid", RuntimeWarning,
+                          stacklevel=_caller_stacklevel())
+        return out
+    linear = 2.0 * math.pi * float(np.max(np.abs(rates)))
+    half = quad.radius if quad.radius is not None else f.support_radius(linear) - abs(f.center)
 
-    def level(nodes: int):
-        t, wts = line_nodes(radius, nodes)
-        return assemble(f.evaluate(t), t, wts)
+    def refined(nodes: int):
+        t, wts = line_nodes(half, nodes)
+        t = t + f.center
+        return level(t, wts, f.evaluate(t))[:2]
 
-    return refine(level, quad, what)
-
-
-def _stft_batch(f: Signal, window: WindowModel, points, quad: QuadratureConfig) -> np.ndarray:
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-
-    def assemble(fv, t, wts):
-        base = wts * fv
-        out = np.empty(pts.shape[0], dtype=complex)
-        step = max(1, (1 << 21) // max(t.size, 1))
-        for k in range(0, pts.shape[0], step):
-            xs = pts[k:k + step, 0]
-            oms = pts[k:k + step, 1]
-            gvals = _window_time_matrix(window, t, xs, quad)
-            kern = np.exp((-2j * math.pi) * t[:, None] * oms[None, :])
-            out[k:k + step] = base @ (np.conj(gvals) * kern)
-        return out, float(np.max(np.abs(out), initial=0.0))
-
-    return _signal_integral(f, assemble, quad, "transform quadrature")
+    return refine(refined, quad, what)
 
 
 def stft_eval(f: Signal, window: WindowModel, x: float, omega: float,
               quad: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
     """V_g f(x, omega) at one time-frequency point."""
-    return complex(_stft_batch(f, window, np.array([[x, omega]]), quad)[0])
+    return complex(_transform(f, window, np.array([float(x)]), np.array([-float(omega)]), quad,
+                              "transform quadrature")[0])
 
 
 @dataclass(frozen=True)
@@ -275,7 +293,7 @@ def spectrogram_on_set(f: Signal, window: WindowModel, points,
                        quad: QuadratureConfig = DEFAULT_QUADRATURE) -> SpectrogramSamples:
     """|V_g f| on a SamplingSet (or raw (n, 2) array), in set order."""
     pts = _point_array(points)
-    vals = _stft_batch(f, window, pts, quad)
+    vals = _transform(f, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature")
     radius = "auto" if quad.radius is None else f"{quad.radius:g}"
     qid = f"gauss-legendre(radius={radius},nodes={quad.nodes},tol={quad.tol:g})"
     return SpectrogramSamples(points=pts, magnitudes=np.abs(vals), quad_config_id=qid)
@@ -392,8 +410,8 @@ def discriminate(f: Signal, h: Signal, window: WindowModel, points,
     pts = _point_array(points)
     # the alignment first: it rejects signals no shared grid can hold before any transform runs
     alpha, residual = global_phase_residual(f, h)
-    sf = np.abs(_stft_batch(f, window, pts, quad))
-    sh = np.abs(_stft_batch(h, window, pts, quad))
+    sf, sh = (np.abs(_transform(sig, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature"))
+              for sig in (f, h))
     scale = max(float(sf.max()), float(sh.max()), 1e-300)
     max_dev = float(np.max(np.abs(sf - sh)))
     match = max_dev <= tol * scale
@@ -404,20 +422,6 @@ def discriminate(f: Signal, h: Signal, window: WindowModel, points,
         verdict = DiscriminationVerdict.DISTINCT
     return DiscriminationReport(max_deviation=max_dev, spectrograms_match=match,
                                 alignment_phase=alpha, aligned_residual=residual, verdict=verdict)
-
-
-def _stft_grid(f: Signal, window: WindowModel, xs: np.ndarray, oms: np.ndarray,
-               quad: QuadratureConfig) -> np.ndarray:
-    """V_g f on a product grid, factorized as (X, T) @ (T, Omega)."""
-
-    def assemble(fv, t, wts):
-        base = wts * fv
-        gmat = np.conj(_window_time_matrix(window, t, xs, quad))
-        emat = np.exp((-2j * math.pi) * t[:, None] * oms[None, :])
-        out = (gmat * base[:, None]).T @ emat
-        return out, float(np.max(np.abs(out), initial=0.0))
-
-    return _signal_integral(f, assemble, quad, "grid transform quadrature")
 
 
 def moyal_energy_check(f: Signal, window: WindowModel, x_grid, omega_grid,
@@ -431,7 +435,8 @@ def moyal_energy_check(f: Signal, window: WindowModel, x_grid, omega_grid,
     """
     xs = _uniform_grid(x_grid, "x_grid")
     oms = _uniform_grid(omega_grid, "omega_grid")
-    vals = _stft_grid(f, window, xs, oms, quad)
+    vals = _transform(f, window, np.repeat(xs, oms.size), np.tile(-oms, xs.size), quad,
+                      "grid transform quadrature")
     dx = float(xs[1] - xs[0])
     dom = float(oms[1] - oms[0])
     energy = float(np.sum(np.abs(vals) ** 2)) * dx * dom
@@ -451,27 +456,6 @@ def extend_stft(f: Signal, window: WindowModel, z, zprime,
     stft_eval(f, window, x, -omega). Truncation radii account for the
     e^{2 pi |Im zprime| |t|} growth factor; grid signals cannot widen their
     own grid, so a non-negligible integrand at the grid edge only warns.
-
-    Stabilization between quadrature levels is judged against the integrand's
-    absolute mass rather than the result: off the real axes the integrand is
-    amplified super-exponentially and cancels back down, so the result's own
-    magnitude sits below the reachable roundoff floor.
     """
-    z = complex(z)
-    zp = complex(zprime)
-    linear = 2.0 * math.pi * abs(zp.imag)
-
-    def assemble(fv, t, wts):
-        gvals = _window_values(window, t - z.conjugate(), quad)
-        kern = np.exp((2j * math.pi * zp) * t)
-        integrand = wts * fv * np.conj(gvals) * kern
-        val, mags = complex(np.sum(integrand)), np.abs(integrand)
-        if isinstance(f, GridSignal):
-            peak = float(mags.max())
-            if peak > 0 and max(float(mags[0]), float(mags[-1])) > 1e-10 * peak:
-                warnings.warn("integrand is not negligible at the grid edge; "
-                              "the extension is truncated by the signal grid", RuntimeWarning,
-                              stacklevel=_caller_stacklevel())
-        return val, max(abs(val), float(mags.sum()))
-
-    return _signal_integral(f, assemble, quad, "extension quadrature", linear=linear)
+    return complex(_transform(f, window, np.array([complex(z)]), np.array([complex(zprime)]), quad,
+                              "extension quadrature")[0])

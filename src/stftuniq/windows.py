@@ -14,12 +14,11 @@ frequency slice.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, _caller_stacklevel
+from .errors import InvalidParameterError
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -28,6 +27,7 @@ from .quadrature import (
     line_nodes,
     refine,
 )
+from .sampling import _check_window_params
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class WindowModel:
     center is xi0: the plain window has xi0 = 0, and a modulated one shifts
     the same profile to xi0, which shows up in time as the modulation factor
     exp(2 pi i xi0 t). a > 0 and m > 1 keep the transform entire-ready;
-    a <= 1 is accepted but flagged, since the sampling bounds downstream are
-    only meaningful for a > 1.
+    a <= 1 is accepted with the same warning as the step bounds, which are
+    formal there.
     """
 
     a: float
@@ -47,23 +47,13 @@ class WindowModel:
     center: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "m", "amplitude", "center"):
+        for name in ("amplitude", "center"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise InvalidParameterError(f"window parameter {name} must be a finite real, got {v!r}")
-        if self.a <= 0:
-            raise InvalidParameterError(f"decay rate a must be positive, got {self.a}")
-        if self.m <= 1:
-            raise InvalidParameterError(f"decay exponent m must exceed 1, got {self.m}")
         if self.amplitude <= 0:
             raise InvalidParameterError(f"amplitude must be positive, got {self.amplitude}")
-        if self.a <= 1:
-            warnings.warn(
-                f"decay rate a = {self.a} is at or below 1; the window is accepted but the "
-                "sampling-step bounds assume a > 1",
-                UserWarning,
-                stacklevel=_caller_stacklevel(),
-            )
+        _check_window_params(self.m, self.a)
 
     def fourier_eval(self, xi):
         """C exp(-a |xi - xi0|^m) on an array (or scalar) of real frequencies."""

@@ -267,11 +267,24 @@ def test_discriminate_distinct(capsys):
     assert json.loads(out)["result"]["verdict"] == "Distinct"
 
 
+def test_low_decay_rate_warns_with_one_text(capsys):
+    # the sampling bounds and the window model share one a <= 1 check
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, "discriminate", "--a", "0.9", "--f", "gaussian", "--h", "gaussian",
+                             "--n", "2")
+    assert code == 0
+    texts = {str(w.message) for w in caught}
+    assert len(caught) >= 2 and len(texts) == 1 and "at or below 1" in texts.pop()
+
+
 @pytest.mark.parametrize("spec,code,kind,fragment", [
     ("gaussian(width=1e-200)", 2, "invalid-parameter", "width must be"),
     ("gaussian(width=1e200)", 2, "invalid-parameter", "width must be"),
     ("gaussian(center=1e300)", 2, "invalid-parameter", "pass times="),
     ("gaussian(amp=1e308)", 3, "numerical-failure", "leaves the float range"),
+    ("gaussian(amp=nan)", 2, "invalid-parameter", "amplitude must be finite"),
+    ("hermite(amp=1.7e308,width=1e-10)", 2, "invalid-parameter", "amplitude must be finite"),
 ])
 def test_extreme_signal_is_one_json_error(capsys, spec, code, kind, fragment):
     got, error = only_json_error(capsys, "discriminate", "--f", spec, "--h", "gaussian", "--n", "2")

@@ -108,6 +108,17 @@ def test_width_needs_a_finite_envelope_rate_and_support_radius():
     assert math.isfinite(hermite_signal(2, width=1e-150).support_radius())
 
 
+def test_amplitude_must_be_finite_with_a_finite_peak():
+    for amp in (math.nan, math.inf, complex(1.0, math.nan), complex(1.5e308, 1.5e308)):
+        with pytest.raises(InvalidParameterError, match="amplitude must be finite"):
+            gaussian_signal(amplitude=amp)
+    # a Hermite signal peaks at most pi^{-1/4} / sqrt(width), 7.5e4 at width 1e-10
+    with pytest.raises(InvalidParameterError, match="amplitude must be finite"):
+        hermite_signal(0, width=1e-10, amplitude=1.7e308)
+    assert hermite_signal(0, amplitude=1.7e308).amplitude == 1.7e308
+    assert gaussian_signal(amplitude=1e308).amplitude == 1e308
+
+
 def test_resample_bandlimited():
     ts = np.arange(-128, 129) / 16.0
     sig = grid_signal(np.exp(-math.pi * ts**2).astype(complex), -8.0, 1 / 16.0)
@@ -211,6 +222,15 @@ def test_modulated_window_at_non_even_m():
     assert np.max(np.abs(got - want)) <= quad.tol * want.max()
     plain = spectrogram_on_set(f, make_generalized_gaussian(a, m), pts + [0.0, xi0], quad).magnitudes
     assert np.max(np.abs(got - plain)) <= 1e-13 * want.max()
+
+
+def test_transform_is_taken_around_the_signal_centre(gauss_window):
+    # a narrow bump far from 0: the panel sits on the bump, not on [-1000.2, 1000.2]
+    far = spectrogram_on_set(gaussian_signal(width=0.01, center=1000.0), gauss_window, [[1000.0, 0.0]])
+    near = spectrogram_on_set(gaussian_signal(width=0.01), gauss_window, [[0.0, 0.0]])
+    assert abs(far.magnitudes[0] - near.magnitudes[0]) <= 1e-12
+    # two Gaussians at rates pi/0.01^2 and pi: int e^{-pi (10^4 + 1) t^2} dt
+    assert abs(near.magnitudes[0] - 1.0 / math.sqrt(10001.0)) <= 1e-12
 
 
 # ------------------------------------------------------ spectrogram files
@@ -368,6 +388,18 @@ def test_moyal_ladder_converges(gauss_window):
     assert devs[2] < 1e-9
 
 
+@pytest.mark.parametrize("m", [2.0, 1.5])
+def test_moyal_energy_matches_spectrogram_on_the_product_points(m):
+    window = make_generalized_gaussian(math.pi, m)
+    f = gaussian_signal(width=0.9, center=0.3)
+    grid = np.linspace(-4.0, 4.0, 17)
+    pts = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    mags = spectrogram_on_set(f, window, pts).magnitudes
+    reference = (f.norm() * window_l2_norm(window)) ** 2
+    energy = float(np.sum(mags**2)) * 0.5 * 0.5
+    assert abs(moyal_energy_check(f, window, grid, grid) - abs(energy - reference) / reference) <= 1e-12
+
+
 def test_moyal_requires_uniform_grids(gauss_window):
     bad = np.array([-1.0, 0.0, 0.5])
     good = np.linspace(-1.0, 1.0, 5)
@@ -381,10 +413,12 @@ def test_moyal_requires_uniform_grids(gauss_window):
 
 def test_extension_reduces_to_transform_on_real_arguments(gauss_window):
     f = gaussian_signal()
-    for x, om in ((0.7, -0.3), (1.2, 0.5), (0.0, 1.0)):
-        ve = extend_stft(f, gauss_window, x, om)
-        vs = stft_eval(f, gauss_window, x, -om)
-        assert abs(ve - vs) / abs(vs) < 1e-10
+    for window in (gauss_window, make_generalized_gaussian(2.0, 1.5),
+                   make_modulated_generalized_gaussian(2.0, 1.5, 0.4)):
+        for x, om in ((0.7, -0.3), (1.2, 0.5), (0.0, 1.0)):
+            ve = extend_stft(f, window, x, om)
+            vs = stft_eval(f, window, x, -om)
+            assert abs(ve - vs) / abs(vs) < 1e-10
 
 
 def test_extension_growth_along_imaginary_time(gauss_window):
