@@ -32,7 +32,7 @@ from .errors import (
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .windows import make_generalized_gaussian, make_modulated_generalized_gaussian, window_ambiguity_scan
 from .entire import (
-    counterexample_growth_coefficient,
+    _growth_fit,
     counterexample_log_magnitudes,
     predicted_growth,
     estimate_order,
@@ -45,8 +45,6 @@ from .sampling import (
     generate_sampling_set,
     max_tau_bounds,
     nonuniqueness_threshold,
-    tail_density,
-    tail_ratios,
 )
 from .stft import (
     chirp_signal,
@@ -256,9 +254,8 @@ def _run_counterexample(ns, quad, meta):
     lam = parse_sequence_expr(ns.seq, ns.terms)
     if lam.size < 16:
         raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size}")
-    coeff, samples = counterexample_growth_coefficient(lam, ns.rho, radii,
-                                                       n_theta=ns.n_theta, b=ns.b)
-    density = tail_density(tail_ratios(lam, ns.rho))
+    # with b and 16 terms the fit reads the density from its own tail summary
+    coeff, samples, density = _growth_fit(lam, ns.rho, radii, ns.n_theta, ns.b)
     # log|F| is exactly -inf where z is real and |z| is a sequence entry
     probe = min(4, lam.size - 1)
     vanishes = np.all(counterexample_log_magnitudes(lam, ns.rho, [lam[0], -lam[probe]]) == -math.inf)

@@ -8,7 +8,10 @@ positive zeros with banded evaluation, including the symmetric
 counterexample F(z) = V(z^2). The counterexample functions evaluate F in z
 itself, as the product of G((z / lambda_k)^2; p) over the sequence, so they
 neither form nor check the squares lambda_k^2; F vanishes exactly at every
-+-lambda_k, which are distinct whenever the lambda_k are.
++-lambda_k, which are distinct whenever the lambda_k are. They check that
+the lambda_k rise strictly inside the evaluation's sweep over the sequence,
+slice by slice while each slice is in cache, so the check makes no pass
+over memory of its own.
 Everything here works with the convention F(z) = int ghat(xi)
 e^{2 pi i xi z} d xi, so the coefficients are c_n = (2 pi i)^n / n! times the
 n-th moment of ghat.
@@ -31,6 +34,7 @@ from .errors import (
 )
 from .sampling import (
     _CHUNK,
+    _check_slice,
     check_increasing,
     nonuniqueness_threshold,
     tail_density,
@@ -292,18 +296,27 @@ _TERMS_CAP = math.ceil(43.0 / math.log(_BAND_EDGES[0]))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.ndarray:
+def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: str | None = None) -> np.ndarray:
     """Complex log of prod_k G((v / zeta_k)^q; p) on a flat complex array.
 
     q = 1 is the canonical product over the zeros zeta_k; q = 2 is the even
     product V(z^2) over the squares zeta_k^2, read in z, so the squares are
     never formed. Zeros within (2.2)^(1/q) of the batch's largest |v|
     contribute direct factor logs; the (typically vast) remainder enters
-    through power sums, an exact rearrangement of the tail log series, each
-    slice summed up to the power its own first ratio needs; points below the
-    largest |v| see a tighter bound. A point on a zero gets -inf and enters no
-    sum, so the other factors at that point cannot overflow; a factor argument
-    past the float range raises EvaluationOverflowError.
+    through power sums, an exact rearrangement of the tail log series. Each
+    slice sums the powers j = p+1 .. j_max its own first ratio needs; it
+    keeps the powers u^floor((p+1)/2) .. u^ceil(j_max/2) of its ratios u in
+    one buffer of 2 _CHUNK floats (at most 30 rows, so slices needing more
+    than two rows are shorter) and takes T_j = u^floor(j/2) . u^ceil(j/2)
+    as a dot product; points below the largest |v| see a tighter bound. A
+    point on a zero gets -inf and enters no sum, so the other factors at
+    that point cannot overflow; a factor argument past the float range
+    raises EvaluationOverflowError.
+
+    With `what`, the zeros are checked to start positive and rise strictly
+    (check_increasing's errors, naming `what`) in the same sweep: each far
+    slice right after its ratios are formed, while it is in cache, and the
+    near band on its own. Calls with no sum to take check the whole array.
     """
     vmax = float(np.abs(vs).max()) if vs.size else 0.0
     if not math.isfinite(vmax):
@@ -312,17 +325,23 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
     x = vs.real if q % 2 else np.abs(vs.real)
     k = np.minimum(np.searchsorted(zeros, x), zeros.size - 1)
     on_zero = (vs.imag == 0.0) & (zeros[k] == x)
+    if on_zero.all() or vmax == 0.0:
+        if what is not None:
+            check_increasing(zeros, what)
+        return np.where(on_zero, complex(-math.inf, 0.0), 0j)
     if on_zero.any():
         out = np.full(vs.shape, complex(-math.inf, 0.0))
-        out[~on_zero] = _log_product(zeros, p, vs[~on_zero], q)
+        out[~on_zero] = _log_product(zeros, p, vs[~on_zero], q, what)
         return out
     out = np.zeros(vs.shape, dtype=complex)
-    if vmax == 0.0:
-        return out
 
-    # (vmax / zeta_k)^q <= 1 / e from the band edge e on
-    cuts = [int(np.searchsorted(zeros, e ** (1.0 / q) * vmax, "right")) for e in _BAND_EDGES] + [zeros.size]
+    # (vmax / zeta_k)^q <= 1 / e from the band edge e on; the running maximum
+    # keeps the bands in order, so every entry of an unordered array is checked
+    cuts = np.maximum.accumulate([np.searchsorted(zeros, e ** (1.0 / q) * vmax, "right")
+                                  for e in _BAND_EDGES]).tolist() + [zeros.size]
     near = zeros[:cuts[0]]
+    if what is not None:
+        check_increasing(near, what)
     # blocks of _CHUNK / 8 complex entries: four live temporaries fill one float slice
     step = max(1, _CHUNK // 8 // max(near.size, 1))
     for i in range(0, vs.size, step):
@@ -339,22 +358,34 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
     # term, so no power leaves the float range; they are consumed as
     # -sum_{j>p} (v / vmax)^(q j) T_j / j
     sums = np.zeros(max(p + 1, _TERMS_CAP) + 1)
-    inv, power = np.empty(_CHUNK), np.empty(_CHUNK)
+    buf = np.empty(2 * _CHUNK)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        for k in range(lo, hi, _CHUNK):
-            n = min(_CHUNK, hi - k)
-            iv, pw = inv[:n], power[:n]
-            np.divide(vmax, zeros[k:k + n], out=iv)
+        k = lo
+        while k < hi:
+            # only an unordered array, which fails its check below, has a lead of at most 1 or NaN
+            lead = zeros[k] / vmax
+            j_top = _TERMS_CAP if not lead > 1.0 else math.ceil(43.0 / (q * math.log(lead)))
+            j_top = max(p + 1, min(_TERMS_CAP, j_top))
+            # rows u^a .. u^c cover both halves of every j in p+1 .. j_top, and a last row
+            # keeps u itself when a > 1; that is at most 30 rows, whatever the genus
+            a, c = max(1, (p + 1) // 2), (j_top + 1) // 2
+            rows = c - a + 1 + (a > 1)
+            n = min(_CHUNK, 2 * _CHUNK // rows, hi - k)
+            pows = buf[:rows * n].reshape(rows, n)
+            u = pows[-1] if a > 1 else pows[0]
+            np.divide(vmax, zeros[k:k + n], out=u)
+            if what is not None:
+                _check_slice(zeros, k, n, what)
             if q != 1:
-                iv **= q
-            j_max = min(_TERMS_CAP, math.ceil(43.0 / (q * math.log(zeros[k] / vmax))))
-            pw[:] = iv
-            for _ in range(p):
-                pw *= iv
-            sums[p + 1] += pw.sum()
-            for j in range(p + 2, j_max + 1):
-                pw *= iv
-                sums[j] += pw.sum()
+                u **= q
+            if a > 1:
+                np.power(u, a, out=pows[0])
+            for i in range(1, c - a + 1):
+                np.multiply(pows[i - 1], u, out=pows[i])
+            for j in range(p + 1, j_top + 1):
+                half = j // 2
+                sums[j] += np.dot(pows[half - a], pows[j - half - a]) if half else u.sum()
+            k += n
     ratio = vs / vmax
     if q != 1:
         ratio **= q
@@ -368,18 +399,18 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1) -> np.nd
     return out
 
 
-def _eval_point(zeros: np.ndarray, p: int, v: complex, q: int = 1) -> complex:
+def _eval_point(zeros: np.ndarray, p: int, v: complex, q: int = 1, what: str | None = None) -> complex:
     """One point of the product, exactly 0 on a zero; the evaluator behind both public point calls."""
-    total = complex(_log_product(zeros, p, np.array([v]), q)[0])
+    total = complex(_log_product(zeros, p, np.array([v]), q, what)[0])
     if total.real > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"product magnitude exponent {total.real:.1f} exceeds the float range")
     return complex(np.exp(total))
 
 
-def _log_magnitudes(zeros: np.ndarray, p: int, vs, q: int = 1) -> np.ndarray:
+def _log_magnitudes(zeros: np.ndarray, p: int, vs, q: int = 1, what: str | None = None) -> np.ndarray:
     """Real part of the banded log on an array of points of any shape."""
     vs = np.atleast_1d(np.asarray(vs, dtype=complex))
-    return _log_product(zeros, p, vs.ravel(), q).real.reshape(vs.shape)
+    return _log_product(zeros, p, vs.ravel(), q, what).real.reshape(vs.shape)
 
 
 def canonical_product_eval(product: CanonicalProduct, w) -> complex:
@@ -397,16 +428,20 @@ def canonical_product_log_magnitudes(product: CanonicalProduct, ws) -> np.ndarra
     return _log_magnitudes(product.zeros, product.genus, ws)
 
 
-def _counterexample_sequence(lambdas, rho: float) -> tuple[np.ndarray, int]:
-    """The validated sequence and the genus floor(rho/2) of its product over the squares.
+# what the counterexample calls name the sequence by when its check fails
+_SEQUENCE = "sequence entries"
 
-    One pass over the sequence: the zeros +-lambda_k of F are distinct
-    exactly when the lambda_k are positive and strictly increasing.
+
+def _counterexample_sequence(lambdas, rho: float) -> tuple[np.ndarray, int]:
+    """The sequence as a float array and the genus floor(rho/2) of its product over the squares.
+
+    Only its shape is checked here. The zeros +-lambda_k of F are distinct
+    exactly when the lambda_k are positive and strictly increasing; the
+    evaluation checks that in its own sweep over the sequence.
     """
     lam = np.asarray(lambdas, dtype=float)
     _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
     _require(rho > 1 and math.isfinite(rho), f"order rho must exceed 1, got {rho}")
-    check_increasing(lam, "sequence entries")
     return lam, int(math.floor(rho / 2.0))
 
 
@@ -422,6 +457,7 @@ def build_counterexample_product(lambdas, rho: float) -> CanonicalProduct:
     sequence itself.
     """
     lam, genus = _counterexample_sequence(lambdas, rho)
+    check_increasing(lam, _SEQUENCE)
     # the product checks all the squares once more, as it does for any zeros
     return CanonicalProduct(zeros=lam * lam, genus=genus)
 
@@ -435,7 +471,7 @@ def counterexample_eval(lambdas, rho: float, z) -> complex:
     float range.
     """
     lam, genus = _counterexample_sequence(lambdas, rho)
-    return _eval_point(lam, genus, complex(z), q=2)
+    return _eval_point(lam, genus, complex(z), 2, _SEQUENCE)
 
 
 def counterexample_log_magnitudes(lambdas, rho: float, zs) -> np.ndarray:
@@ -444,7 +480,40 @@ def counterexample_log_magnitudes(lambdas, rho: float, zs) -> np.ndarray:
     -inf at +-lambda_k; the sequence is read as in counterexample_eval.
     """
     lam, genus = _counterexample_sequence(lambdas, rho)
-    return _log_magnitudes(lam, genus, zs, q=2)
+    return _log_magnitudes(lam, genus, zs, 2, _SEQUENCE)
+
+
+def _growth_fit(lambdas, rho: float, radii, n_theta: int, b: float | None):
+    """counterexample_growth_coefficient's fit and samples, with the tail density it read.
+
+    The density is None unless b is given and there are at least 16 terms.
+    The warnings come after the evaluation has checked the sequence, so a
+    bad sequence raises before any of them.
+    """
+    _require(n_theta >= 16, f"need n_theta >= 16, got {n_theta}")
+    radii = np.asarray(radii, dtype=float)
+    _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
+    # the fit has two unknowns, so one radius, however often repeated, cannot fix them
+    _require(radii.ndim == 1 and np.unique(radii).size >= 2, "need at least two distinct radii")
+    threshold = None if b is None else nonuniqueness_threshold(rho, b)
+    lam, genus = _counterexample_sequence(lambdas, rho)
+    zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))
+    log_max = _log_magnitudes(lam, genus, zs, 2, _SEQUENCE).max(axis=1)
+    tail = tail_ratios(lam, rho)
+    density = None
+    if threshold is not None and lam.size >= 16:
+        density = tail_density(tail)
+        if not density > threshold:
+            warnings.warn("sequence density does not clear the non-uniqueness threshold; the "
+                          "vanishing construction does not separate anything here", RuntimeWarning,
+                          stacklevel=_caller_stacklevel())
+    if tail.high / tail.low > 1.05:
+        warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
+                      RuntimeWarning, stacklevel=_caller_stacklevel())
+    basis = np.stack([radii**rho, np.ones_like(radii)], axis=1)
+    beta, *_ = np.linalg.lstsq(basis, log_max, rcond=None)
+    samples = tuple((float(r), float(v)) for r, v in zip(radii, log_max))
+    return float(beta[0]), samples, density
 
 
 def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0),
@@ -463,25 +532,5 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
     rho = 2, c = 1.5 it is 2.33, 2.91 and 3.48 for radii (4, 8, 16),
     (8, 16, 32) and (16, 32, 64).
     """
-    _require(n_theta >= 16, f"need n_theta >= 16, got {n_theta}")
-    radii = np.asarray(radii, dtype=float)
-    _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
-    # the fit has two unknowns, so one radius, however often repeated, cannot fix them
-    _require(radii.ndim == 1 and np.unique(radii).size >= 2, "need at least two distinct radii")
-    threshold = None if b is None else nonuniqueness_threshold(rho, b)
-    lam, genus = _counterexample_sequence(lambdas, rho)
-    tail = tail_ratios(lam, rho)
-    if threshold is not None and lam.size >= 16 and not tail_density(tail) > threshold:
-        warnings.warn("sequence density does not clear the non-uniqueness threshold; the "
-                      "vanishing construction does not separate anything here", RuntimeWarning,
-                      stacklevel=_caller_stacklevel())
-    if tail.high / tail.low > 1.05:
-        warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
-                      RuntimeWarning, stacklevel=_caller_stacklevel())
-    zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))
-    log_max = _log_magnitudes(lam, genus, zs, q=2).max(axis=1)
-    basis = np.stack([radii**rho, np.ones_like(radii)], axis=1)
-    beta, *_ = np.linalg.lstsq(basis, log_max, rcond=None)
-    samples = tuple((float(r), float(v)) for r, v in zip(radii, log_max))
-    return float(beta[0]), samples
-
+    coeff, samples, _ = _growth_fit(lambdas, rho, radii, n_theta, b)
+    return coeff, samples

@@ -276,13 +276,19 @@ def nonuniqueness_threshold(rho: float, b: float) -> float:
     return (math.pi / (b * abs(math.sin(math.pi * half)))) ** (1.0 / rho)
 
 
-def check_increasing(values: np.ndarray, what: str) -> None:
-    """Raise unless a nonempty 1-d array starts positive and rises strictly; NaN fails."""
-    if not values[0] > 0:
+def _check_slice(values: np.ndarray, k: int, n: int, what: str) -> None:
+    """Raise unless values[k:k + n] rises strictly from values[k - 1], or starts positive at k = 0; NaN fails."""
+    if k == 0 and not values[0] > 0:
         raise InvalidParameterError(f"{what} must be positive")
-    parts = (values[k:k + _CHUNK + 1] for k in range(0, values.size, _CHUNK))
-    if not all(np.all(part[1:] > part[:-1]) for part in parts):
+    part = values[max(k - 1, 0):k + n]
+    if not np.all(part[1:] > part[:-1]):
         raise InvalidParameterError(f"{what} must be strictly increasing")
+
+
+def check_increasing(values: np.ndarray, what: str) -> None:
+    """Raise unless a 1-d array starts positive and rises strictly; NaN fails."""
+    for k in range(0, values.size, _CHUNK):
+        _check_slice(values, k, min(_CHUNK, values.size - k), what)
 
 
 def tail_ratios(lam: np.ndarray, rho: float) -> TailSummary:

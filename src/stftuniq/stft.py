@@ -26,6 +26,8 @@ from .windows import WindowModel, time_window_closed_form, time_window_values
 
 _TAIL_LOG = 43.0
 _MAX_COMMON_POINTS = 1 << 22
+# Entries of the window matrix, and of the exponential matrix, in one block of _transform
+_BLOCK = 1 << 21
 _SPECTROGRAM_HEADER = "x,omega,magnitude"
 
 
@@ -190,12 +192,16 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
     """int f(t) conj(g(t - conj(z))) e^{2 pi i z' t} dt at each pair (z, z') of shifts and freqs.
 
     V_g f(x, omega) is the pair (x, -omega); complex pairs give the entire
-    extension. The window is evaluated once per distinct shift and the
+    extension. The pairs are taken in shift order, in blocks of
+    _BLOCK / (time nodes) pairs, so neither the window matrix nor the
+    exponential matrix of a block has more than _BLOCK entries. Within a
+    block the window is evaluated once per distinct shift and the
     exponential once per distinct frequency, and the pairs of each shift
     are summed by one product. The scale of the result is the largest
-    absolute integrand mass over the pairs: off the real axes the integrand
-    is amplified super-exponentially and cancels back down, so a result's
-    own magnitude can sit below the reachable roundoff floor. A grid signal
+    absolute integrand mass over the pairs: off the real axes the
+    integrand is amplified super-exponentially and cancels back down, so
+    a result's own magnitude can sit below the reachable roundoff floor.
+    A grid signal
     is integrated once, by the trapezoid rule on its own samples; it cannot
     widen its own grid, so an integrand above 1e-10 of the scale at a grid
     edge only warns. A closed-form signal is refined, against the scale, on
@@ -204,21 +210,31 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
     """
     zs, at_shift = np.unique(np.conj(shifts), return_inverse=True)
     ws, at_freq = np.unique(freqs, return_inverse=True)
-    rates, at_rate = np.unique(ws.imag, return_inverse=True)
-    at_rate = at_rate[at_freq]
     order = np.argsort(at_shift, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(at_shift[order])) + 1)
 
-    def level(t, wts, fv):
-        gw = (wts * fv)[:, None] * np.conj(_window_values(window, t[:, None] - zs, quad))
-        kern = np.exp((2j * math.pi) * t[:, None] * ws)
-        out = np.empty(at_shift.size, dtype=complex)
-        for j, cols in enumerate(groups):
-            out[cols] = gw[:, j] @ kern[:, at_freq[cols]]
+    def block(t, tw, pairs):
+        """Values, scale and edge integrand of pairs that run in shift order."""
+        shift_ids, col = np.unique(at_shift[pairs], return_inverse=True)
+        freq_ids, row = np.unique(at_freq[pairs], return_inverse=True)
+        rates, at_rate = np.unique(ws[freq_ids].imag, return_inverse=True)
+        gw = tw[:, None] * np.conj(_window_values(window, t[:, None] - zs[shift_ids], quad))
+        kern = np.exp((2j * math.pi) * t[:, None] * ws[freq_ids])
+        runs = np.split(row, np.flatnonzero(np.diff(col)) + 1)
+        vals = np.concatenate([gw[:, j] @ kern[:, rows] for j, rows in enumerate(runs)])
         # |e^{2 pi i z' t}| = e^{-2 pi Im(z') t}: the integrand's magnitudes need one column per decay rate
         mags, growth = np.abs(gw), np.exp((-2.0 * math.pi) * t[:, None] * rates)
-        scale = float(np.max((mags.T @ growth)[at_shift, at_rate]))
-        edge = float(np.max(mags[[0, -1]][:, at_shift] * growth[[0, -1]][:, at_rate]))
+        at_rate = at_rate[row]
+        scale = float(np.max((mags.T @ growth)[col, at_rate]))
+        return vals, scale, float(np.max(mags[[0, -1]][:, col] * growth[[0, -1]][:, at_rate]))
+
+    def level(t, wts, fv):
+        out = np.empty(at_shift.size, dtype=complex)
+        tw, scale, edge = wts * fv, 0.0, 0.0
+        cap = max(1, _BLOCK // t.size)
+        for lo in range(0, order.size, cap):
+            pairs = order[lo:lo + cap]
+            out[pairs], block_scale, block_edge = block(t, tw, pairs)
+            scale, edge = max(scale, block_scale), max(edge, block_edge)
         return out, scale, edge
 
     if isinstance(f, GridSignal):
@@ -228,7 +244,7 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
                           "the transform is truncated by the signal grid", RuntimeWarning,
                           stacklevel=_caller_stacklevel())
         return out
-    linear = 2.0 * math.pi * float(np.max(np.abs(rates)))
+    linear = 2.0 * math.pi * float(np.max(np.abs(ws.imag)))
     half = quad.radius if quad.radius is not None else f.support_radius(linear) - abs(f.center)
 
     def refined(nodes: int):

@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
+import stftuniq.cli as cli
+import stftuniq.entire as entire
 from stftuniq import DEFAULT_QUADRATURE, SamplingSet
 from stftuniq.cli import main, parse_sequence_expr, parse_signal_spec
 
@@ -325,28 +327,51 @@ def test_counterexample_rejects_bad_radii(capsys, radii):
     assert last_json(err)["error"] == {"kind": "invalid-parameter", "message": message}
 
 
-def test_counterexample_builds_the_product_once(capsys, monkeypatch):
-    import stftuniq.entire as entire
-    import stftuniq.sampling as sampling
+def test_counterexample_decreasing_sequence_is_one_json_error(capsys):
+    # the fit's power-law warning would come first if the fit warned before its sweep
+    code, error = only_json_error(capsys, "counterexample", "--rho", "2", "--b", "3.14",
+                                  "--seq", "1000-k", "--terms", "50")
+    assert code == 2
+    assert error == {"kind": "invalid-parameter", "message": "sequence entries must be strictly increasing"}
 
-    calls = []
-    check = sampling.check_increasing
 
-    def counting(values, what):
-        calls.append(what)
-        check(values, what)
+def test_counterexample_builds_the_product_once(capsys, monkeypatch, slice_checks):
+    lams = []
+    parse = cli.parse_sequence_expr
 
-    monkeypatch.setattr(sampling, "check_increasing", counting)
-    monkeypatch.setattr(entire, "check_increasing", counting)
+    def keeping(text, count):
+        lams.append(parse(text, count))
+        return lams[-1]
+
+    monkeypatch.setattr(cli, "parse_sequence_expr", keeping)
     code, out, _ = run_cli(capsys, "counterexample", "--rho", "3", "--b", str(math.pi),
                            "--seq", "1.1*k^(1/3)", "--terms", "20000",
                            "--radii", "2,3", "--n-theta", "32")
     assert code == 0
     assert json.loads(out)["result"]["vanishes_at_sampled_zeros"] is True
-    # one pass over the sequence each: growth fit and the one call that probes both
-    # zeros; the density reads the tail of the sequence the fit checked, and no call
-    # builds the product or checks a full array of squares
-    assert calls == ["sequence entries"] * 2
+    # two sweeps over the sequence: the growth fit's evaluation, and the check of the
+    # call that probes both zeros and so takes no sum; no array of squares is checked
+    assert slice_checks.sweeps_over(lams[0]) == 2
+    assert all(np.shares_memory(values, lams[0]) for values, _, _ in slice_checks.seen)
+
+
+def test_counterexample_reads_the_tail_once(capsys, monkeypatch):
+    tails = []
+    tail_ratios = entire.tail_ratios
+
+    def counting(lam, rho):
+        tails.append(lam)
+        return tail_ratios(lam, rho)
+
+    monkeypatch.setattr(entire, "tail_ratios", counting)
+    for rho, seq in (("3", "1.1*k^(1/3)"), ("2", "1.5*sqrt(k)")):
+        tails.clear()
+        code, out, _ = run_cli(capsys, "counterexample", "--rho", rho, "--b", str(math.pi),
+                               "--seq", seq, "--terms", "5000", "--radii", "2,3", "--n-theta", "16")
+        assert code == 0
+        # the printed density is the growth fit's own
+        assert len(tails) == 1
+        assert json.loads(out)["result"]["density"] == tail_ratios(tails[0], float(rho)).low
 
 
 # ---------------------------------------------------------- scan-window

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -542,42 +543,105 @@ def test_scalar_arguments_fail_before_the_sequence_pass(monkeypatch):
     assert checked == []
 
 
-def test_counterexample_validates_each_sequence_once(monkeypatch):
+def test_counterexample_validates_each_sequence_once(monkeypatch, slice_checks):
     lam = 1.5 * np.sqrt(np.arange(1, 5001, dtype=float))
-    checked, tails = [], []
-    check, tail = entire.check_increasing, entire.tail_ratios
-
-    def counting_check(values, what):
-        checked.append(values)
-        check(values, what)
+    tails = []
+    tail = entire.tail_ratios
 
     def counting_tail(values, rho):
         tails.append(values)
         return tail(values, rho)
 
-    monkeypatch.setattr(entire, "check_increasing", counting_check)
-    monkeypatch.setattr(sampling, "check_increasing", counting_check)
+    seen = slice_checks.seen
     monkeypatch.setattr(entire, "tail_ratios", counting_tail)
     calls = (lambda: counterexample_eval(lam, 2.0, lam[17]),
-             lambda: counterexample_log_magnitudes(lam, 2.0, np.array([1.0 + 1.0j])),
+             lambda: counterexample_eval(lam, 2.0, 0.0),
+             lambda: counterexample_eval(lam, 2.0, 3.0 - 1.0j),
+             lambda: counterexample_log_magnitudes(lam, 2.0, np.array([1.0 + 1.0j, -lam[3]])),
              lambda: counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi))
     for call in calls:
-        checked.clear()
+        seen.clear()
         tails.clear()
         call()
-        # one pass over the sequence, and none over its squares
-        assert len(checked) == 1
-        assert np.shares_memory(checked[0], lam)
+        # one sweep over the sequence, and none over its squares
+        assert slice_checks.sweeps_over(lam) == 1
+        assert all(np.shares_memory(values, lam) for values, _, _ in seen)
         assert len(tails) <= 1
     # the built product checks the sequence and then all of its squares
-    checked.clear()
-    build_counterexample_product(lam, 2.0)
-    assert len(checked) == 2
-    assert np.shares_memory(checked[0], lam)
-    assert np.array_equal(checked[1], lam * lam)
-    checked.clear()
+    seen.clear()
+    product = build_counterexample_product(lam, 2.0)
+    assert slice_checks.sweeps_over(lam) == 1
+    assert slice_checks.sweeps_over(product.zeros) == 1
+    assert len(seen) == 2
+    seen.clear()
     CanonicalProduct(zeros=lam * lam, genus=1)
-    assert len(checked) == 1
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("place", ["near", "near edge", "band 0", "band 1", "band 2", "band 3",
+                                   "slice edge", "last slice"])
+def test_one_disorder_anywhere_fails_every_call_before_any_warning(monkeypatch, slice_checks, place):
+    monkeypatch.setattr(entire, "_CHUNK", 64)
+    monkeypatch.setattr(sampling, "_CHUNK", 64)
+    vmax = 4.0
+    lam = 0.5 * np.sqrt(np.arange(1, 80001 + 37, dtype=float))
+    edges = [int(np.searchsorted(lam, math.sqrt(e) * vmax, "right")) for e in entire._BAND_EDGES] + [lam.size]
+    # every band spans several slices of its own
+    assert 0 < edges[0] and all(hi - lo > 3 * 64 for lo, hi in zip(edges, edges[1:]))
+    counterexample_log_magnitudes(lam, 2.0, [vmax * 1j])
+    slices = [(k, n) for values, k, n in slice_checks.seen if values is lam]
+    # the far slices shorten where they need more than four powers, and the last is partial
+    assert min(n for _, n in slices) < 64
+    last_k, last_n = slices[-1]
+    assert last_k + last_n == lam.size and last_n < slices[-2][1]
+    where = {"near": edges[0] // 2, "near edge": edges[0], "slice edge": slices[len(slices) // 2][0],
+             "last slice": last_k + last_n // 2,
+             **{f"band {b}": (edges[b] + edges[b + 1]) // 2 for b in range(4)}}[place]
+    bad = lam.copy()
+    bad[where - 1], bad[where] = bad[where], bad[where - 1]
+    ring = vmax * np.exp(1j * (np.arange(8) + 0.5) * (math.pi / 4))
+    for call in (lambda: counterexample_eval(bad, 2.0, vmax * cmath.exp(0.3j)),
+                 lambda: counterexample_log_magnitudes(bad, 2.0, ring),
+                 lambda: counterexample_growth_coefficient(bad, 2.0, (vmax / 2, vmax), n_theta=16,
+                                                           b=math.pi)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameterError, match="strictly increasing"):
+                call()
+        assert record == []
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("genus", [0, 1, 2, 7, 60, 130])
+def test_shortened_slices_match_direct(monkeypatch, slice_checks, genus, q):
+    monkeypatch.setattr(entire, "_CHUNK", 1000)
+    lam = 2.0 * np.arange(1, 12001, dtype=float) ** 0.75
+    vs = np.array([20.0 * np.exp(0.4j), -13.0 + 2.0j, 7.5j, 0.3 - 0.1j])
+    seen = slice_checks.seen
+    got = entire._log_product(lam, genus, vs, q, "zeros")
+    # a slice keeps its powers in 2000 floats, so one that needs more than two rows is
+    # shorter than 1000 even where its band goes on
+    ends = [int(np.searchsorted(lam, e ** (1.0 / q) * 20.0, "right")) for e in entire._BAND_EDGES]
+    assert any(n < 1000 and k + n not in ends for values, k, n in seen if values is lam)
+    for v, g in zip(vs, got):
+        want = _direct_log(lam, genus, v) if q == 1 else _direct_log(lam * lam, genus, v * v)
+        assert abs(g - want) <= 2e-14 * max(abs(want), 1.0), (v, g, want)
+
+
+def test_genus_above_the_slice_size_ends(monkeypatch, slice_checks):
+    monkeypatch.setattr(entire, "_CHUNK", 64)
+    lam = np.arange(5.0, 2005.0)
+    # the top power 301 > 4 _CHUNK: a slice still holds three rows, u^150, u^151 and u
+    got = entire._log_product(lam, 300, np.array([3.0 + 1.0j, -4.0]), 1, "zeros")
+    ends = [int(np.searchsorted(lam, e * 4.0, "right")) for e in entire._BAND_EDGES] + [lam.size]
+    assert all(n == 2 * 64 // 3 or k + n in ends for values, k, n in slice_checks.seen
+               if values is lam and k >= ends[0])
+    assert slice_checks.sweeps_over(lam) == 1
+    for v, g in zip((3.0 + 1.0j, -4.0), got):
+        want = _direct_log(lam, 300, v)
+        assert abs(g - want) <= 2e-14 * max(abs(want), 1.0), (v, g, want)
+    with pytest.raises(EvaluationOverflowError):
+        counterexample_log_magnitudes(np.arange(1.0, 51.0), 2 * 300 + 1, [16.0j])
 
 
 def test_growth_batched_radii_match_one_radius_per_call():

@@ -3,6 +3,7 @@
 import cmath
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,16 +20,19 @@ from stftuniq import (
     discriminate,
     extend_stft,
     gaussian_signal,
+    generate_sampling_set,
     global_phase_residual,
     grid_signal,
     hermite_signal,
     make_generalized_gaussian,
     make_modulated_generalized_gaussian,
+    max_tau_bounds,
     moyal_energy_check,
     spectrogram_on_set,
     stft_eval,
     window_l2_norm,
 )
+import stftuniq.stft as stft
 from stftuniq.stft import resample_bandlimited
 
 
@@ -231,6 +235,31 @@ def test_transform_is_taken_around_the_signal_centre(gauss_window):
     assert abs(far.magnitudes[0] - near.magnitudes[0]) <= 1e-12
     # two Gaussians at rates pi/0.01^2 and pi: int e^{-pi (10^4 + 1) t^2} dt
     assert abs(near.magnitudes[0] - 1.0 / math.sqrt(10001.0)) <= 1e-12
+
+
+def _traced(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_blocks_match_one_block(gauss_window, monkeypatch):
+    f = chirp_signal(width=0.8, center=0.2, amplitude=1.0 + 0.5j, chirp_rate=0.3)
+    bounds = max_tau_bounds(2.0, math.pi)
+    four = generate_sampling_set(2.0, 0.9 * bounds.tau1_max, 0.9 * bounds.tau2_max, 300, a=math.pi).points
+    grid = np.linspace(-3.0, 3.0, 49)
+    product = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    for pts in (four, product):
+        one, one_peak = _traced(lambda: spectrogram_on_set(f, gauss_window, pts).magnitudes)
+        with monkeypatch.context() as patch:
+            # 16 pairs a block at 1024 time nodes
+            patch.setattr(stft, "_BLOCK", 1 << 14)
+            blocked, blocked_peak = _traced(lambda: spectrogram_on_set(f, gauss_window, pts).magnitudes)
+        assert np.max(np.abs(blocked - one)) <= 1e-15 * np.max(one)
+        assert blocked_peak < one_peak / 2
 
 
 # ------------------------------------------------------ spectrogram files
