@@ -2,11 +2,11 @@
 
 One subcommand per workflow: window step bounds, sampling-set generation,
 growth prediction/estimation, zero-sequence classification, two-signal
-discrimination, counterexample growth, and window ambiguity scans. Output
-goes to stdout or --output as JSON {"meta": ..., "result": ...} (keys
-sorted, no timestamps, byte-deterministic) or as CSV with "# key=value"
-metadata comments. Parameter errors exit 2 and numerical failures exit 3,
-both with a JSON error object on stderr.
+discrimination, and counterexample growth. Output goes to stdout or
+--output as JSON {"meta": ..., "result": ...} (keys sorted, no timestamps,
+byte-deterministic) or as CSV with "# key=value" metadata comments.
+Parameter errors exit 2 and numerical failures exit 3, both with a JSON
+error object on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     ZeroNormError,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from .windows import make_generalized_gaussian, make_modulated_generalized_gaussian, window_ambiguity_scan
+from .windows import make_generalized_gaussian
 from .entire import (
     _growth_fit,
     counterexample_log_magnitudes,
@@ -40,7 +40,6 @@ from .entire import (
     taylor_coefficients,
 )
 from .sampling import (
-    _write_csv,
     classify_sequence,
     generate_sampling_set,
     max_tau_bounds,
@@ -168,32 +167,13 @@ def _parse_radii(text: str) -> tuple[float, ...]:
     return radii
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InvalidParameterError(f"grid spec must be lo,hi,n; got {text!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise InvalidParameterError(f"cannot parse grid spec {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and n >= 2):
-        raise InvalidParameterError(f"grid spec needs finite lo < hi and n >= 2, got {text!r}")
-    return np.linspace(lo, hi, n)
-
-
-def _window_from(ns):
-    if getattr(ns, "xi0", None) is not None:
-        return make_modulated_generalized_gaussian(ns.a, ns.m, ns.xi0)
-    return make_generalized_gaussian(ns.a, ns.m)
-
-
-def _run_bounds(ns, quad, meta):
+def _run_bounds(ns, meta):
     meta.update({"m": ns.m, "a": ns.a})
     bounds = max_tau_bounds(ns.m, ns.a)
     return {"m": ns.m, "a": ns.a, "tau1_max": bounds.tau1_max, "tau2_max": bounds.tau2_max}, None
 
 
-def _run_sample_set(ns, quad, meta):
+def _run_sample_set(ns, meta):
     meta.update({"m": ns.m, "a": ns.a, "tau1": ns.tau1, "tau2": ns.tau2,
                  "count": ns.n, "include_origin": ns.include_origin})
     lam = generate_sampling_set(ns.m, ns.tau1, ns.tau2, ns.n,
@@ -206,7 +186,7 @@ def _run_sample_set(ns, quad, meta):
     return result, lam.to_csv(extra_meta=meta)
 
 
-def _run_growth(ns, quad, meta):
+def _run_growth(ns, meta):
     meta.update({"m": ns.m, "a": ns.a, "n_coeffs": ns.n_coeffs, "estimate": ns.estimate})
     predicted = predicted_growth(ns.m, ns.a)
     result = {"m": ns.m, "a": ns.a,
@@ -223,14 +203,17 @@ def _run_growth(ns, quad, meta):
     return result, None
 
 
-def _run_classify(ns, quad, meta):
+def _run_classify(ns, meta):
     meta.update({"rho": ns.rho, "b": ns.b, "seq": ns.seq, "terms": ns.terms})
     lam = parse_sequence_expr(ns.seq, ns.terms)
     report = classify_sequence(lam, ns.rho, ns.b)
     return report.to_json_dict(), None
 
 
-def _run_discriminate(ns, quad, meta):
+def _run_discriminate(ns, meta):
+    quad = QuadratureConfig(radius=ns.quad_radius, nodes=ns.quad_nodes, tol=ns.quad_tol)
+    meta.update({"quad_nodes": quad.nodes, "quad_radius": "auto" if quad.radius is None else quad.radius,
+                 "quad_tol": quad.tol})
     bounds = max_tau_bounds(ns.m, ns.a)
     tau1 = ns.tau1 if ns.tau1 is not None else 0.9 * bounds.tau1_max
     tau2 = ns.tau2 if ns.tau2 is not None else 0.9 * bounds.tau2_max
@@ -247,7 +230,7 @@ def _run_discriminate(ns, quad, meta):
     return result, None
 
 
-def _run_counterexample(ns, quad, meta):
+def _run_counterexample(ns, meta):
     radii = _parse_radii(ns.radii)
     meta.update({"rho": ns.rho, "b": ns.b, "seq": ns.seq, "terms": ns.terms,
                  "radii": list(radii), "n_theta": ns.n_theta})
@@ -274,22 +257,6 @@ def _run_counterexample(ns, quad, meta):
     return result, None
 
 
-def _run_scan_window(ns, quad, meta):
-    meta.update({"m": ns.m, "a": ns.a, "xi0": ns.xi0, "omega": ns.omega, "grid": ns.grid})
-    grid = _parse_grid(ns.grid)
-    window = _window_from(ns)
-    report = window_ambiguity_scan(window, ns.omega, grid, quad)
-    result = {
-        "omega": report.omega,
-        "min_magnitude": report.min_magnitude,
-        "near_zero_fraction": report.near_zero_fraction,
-        "xi": [float(v) for v in report.grid],
-        "magnitude": [float(v) for v in report.magnitudes],
-    }
-    rows = (f"{xi:.17g},{mag:.17g}" for xi, mag in zip(report.grid, report.magnitudes))
-    return result, _write_csv(None, meta, "xi,magnitude", rows)
-
-
 _HANDLERS = {
     "bounds": _run_bounds,
     "sample-set": _run_sample_set,
@@ -297,28 +264,20 @@ _HANDLERS = {
     "classify": _run_classify,
     "discriminate": _run_discriminate,
     "counterexample": _run_counterexample,
-    "scan-window": _run_scan_window,
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write to this path instead of stdout")
-    quadrature = argparse.ArgumentParser(add_help=False)
-    quadrature.add_argument("--quad-radius", type=float, default=None, dest="quad_radius",
-                            help="override the automatic truncation radius")
-    quadrature.add_argument("--quad-nodes", type=int, default=DEFAULT_QUADRATURE.nodes, dest="quad_nodes",
-                            help="quadrature nodes per half interval")
-    quadrature.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.tol, dest="quad_tol",
-                            help="node-doubling stability tolerance")
 
     parser = _Parser(prog="stftuniq",
                      description="Sampling sets, growth analysis, and discrimination "
                                  "for transforms against super-exponentially decaying windows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, default_format, quad=False):
-        p = sub.add_parser(name, parents=[common, quadrature] if quad else [common], help=help_text)
+    def add(name, help_text, default_format):
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("--format", choices=("csv", "json"), default=default_format)
         return p
 
@@ -346,7 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="k-expression, e.g. '0.3*sqrt(k)'")
     p.add_argument("--terms", type=int, default=200)
 
-    p = add("discriminate", "compare two signals through spectrogram samples", "json", quad=True)
+    p = add("discriminate", "compare two signals through spectrogram samples", "json")
+    p.add_argument("--quad-radius", type=float, default=None, dest="quad_radius",
+                   help="override the automatic truncation radius")
+    p.add_argument("--quad-nodes", type=int, default=DEFAULT_QUADRATURE.nodes, dest="quad_nodes",
+                   help="quadrature nodes per half interval")
+    p.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.tol, dest="quad_tol",
+                   help="node-doubling stability tolerance")
     p.add_argument("--f", required=True, help="signal spec, e.g. 'gaussian(width=1)'")
     p.add_argument("--h", required=True)
     p.add_argument("--m", type=float, default=2.0)
@@ -366,13 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="4,8,16")
     p.add_argument("--n-theta", type=int, default=64, dest="n_theta")
 
-    p = add("scan-window", "ambiguity-function slice magnitudes for a window", "csv", quad=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--xi0", type=float, default=None, help="modulation frequency")
-    p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--grid", default="-5,5,1001", help="lo,hi,n")
-
     return parser
 
 
@@ -385,13 +343,7 @@ def run(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         meta = {"command": ns.command, "format": ns.format}
-        quad = None
-        if hasattr(ns, "quad_nodes"):
-            quad = QuadratureConfig(radius=ns.quad_radius, nodes=ns.quad_nodes, tol=ns.quad_tol)
-            meta.update({"quad_nodes": quad.nodes,
-                         "quad_radius": "auto" if quad.radius is None else quad.radius,
-                         "quad_tol": quad.tol})
-        result, csv_text = _HANDLERS[ns.command](ns, quad, meta)
+        result, csv_text = _HANDLERS[ns.command](ns, meta)
         if ns.format == "csv":
             if csv_text is None:
                 raise InvalidParameterError(f"{ns.command} has no CSV representation; use --format json")

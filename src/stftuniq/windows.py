@@ -7,8 +7,7 @@ real and even, so that transform is a real cosine transform on the half
 line, with the |xi|^m kink at its panel edge 0, where the panel is graded,
 and a window centred at xi0 != 0 multiplies it by e^{2 pi i xi0 t}. Real
 times give real values for a centred window; complex times or a modulation
-give complex values. An ambiguity-function scan looks for zeros along one
-frequency slice.
+give complex values.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .quadrature import (
     QuadratureConfig,
     decay_truncation_radius,
     graded_nodes,
-    line_nodes,
     refine,
 )
 from .sampling import _check_window_params
@@ -103,13 +101,6 @@ def time_window_closed_form(window: WindowModel):
     return closed
 
 
-def _auto_time_radius(window: WindowModel, im_max: float = 0.0) -> float:
-    """Truncation radius of the centred profile C e^{-a |xi|^m} for times up to im_max off the axis."""
-    log_scale = math.log(max(window.amplitude, 1.0))
-    return decay_truncation_radius(window.a, window.m, log_scale=log_scale,
-                                   linear=2.0 * math.pi * im_max)
-
-
 def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """Inverse transform g(t) = int ghat(xi) e^{2 pi i xi t} dxi on an array of times.
 
@@ -130,8 +121,12 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     """
     ts = _time_array(ts)
     flat = ts.ravel()
-    im_max = float(np.max(np.abs(flat.imag), initial=0.0)) if np.iscomplexobj(flat) else 0.0
-    radius = quad.radius if quad.radius is not None else _auto_time_radius(window, im_max)
+    radius = quad.radius
+    if radius is None:
+        # the centred profile's truncation radius, for times up to im_max off the axis
+        im_max = float(np.max(np.abs(flat.imag), initial=0.0)) if np.iscomplexobj(flat) else 0.0
+        radius = decay_truncation_radius(window.a, window.m, log_scale=math.log(max(window.amplitude, 1.0)),
+                                         linear=2.0 * math.pi * im_max)
     arg = (2.0 * math.pi) * flat
     phase = np.exp((2j * math.pi * window.center) * flat) if window.center else None
     dtype = flat.dtype if phase is None else complex
@@ -150,75 +145,3 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
         return out, float(np.max(np.abs(out), initial=0.0))
 
     return refine(level, quad, "time-window quadrature").reshape(ts.shape)
-
-
-@dataclass(frozen=True)
-class AmbiguityScanReport:
-    """Magnitudes of one frequency slice of a window's ambiguity function."""
-
-    omega: float
-    grid: np.ndarray
-    magnitudes: np.ndarray
-    min_magnitude: float
-    near_zero_fraction: float
-
-
-def window_ambiguity_scan(window: WindowModel, omega: float, grid=None,
-                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> AmbiguityScanReport:
-    """Scan xi -> |int e^{2 pi i omega eta} ghat(-eta) conj(ghat(xi - eta)) d eta|.
-
-    A window whose scan stays away from zero on every slice of interest is
-    safe for phase retrieval from the ambiguity side; the report flags the
-    fraction of grid points within 1e-10 of the slice's maximum
-    magnitude scale (all of them when the whole slice is zero, as it is far
-    out in xi, where the two factors underflow against each other). Each grid
-    column splits the line where the |.|^m kinks of the two factors sit, and
-    halves the span between them, into four panels of quad.nodes points, each
-    graded toward its kink; a window with even integer m has no kinks, so all
-    columns share one rule on the whole line. The nodes double until the
-    slice changes by at most quad.tol of its scale.
-    """
-    if not isinstance(window, WindowModel):
-        raise InvalidParameterError("window must be a WindowModel")
-    grid = np.linspace(-5.0, 5.0, 1001) if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("scan grid must be nonempty")
-    if not (math.isfinite(omega) and np.all(np.isfinite(grid))):
-        raise InvalidParameterError("scan frequency omega and grid must be finite")
-    fhat = window.fourier_eval
-    radius = _auto_time_radius(window) + abs(window.center) + float(np.max(np.abs(grid)))
-    center = window.center
-    # ghat(-eta) has its kink at eta = -center, ghat(xi - eta) at eta = xi - center
-    lo, hi = np.sort(np.stack([np.full(grid.size, -center), grid - center]), axis=0)
-    mid = 0.5 * (lo + hi)
-    # panels from each kink out to -radius, to the midpoint between the kinks, and to radius
-    kinks = np.stack([lo, lo, hi, hi], axis=1)
-    ends = np.stack([np.full(grid.size, -radius), mid, mid, np.full(grid.size, radius)], axis=1)
-
-    # ghat is real, so the conjugate in the integrand is dropped
-    def level(nodes: int):
-        out = np.empty(grid.size, dtype=complex)
-        if window.m % 2 == 0:
-            eta, wt = line_nodes(radius, nodes)
-            base = fhat(-eta) * np.exp((2j * math.pi * omega) * eta) * wt
-            step = max(1, (1 << 22) // eta.size)
-            for k in range(0, grid.size, step):
-                out[k:k + step] = base @ fhat(grid[k:k + step] - eta[:, None])
-            return out, float(np.max(np.abs(out)))
-        step = max(1, (1 << 20) // (4 * nodes))
-        for k in range(0, grid.size, step):
-            eta, wt = graded_nodes(kinks[k:k + step], ends[k:k + step], nodes)
-            vals = fhat(-eta) * fhat(grid[k:k + step, None] - eta)
-            if omega:
-                vals = vals * np.exp((2j * math.pi * omega) * eta)
-            out[k:k + step] = np.einsum("ij,ij->i", vals, wt)
-        return out, float(np.max(np.abs(out)))
-
-    mags = np.abs(refine(level, quad, "ambiguity scan"))
-    return AmbiguityScanReport(
-        omega=float(omega),
-        grid=grid,
-        magnitudes=mags,
-        min_magnitude=float(np.min(mags)),
-        near_zero_fraction=float(np.mean(mags <= 1e-10 * np.max(mags))),
-    )

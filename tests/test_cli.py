@@ -197,10 +197,17 @@ def test_unstable_quadrature_exit_code(capsys):
 
 
 def test_invalid_quadrature_config_exit_code(capsys):
-    code, _, err = run_cli(capsys, "scan-window", "--m", "2", "--a", "3",
-                           "--quad-nodes", "32")
+    code, _, err = run_cli(capsys, "discriminate", "--f", "gaussian()", "--h", "gaussian()",
+                           "--n", "2", "--quad-nodes", "32")
     assert code == 2
     assert "at least 64 nodes" in last_json(err)["error"]["message"]
+
+
+def test_deleted_scan_window_command_is_rejected(capsys):
+    code, error = only_json_error(capsys, "scan-window", "--m", "2", "--a", "3")
+    assert code == 2
+    assert error["kind"] == "invalid-parameter"
+    assert "invalid choice: 'scan-window'" in error["message"]
 
 
 @pytest.mark.parametrize("command", [
@@ -372,57 +379,6 @@ def test_counterexample_reads_the_tail_once(capsys, monkeypatch):
         # the printed density is the growth fit's own
         assert len(tails) == 1
         assert json.loads(out)["result"]["density"] == tail_ratios(tails[0], float(rho)).low
-
-
-# ---------------------------------------------------------- scan-window
-
-def test_scan_window_csv(capsys):
-    code, out, _ = run_cli(capsys, "scan-window", "--m", "2", "--a", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert "xi,magnitude" in lines
-    data = [l for l in lines if l and not l.startswith("#") and l != "xi,magnitude"]
-    assert len(data) == 1001
-
-
-def test_scan_window_json_modulated(capsys):
-    code, out, _ = run_cli(capsys, "scan-window", "--m", "2", "--a", "2",
-                           "--xi0", "1.5", "--grid=-2,2,41", "--format", "json")
-    assert code == 0
-    res = json.loads(out)["result"]
-    assert len(res["xi"]) == 41
-    assert res["near_zero_fraction"] == 0.0
-    assert res["min_magnitude"] > 0.0
-
-
-def test_scan_window_off_gaussian_against_quad(capsys):
-    from scipy.integrate import quad as scipy_quad
-
-    code, out, _ = run_cli(capsys, "scan-window", "--m", "1.5", "--a", "2", "--format", "json")
-    assert code == 0
-    res = json.loads(out)["result"]
-    xi, mags = np.array(res["xi"]), np.array(res["magnitude"])
-    scale = mags.max()
-
-    def integrand(eta, x):
-        return math.exp(-2.0 * abs(eta) ** 1.5 - 2.0 * abs(x - eta) ** 1.5)
-
-    for i in (500, 613, 940):
-        x = xi[i]
-        edges = sorted((-30.0, 0.0, x, 30.0))
-        want = sum(scipy_quad(integrand, lo, hi, args=(x,), epsabs=1e-14, limit=200)[0]
-                   for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
-        assert abs(mags[i] - want) < 1e-9 * scale
-
-
-@pytest.mark.parametrize("flag", ["--omega=nan", "--omega=inf", "--grid=-inf,1,5", "--grid=0,inf,5"])
-def test_scan_window_rejects_non_finite_input(capsys, flag):
-    code, out, err = run_cli(capsys, "scan-window", "--m", "1.5", "--a", "2", flag)
-    option, _, value = flag.partition("=")
-    message = ("scan frequency omega and grid must be finite" if option == "--omega"
-               else f"grid spec needs finite lo < hi and n >= 2, got {value!r}")
-    assert code == 2 and out == ""
-    assert last_json(err)["error"] == {"kind": "invalid-parameter", "message": message}
 
 
 # -------------------------------------------------------------- process

@@ -1,21 +1,18 @@
-"""Window models: spectral profiles, time-side values and ambiguity scans."""
+"""Window models: spectral profiles and time-side values."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad as scipy_quad
 
 from stftuniq import (
     InvalidParameterError,
     QuadratureConfig,
-    QuadratureConvergenceError,
     WindowModel,
     make_generalized_gaussian,
     generate_sampling_set,
     make_modulated_generalized_gaussian,
     max_tau_bounds,
-    window_ambiguity_scan,
 )
 from stftuniq.quadrature import decay_truncation_radius, graded_nodes, panel_nodes
 from stftuniq.windows import time_window_closed_form, time_window_values
@@ -128,91 +125,6 @@ def test_modulation_is_a_time_phase():
     assert np.max(np.abs(vm - want)) / np.max(np.abs(vb)) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_ambiguity_scan_gaussian_zero_free():
-    w = make_generalized_gaussian(1.0, 2.0)
-    scan = window_ambiguity_scan(w, 0.0)
-    assert scan.grid.size == 1001
-    mid = scan.grid.size // 2
-    assert scan.grid[mid] == 0.0
-    want = math.sqrt(math.pi / 2.0)
-    assert abs(scan.magnitudes[mid] - want) / want < 1e-10
-    assert scan.near_zero_fraction == 0.0
-    assert scan.min_magnitude > 0.0
-    # real even window: the slice magnitude is even too
-    sym = np.abs(scan.magnitudes - scan.magnitudes[::-1])
-    assert sym.max() < 1e-12 * scan.magnitudes.max()
-
-
-def test_ambiguity_scan_zero_window():
-    # far out in xi the two factors underflow against each other: the slice is exactly 0
-    scan = window_ambiguity_scan(make_generalized_gaussian(math.pi, 2.0), 0.5,
-                                 grid=np.linspace(50.0, 60.0, 11))
-    assert scan.min_magnitude == 0.0
-    assert scan.near_zero_fraction == 1.0
-
-
-@pytest.mark.parametrize("omega,grid", [(math.nan, None), (math.inf, None), (-math.inf, None),
-                                        (0.0, [-1.0, math.nan, 1.0]), (0.5, [-math.inf, 0.0, 1.0])])
-def test_ambiguity_scan_rejects_non_finite_input(omega, grid):
-    with pytest.raises(InvalidParameterError, match="must be finite"):
-        window_ambiguity_scan(make_generalized_gaussian(2.0, 1.5), omega, grid)
-
-
-def test_ambiguity_scan_honours_max_doublings():
-    # the graded panels absorb the |eta|^1.5 kinks, so the nodes are needed for
-    # the oscillation e^{2 pi i omega eta}: 64 nodes resolve it after four doublings
-    w = make_generalized_gaussian(2.0, 1.5)
-    grid = np.linspace(-3.0, 3.0, 13)
-    with pytest.raises(QuadratureConvergenceError, match="after 3 node doublings"):
-        window_ambiguity_scan(w, 15.0, grid, QuadratureConfig(nodes=64, max_doublings=3))
-    scan = window_ambiguity_scan(w, 15.0, grid, QuadratureConfig(nodes=64, max_doublings=4))
-    assert scan.min_magnitude > 0.0
-
-
-@pytest.mark.parametrize("m", [1.5, 2.0])
-def test_ambiguity_scan_modulated_window_against_quad(m):
-    # m = 2 takes the shared-rule path, m = 1.5 the kink panels
-    xi0, omega = 0.7, 0.3
-    w = make_modulated_generalized_gaussian(2.0, m, xi0)
-    grid = np.array([-1.9, 0.0, 0.45, 2.6])
-    scan = window_ambiguity_scan(w, omega, grid)
-
-    def integrand(eta, xi):
-        return (w.fourier_eval(-eta) * w.fourier_eval(xi - eta)
-                * complex(math.cos(2 * math.pi * omega * eta), math.sin(2 * math.pi * omega * eta)))
-
-    for xi, got in zip(grid, scan.magnitudes):
-        # split where the two factors have their |.|^m kinks
-        edges = sorted((-30.0, -xi0, xi - xi0, 30.0))
-        total = sum(complex(scipy_quad(lambda e: integrand(e, xi).real, lo, hi, epsabs=1e-14, limit=200)[0],
-                            scipy_quad(lambda e: integrand(e, xi).imag, lo, hi, epsabs=1e-14, limit=200)[0])
-                    for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
-        assert abs(got - abs(total)) < 1e-9 * scan.magnitudes.max()
-
-
-def _plain_reference(edges, nodes=2048, pieces=8):
-    """A composite plain rule: each panel between edges cut into equal pieces of `nodes` points."""
-    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
-    cuts = (lo + (hi - lo) * np.linspace(0.0, 1.0, pieces + 1))[..., 1:]
-    return panel_nodes(np.concatenate([edges[..., :1], cuts.reshape(cuts.shape[:-2] + (-1,))], axis=-1), nodes)
-
-
-@pytest.mark.parametrize("omega", [0.0, 1.3])
-def test_ambiguity_scan_graded_panels_against_a_fine_plain_rule(omega):
-    w = make_generalized_gaussian(2.0, 1.5)
-    grid = np.linspace(-3.0, 3.0, 13)
-    got = window_ambiguity_scan(w, omega, grid).magnitudes
-    radius = decay_truncation_radius(2.0, 1.5) + 3.0
-    kinks = np.sort(np.stack([np.zeros(grid.size), grid], axis=1), axis=1)
-    edges = np.concatenate([np.full((grid.size, 1), -radius), kinks, np.full((grid.size, 1), radius)], axis=1)
-    # 24 plain pieces of 2048 nodes per column, the kinks on piece edges
-    eta, wt = _plain_reference(edges)
-    vals = w.fourier_eval(-eta) * w.fourier_eval(grid[:, None] - eta) * np.exp((2j * math.pi * omega) * eta)
-    want = np.abs(np.einsum("ij,ij->i", vals, wt))
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-
-
 # ------------------------------------------------ the cosine-transform path
 
 @pytest.mark.parametrize("m, xi0", [(1.1, None), (1.2, None), (1.5, None), (2.0, None), (3.0, None),
@@ -223,7 +135,7 @@ def test_graded_window_against_a_fine_plain_rule(m, xi0):
     ts = np.linspace(-8.0, 8.0, 33)
     got = time_window_values(window, ts)
     # 32 plain pieces of 2048 nodes, 65536 in all, the kink on the first piece's edge
-    xi, wt = _plain_reference(np.array([0.0, decay_truncation_radius(2.0, m)]), pieces=32)
+    xi, wt = panel_nodes(decay_truncation_radius(2.0, m) * np.linspace(0.0, 1.0, 33), 2048)
     want = np.cos((2.0 * math.pi) * ts[:, None] * xi) @ (2.0 * np.exp(-2.0 * xi**m) * wt)
     if xi0 is not None:
         want = want * np.exp((2j * math.pi * xi0) * ts)
