@@ -1,11 +1,11 @@
 """Growth analysis for entire functions arising as Fourier transforms.
 
 Closed-form Taylor coefficients of a window's entire extension (from the
-Gamma-function absolute moments), order/type estimation from coefficient
-decay and the predicted growth of a decay profile, Jensen circle means and
-zero-count bounds, and Weierstrass canonical products over finitely many
-positive zeros with banded evaluation, including the symmetric
-counterexample F(z) = V(z^2). The counterexample functions evaluate F in z
+Gamma-function absolute moments of its even profile), order/type
+estimation from coefficient decay and the predicted growth of a decay
+profile, Jensen circle means and zero-count bounds, and Weierstrass
+canonical products over finitely many positive zeros with banded
+evaluation, including the symmetric counterexample F(z) = V(z^2). The counterexample functions evaluate F in z
 itself, as the product of G((z / lambda_k)^2; p) over the sequence, so they
 neither form nor check the squares lambda_k^2; F vanishes exactly at every
 +-lambda_k, which are distinct whenever the lambda_k are. They check that
@@ -44,7 +44,6 @@ from .windows import WindowModel
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _LOG_FLOAT_MIN = math.log(np.finfo(float).tiny)
-_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -120,39 +119,23 @@ def moment_integral(n: int, a: float, m: float) -> float:
 def taylor_coefficients(window: WindowModel, n_terms: int) -> TaylorSeries:
     """Coefficients of F(z) = int ghat(xi) e^{2 pi i xi z} d xi about z = 0, in closed form.
 
-    For ghat = C exp(-a |xi - xi0|^m), substituting xi = u + xi0 gives
-    c_n = (2 pi i)^n / n! C sum_{k even} binom(n, k) xi0^(n-k) M_k with M_k the
-    absolute moment (moment_integral); the odd moments of u vanish. At
-    xi0 = 0 only k = n is left, so odd coefficients are exact zeros (the
-    order/type estimators rely on that). Otherwise every term carries the
-    sign of xi0^n and the sum is taken by log-sum-exp. Magnitudes are built
-    in the log domain, so large n_terms cannot overflow intermediates; a
-    coefficient that leaves the range of normal floats raises
-    EvaluationOverflowError instead of turning into 0 or inf.
+    For ghat = exp(-a |xi|^m) the odd moments vanish, so odd coefficients
+    are exact zeros (the order/type estimators rely on that), and the even
+    ones are c_n = (-1)^(n/2) (2 pi)^n / n! M_n with M_n the absolute moment
+    (moment_integral). Magnitudes are built in the log domain, so large
+    n_terms cannot overflow intermediates; a coefficient that leaves the
+    range of normal floats raises EvaluationOverflowError instead of turning
+    into 0 or inf.
     """
     _require(isinstance(window, WindowModel), "taylor_coefficients needs a WindowModel")
     _require(n_terms >= 2, f"need n_terms >= 2, got {n_terms}")
-    a, m, xi0 = window.a, window.m, window.center
-    log_fact = np.array([math.lgamma(n + 1) for n in range(n_terms + 1)])
-    log_mom = np.array([_log_moment(k, a, m) for k in range(0, n_terms + 1, 2)])
-    log_front = math.log(window.amplitude)
     coeffs = np.zeros(n_terms + 1, dtype=complex)
-    for n in range(n_terms + 1):
-        if xi0 == 0.0:
-            if n % 2:
-                continue
-            log_c = n * math.log(2.0 * math.pi) - log_fact[n] + log_front + log_mom[n // 2]
-        else:
-            k = np.arange(0, n + 1, 2)
-            # log of binom(n, k) |xi0|^(n-k) M_k / n!, so n! cancels against the prefactor
-            terms = log_mom[:k.size] + (n - k) * math.log(abs(xi0)) - log_fact[k] - log_fact[n - k]
-            top = float(terms.max())
-            log_c = n * math.log(2.0 * math.pi) + log_front + top + math.log(np.exp(terms - top).sum())
+    for n in range(0, n_terms + 1, 2):
+        log_c = n * math.log(2.0 * math.pi) - math.lgamma(n + 1) + _log_moment(n, window.a, window.m)
         if not _LOG_FLOAT_MIN <= log_c <= _LOG_FLOAT_MAX:
             raise EvaluationOverflowError(f"Taylor coefficient c_{n} has log magnitude {log_c:.1f}, "
                                           "outside the range of normal floats")
-        # the phase is i^n, times sign(xi0)^n; (-i)^n = i^(-n)
-        coeffs[n] = _I_POWERS[(n if xi0 >= 0 else -n) % 4] * math.exp(log_c)
+        coeffs[n] = (-1) ** (n // 2) * math.exp(log_c)
     return TaylorSeries(coeffs)
 
 

@@ -14,8 +14,8 @@ t in [0, 8] is within 2e-14 of max|g| from 512 graded nodes at m = 1.1,
 1.2, 1.5 and 3; 512 plain nodes give 1.5e-10 at m = 1.1.
 Every quadrature in the package is checked by one routine, refine: it
 doubles the nodes until two successive levels agree to tol against the
-finer level's scale, at most max_doublings times, so the worst case is
-nodes * 2**max_doublings points per half, 4096 at the defaults.
+finer level's scale, at most _MAX_DOUBLINGS = 4 times, so the worst case is
+nodes * 16 points per half, 4096 at the defaults.
 
 An n-point Gauss-Legendre rule is built once per process by Newton's method,
 with P_n and P_n' from the three-term recurrence vectorised over the nodes.
@@ -42,6 +42,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, QuadratureConvergenceError
 
+_MAX_DOUBLINGS = 4
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -50,16 +52,16 @@ class QuadratureConfig:
     radius None means the truncation radius is chosen at the call site from
     the integrand's decay parameters. nodes counts Gauss-Legendre points per
     half-interval or panel; doubling stops once successive results agree to
-    tol relative to the result's scale. The default starts at 256 nodes, which
-    suffices for the smooth integrands and, with graded panels, for the
-    |xi|^m kinks; the ceiling is 256 * 2**4 = 4096 nodes per half, and a case
-    that needs more raises QuadratureConvergenceError.
+    tol relative to the result's scale, at most _MAX_DOUBLINGS times. The
+    default starts at 256 nodes, which suffices for the smooth integrands
+    and, with graded panels, for the |xi|^m kinks; the ceiling is
+    256 * 2**4 = 4096 nodes per half, and a case that needs more raises
+    QuadratureConvergenceError.
     """
 
     radius: float | None = None
     nodes: int = 256
     tol: float = 1e-10
-    max_doublings: int = 4
 
     def __post_init__(self) -> None:
         if self.radius is not None and not (0 < self.radius < math.inf):
@@ -68,8 +70,6 @@ class QuadratureConfig:
             raise InvalidParameterError(f"quadrature needs at least 64 nodes, got {self.nodes}")
         if not (0 < self.tol < 1):
             raise InvalidParameterError(f"quadrature tol must lie in (0, 1), got {self.tol}")
-        if self.max_doublings < 1:
-            raise InvalidParameterError("max_doublings must be at least 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -137,29 +137,24 @@ def line_nodes(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on the panels between consecutive edges, `nodes` points per panel.
 
-    edges has shape (..., P + 1) with nondecreasing rows; both outputs have
-    shape (..., P * nodes), and a panel of zero length gets zero weights.
+    edges is a nondecreasing 1-D array of P + 1 edges; both outputs have
+    P * nodes entries.
     """
     x, w = _legendre_rule(nodes)
-    lo, half = edges[..., :-1, None], 0.5 * np.diff(edges, axis=-1)[..., None]
-    shape = edges.shape[:-1] + (-1,)
-    return (lo + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-def graded_nodes(kinks, ends, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on the panels from each kink to its end, graded toward the kink.
+def graded_nodes(kink: float, end: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on the panel from kink to end, graded toward the kink.
 
     y in [0, 1] maps to kink + (end - kink) * y^2 with weight 2 |end - kink| y,
     so a d^m kink at the panel's kink edge enters the rule as y^(2m + 1).
-    kinks and ends broadcast to shape (..., P); both outputs have shape
-    (..., P * nodes), and a panel of zero length gets zero weights.
     """
     x, w = _legendre_rule(nodes)
     y = 0.5 * (x + 1.0)
-    kinks = np.asarray(kinks, dtype=float)[..., None]
-    span = np.asarray(ends, dtype=float)[..., None] - kinks
-    shape = np.broadcast_shapes(kinks.shape, span.shape)[:-2] + (-1,)
-    return (kinks + span * (y * y)).reshape(shape), (np.abs(span) * (w * y)).reshape(shape)
+    span = end - kink
+    return kink + span * (y * y), abs(span) * (w * y)
 
 
 def refine(level, cfg: QuadratureConfig, what: str):
@@ -167,11 +162,11 @@ def refine(level, cfg: QuadratureConfig, what: str):
 
     Returns the finer level's values once the largest change between two
     successive levels is at most cfg.tol times that level's scale; raises
-    QuadratureConvergenceError after cfg.max_doublings doublings.
+    QuadratureConvergenceError after _MAX_DOUBLINGS doublings.
     """
     nodes = cfg.nodes
     prev, _ = level(nodes)
-    for _ in range(cfg.max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         nodes *= 2
         cur, scale = level(nodes)
         change = np.abs(cur - prev).ravel()
@@ -180,26 +175,24 @@ def refine(level, cfg: QuadratureConfig, what: str):
             return cur
         prev = cur
     raise QuadratureConvergenceError(
-        f"{what} did not stabilize after {cfg.max_doublings} node doublings (change "
+        f"{what} did not stabilize after {_MAX_DOUBLINGS} node doublings (change "
         f"{change[worst]:.3e}, scale {scale:.3e}, worst index {worst}, nodes {nodes})"
     )
 
 
-def decay_truncation_radius(a: float, m: float, log_scale: float = 0.0,
-                            linear: float = 0.0) -> float:
-    """Smallest R (within ~30%) with a*R^m - linear*R >= log_scale + 45.
+def decay_truncation_radius(a: float, m: float, linear: float = 0.0) -> float:
+    """Smallest R (within ~30%) with a*R^m - linear*R >= 45.
 
-    Truncation radius for integrands bounded by
-    exp(log_scale) * exp(-a|x|^m + linear|x|), so the cut-off tail is below
-    e^-45 of the scale. The super-exponential term must dominate eventually,
-    i.e. m > 1 whenever linear > 0.
+    Truncation radius for integrands bounded by exp(-a|x|^m + linear|x|),
+    so the cut-off tail is below e^-45. The super-exponential term must
+    dominate eventually, i.e. m > 1 whenever linear > 0.
     """
     if not (a > 0) or not (m >= 1):
         raise InvalidParameterError("decay radius needs a > 0 and m >= 1")
     if linear > 0 and m <= 1:
         raise InvalidParameterError("a linear growth term requires decay exponent m > 1")
-    target = log_scale + 45.0
-    r = max(1.0, (max(target, 1.0) / a) ** (1.0 / m))
+    target = 45.0
+    r = max(1.0, (target / a) ** (1.0 / m))
     if linear > 0:
         # past the turning point the decay term grows faster than the linear one
         r = max(r, (2.0 * linear / (a * m)) ** (1.0 / (m - 1.0)))

@@ -180,7 +180,7 @@ def resample_bandlimited(signal: GridSignal, new_times) -> np.ndarray:
 
 def window_l2_norm(window: WindowModel) -> float:
     """L2 norm of the window, via its Fourier side (Plancherel)."""
-    return window.amplitude * math.sqrt(moment_integral(0, 2.0 * window.a, window.m))
+    return math.sqrt(moment_integral(0, 2.0 * window.a, window.m))
 
 
 def _window_values(window: WindowModel, targets, quad: QuadratureConfig) -> np.ndarray:
