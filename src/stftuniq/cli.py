@@ -211,9 +211,8 @@ def _run_classify(ns, meta):
 
 
 def _run_discriminate(ns, meta):
-    quad = QuadratureConfig(radius=ns.quad_radius, nodes=ns.quad_nodes, tol=ns.quad_tol)
-    meta.update({"quad_nodes": quad.nodes, "quad_radius": "auto" if quad.radius is None else quad.radius,
-                 "quad_tol": quad.tol})
+    quad = QuadratureConfig(nodes=ns.quad_nodes, tol=ns.quad_tol)
+    meta.update({"quad_nodes": quad.nodes, "quad_tol": quad.tol})
     bounds = max_tau_bounds(ns.m, ns.a)
     tau1 = ns.tau1 if ns.tau1 is not None else 0.9 * bounds.tau1_max
     tau2 = ns.tau2 if ns.tau2 is not None else 0.9 * bounds.tau2_max
@@ -306,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=200)
 
     p = add("discriminate", "compare two signals through spectrogram samples", "json")
-    p.add_argument("--quad-radius", type=float, default=None, dest="quad_radius",
-                   help="override the automatic truncation radius")
     p.add_argument("--quad-nodes", type=int, default=DEFAULT_QUADRATURE.nodes, dest="quad_nodes",
                    help="quadrature nodes per half interval")
     p.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.tol, dest="quad_tol",

@@ -332,10 +332,11 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
             u = vs[i:i + step, None] / near[k:k + _CHUNK]
             if q != 1:
                 u **= q
-            term = np.log(1.0 - u)
-            for j in range(1, p + 1):
-                term = term + u**j / j
-            out[i:i + step] += term.sum(axis=1)
+            # the genus terms sum u^j / j for j = 1..p by Horner's rule
+            poly = 0.0
+            for j in range(p, 0, -1):
+                poly = (poly + 1.0 / j) * u
+            out[i:i + step] += (np.log(1.0 - u) + poly).sum(axis=1)
 
     # sums T_j = sum (vmax / zeta_k)^(q j) over the far zeros, all below 1 per
     # term, so no power leaves the float range; they are consumed as
@@ -492,6 +493,10 @@ def _growth_fit(lambdas, rho: float, radii, n_theta: int, b: float | None):
                           stacklevel=_caller_stacklevel())
     if tail.high / tail.low > 1.05:
         warnings.warn("sequence is not close to a power law; the growth fit is heuristic",
+                      RuntimeWarning, stacklevel=_caller_stacklevel())
+    if radii.max() > 0.5 * lam[-1]:
+        warnings.warn(f"fit radius {radii.max():g} passes half the last sequence term "
+                      f"{lam[-1]:.6g}; the missing terms' zeros would change the fit",
                       RuntimeWarning, stacklevel=_caller_stacklevel())
     basis = np.stack([radii**rho, np.ones_like(radii)], axis=1)
     beta, *_ = np.linalg.lstsq(basis, log_max, rcond=None)

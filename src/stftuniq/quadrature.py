@@ -49,23 +49,20 @@ _MAX_DOUBLINGS = 4
 class QuadratureConfig:
     """Settings for truncated-interval quadrature.
 
-    radius None means the truncation radius is chosen at the call site from
-    the integrand's decay parameters. nodes counts Gauss-Legendre points per
-    half-interval or panel; doubling stops once successive results agree to
-    tol relative to the result's scale, at most _MAX_DOUBLINGS times. The
+    Every truncation radius follows from the integrand's own decay, so it is
+    no setting. nodes counts Gauss-Legendre points per half-interval or
+    panel; doubling stops once successive results agree to tol relative to
+    the result's scale, at most _MAX_DOUBLINGS times. The
     default starts at 256 nodes, which suffices for the smooth integrands
     and, with graded panels, for the |xi|^m kinks; the ceiling is
     256 * 2**4 = 4096 nodes per half, and a case that needs more raises
     QuadratureConvergenceError.
     """
 
-    radius: float | None = None
     nodes: int = 256
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.radius is not None and not (0 < self.radius < math.inf):
-            raise InvalidParameterError(f"quadrature radius must be positive and finite, got {self.radius}")
         if self.nodes < 64:
             raise InvalidParameterError(f"quadrature needs at least 64 nodes, got {self.nodes}")
         if not (0 < self.tol < 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -71,33 +71,46 @@ def max_tau_bounds(m: float, a: float) -> TauBounds:
 
 @dataclass(frozen=True)
 class SamplingSet:
-    """Ordered four-quadrant sampling set with its construction parameters.
+    """Ordered four-quadrant sampling set, given by its five construction parameters.
 
     Points are (sign_x tau1 n^{(m-1)/m}, sign_omega tau2 n^{1/m}) for
     n = 1..count, quadrant-major within each n in the order
     (+,+), (+,-), (-,+), (-,-); the optional origin row comes first with
-    n = 0.
+    n = 0. The columns are computed from the parameters, so they cannot
+    disagree with them, and two sets are equal when their parameters are.
     """
 
     m: float
     tau1: float
     tau2: float
     count: int
-    includes_origin: bool
-    n_index: np.ndarray
-    sign_x: np.ndarray
-    sign_omega: np.ndarray
-    x: np.ndarray
-    omega: np.ndarray
+    includes_origin: bool = False
+    n_index: np.ndarray = field(init=False, compare=False, repr=False)
+    sign_x: np.ndarray = field(init=False, compare=False, repr=False)
+    sign_omega: np.ndarray = field(init=False, compare=False, repr=False)
+    x: np.ndarray = field(init=False, compare=False, repr=False)
+    omega: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, dtype in (("n_index", int), ("sign_x", int), ("sign_omega", int),
-                            ("x", float), ("omega", float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        expected = 4 * self.count + (1 if self.includes_origin else 0)
-        for name in ("n_index", "sign_x", "sign_omega", "x", "omega"):
-            if getattr(self, name).shape != (expected,):
-                raise InvalidParameterError(f"column {name} must have {expected} rows")
+        if not (isinstance(self.count, (int, np.integer)) and self.count >= 1):
+            raise InvalidParameterError(f"count must be an integer >= 1, got {self.count!r}")
+        for name, tau in (("tau1", self.tau1), ("tau2", self.tau2)):
+            if not (tau > 0 and math.isfinite(tau)):
+                raise InvalidParameterError(f"{name} must be a finite positive real, got {tau}")
+        if not (isinstance(self.m, (int, float)) and math.isfinite(self.m) and self.m > 1):
+            raise InvalidParameterError(f"decay exponent m must be a finite real > 1, got {self.m!r}")
+        n = np.arange(1, self.count + 1, dtype=float)
+        xmag = self.tau1 * n ** ((self.m - 1.0) / self.m)
+        wmag = self.tau2 * n ** (1.0 / self.m)
+        sx = np.tile([q[0] for q in _QUADRANT_SIGNS], self.count)
+        sw = np.tile([q[1] for q in _QUADRANT_SIGNS], self.count)
+        cols = [np.repeat(np.arange(1, self.count + 1), 4), sx, sw,
+                sx * np.repeat(xmag, 4), sw * np.repeat(wmag, 4)]
+        if self.includes_origin:
+            cols = [np.concatenate([[first], col]) for first, col in zip((0, 1, 1, 0.0, 0.0), cols)]
+        params = (float(self.m), float(self.tau1), float(self.tau2), int(self.count), bool(self.includes_origin))
+        for f, value in zip(fields(self), (*params, *cols)):
+            object.__setattr__(self, f.name, value)
 
     def __len__(self) -> int:
         return int(self.n_index.size)
@@ -110,42 +123,28 @@ class SamplingSet:
     def to_csv(self, dest=None, extra_meta: dict | None = None):
         """Serialize as commented-header CSV; returns the text when dest is None.
 
-        Construction parameters ride along as `# key=value` comment lines so
-        the set round-trips without sidecar files; extra_meta entries are
-        merged in (sorted by key, floats at full precision).
+        The five construction parameters ride along as `# key=value` lines so
+        the set round-trips without sidecar files; extra_meta entries join
+        them (sorted by key, floats at full precision) but never replace one.
         """
-        meta = {
-            "m": self.m,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "count": self.count,
-            "includes_origin": self.includes_origin,
-        }
+        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         rows = (f"{n},{sx},{sw},{x:.17g},{om:.17g}"
                 for n, sx, sw, x, om in zip(self.n_index, self.sign_x, self.sign_omega, self.x, self.omega))
-        return _write_csv(dest, {**meta, **(extra_meta or {})}, _SET_HEADER, rows)
+        return _write_csv(dest, {**(extra_meta or {}), **meta}, _SET_HEADER, rows)
 
     @classmethod
     def from_csv(cls, src) -> "SamplingSet":
-        """Rebuild a set from to_csv output (path, file object, or text)."""
+        """The set that to_csv output (path, file object, or text) names; rows that differ raise."""
         meta, rows = _read_csv(src, _SET_HEADER, "sampling-set")
         for key in ("m", "tau1", "tau2", "count", "includes_origin"):
             if key not in meta:
                 raise InvalidParameterError(f"sampling-set CSV lacks the {key} metadata comment")
-        n_index, sign_x, sign_omega = ([int(r[i]) for r in rows] for i in range(3))
-        x, omega = ([float(r[i]) for r in rows] for i in (3, 4))
-        return cls(
-            m=float(meta["m"]),
-            tau1=float(meta["tau1"]),
-            tau2=float(meta["tau2"]),
-            count=int(meta["count"]),
-            includes_origin=meta["includes_origin"] == "True",
-            n_index=n_index,
-            sign_x=sign_x,
-            sign_omega=sign_omega,
-            x=x,
-            omega=omega,
-        )
+        lam = cls(float(meta["m"]), float(meta["tau1"]), float(meta["tau2"]), int(meta["count"]),
+                  meta["includes_origin"] == "True")
+        want = np.stack([lam.n_index, lam.sign_x, lam.sign_omega, lam.x, lam.omega], axis=1)
+        if not np.array_equal(np.array([[float(v) for v in r] for r in rows]), want):
+            raise InvalidParameterError("sampling-set CSV rows differ from the set its metadata describes")
+        return lam
 
 
 def _write_csv(dest, meta: dict, header: str, rows):
@@ -207,12 +206,6 @@ def generate_sampling_set(m: float, tau1: float, tau2: float, count: int,
     against max_tau_bounds and rejected at or above them; without it the set
     is built as asked but flagged as unvalidated.
     """
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
-        raise InvalidParameterError(f"count must be an integer >= 1, got {count!r}")
-    if not (tau1 > 0 and math.isfinite(tau1)):
-        raise InvalidParameterError(f"tau1 must be a finite positive real, got {tau1}")
-    if not (tau2 > 0 and math.isfinite(tau2)):
-        raise InvalidParameterError(f"tau2 must be a finite positive real, got {tau2}")
     if a is not None:
         bounds = max_tau_bounds(m, a)
         if tau1 >= bounds.tau1_max:
@@ -221,28 +214,11 @@ def generate_sampling_set(m: float, tau1: float, tau2: float, count: int,
         if tau2 >= bounds.tau2_max:
             raise InvalidParameterError(
                 f"tau2 = {tau2} is not strictly below the admissible bound {bounds.tau2_max}")
-    else:
-        if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 1):
-            raise InvalidParameterError(f"decay exponent m must be a finite real > 1, got {m!r}")
+    lam = SamplingSet(m, tau1, tau2, count, include_origin)
+    if a is None:
         warnings.warn("no decay rate supplied; step scales were not validated against the bounds",
                       UserWarning, stacklevel=_caller_stacklevel())
-    n = np.arange(1, count + 1, dtype=float)
-    xmag = tau1 * n ** ((m - 1.0) / m)
-    wmag = tau2 * n ** (1.0 / m)
-    n_col = np.repeat(np.arange(1, count + 1), 4)
-    sx = np.tile([q[0] for q in _QUADRANT_SIGNS], count)
-    sw = np.tile([q[1] for q in _QUADRANT_SIGNS], count)
-    x = sx * np.repeat(xmag, 4)
-    omega = sw * np.repeat(wmag, 4)
-    if include_origin:
-        n_col = np.concatenate([[0], n_col])
-        sx = np.concatenate([[1], sx])
-        sw = np.concatenate([[1], sw])
-        x = np.concatenate([[0.0], x])
-        omega = np.concatenate([[0.0], omega])
-    return SamplingSet(m=float(m), tau1=float(tau1), tau2=float(tau2), count=int(count),
-                       includes_origin=bool(include_origin), n_index=n_col,
-                       sign_x=sx, sign_omega=sw, x=x, omega=omega)
+    return lam
 
 
 def _check_threshold_params(rho: float, b: float) -> None:

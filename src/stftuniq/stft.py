@@ -74,8 +74,11 @@ class ClosedFormSignal:
         object.__setattr__(self, "amplitude", amplitude)
 
     def evaluate(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        u = (t - self.center) / self.width
+        return self._centred(np.asarray(t, dtype=float) - self.center)
+
+    def _centred(self, s: np.ndarray) -> np.ndarray:
+        """The signal at the times c + s, from the offsets s alone."""
+        u = s / self.width
         if self.family is SignalFamily.GAUSSIAN:
             return self.amplitude * np.exp(-math.pi * u * u).astype(complex)
         if self.family is SignalFamily.HERMITE:
@@ -84,8 +87,7 @@ class ClosedFormSignal:
             for j in range(self.hermite_index):
                 prev, vals = vals, math.sqrt(2.0 / (j + 1)) * u * vals - math.sqrt(j / (j + 1)) * prev
             return self.amplitude * vals.astype(complex) / math.sqrt(self.width)
-        shift = t - self.center
-        phase = (2.0 * math.pi) * (self.chirp_start * shift + 0.5 * self.chirp_rate * shift * shift)
+        phase = (2.0 * math.pi) * (self.chirp_start * s + 0.5 * self.chirp_rate * s * s)
         return self.amplitude * np.exp(-math.pi * u * u + 1j * phase)
 
     def norm(self) -> float:
@@ -100,13 +102,15 @@ class ClosedFormSignal:
         w2 = self.width * self.width
         return (0.5 if self.family is SignalFamily.HERMITE else math.pi) / w2 if w2 > 0 else math.inf
 
-    def support_radius(self, linear: float = 0.0) -> float:
-        """Radius beyond which |f(t)| e^{linear |t|} is negligible (~e^-43)."""
+    def _half_width(self, linear: float) -> float:
+        """Offset x from the centre beyond which |f(c + s)| e^{linear |s|} is negligible (~e^-43)."""
         alpha = self._envelope_rate()
-        index_tail = 3.0 * self.hermite_index if self.family is SignalFamily.HERMITE else 0.0
-        tail = _TAIL_LOG + index_tail + linear * abs(self.center)
-        x = (linear + math.sqrt(linear * linear + 4.0 * alpha * tail)) / (2.0 * alpha)
-        return abs(self.center) + x
+        tail = _TAIL_LOG + (3.0 * self.hermite_index if self.family is SignalFamily.HERMITE else 0.0)
+        return (linear + math.sqrt(linear * linear + 4.0 * alpha * tail)) / (2.0 * alpha)
+
+    def support_radius(self) -> float:
+        """Radius beyond which |f(t)| is negligible (~e^-43)."""
+        return abs(self.center) + self._half_width(0.0)
 
 
 @dataclass(frozen=True)
@@ -201,14 +205,16 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
     absolute integrand mass over the pairs: off the real axes the
     integrand is amplified super-exponentially and cancels back down, so
     a result's own magnitude can sit below the reachable roundoff floor.
-    A grid signal
-    is integrated once, by the trapezoid rule on its own samples; it cannot
-    widen its own grid, so an integrand above 1e-10 of the scale at a grid
-    edge only warns. A closed-form signal is refined, against the scale, on
-    [c - x, c + x] around its centre c, where x (quad.radius when given)
-    covers the e^{2 pi |Im z'| |t|} growth.
+    A grid signal is integrated once, by the trapezoid rule on its own
+    samples; it cannot widen its own grid, so an integrand above 1e-10 of
+    the scale at a grid edge only warns. A closed-form signal is refined,
+    against the scale, in centred time s = t - c on [-x, x], x its
+    half-width for the e^{2 pi |Im z'| |s|} growth: the shift becomes
+    conj(z) - c and the result gains e^{2 pi i z' c} (Groechenig 2001,
+    sec. 3.1), so a far centre c loses no digits to rounding c + s.
     """
-    zs, at_shift = np.unique(np.conj(shifts), return_inverse=True)
+    c = 0.0 if isinstance(f, GridSignal) else f.center
+    zs, at_shift = np.unique(np.conj(shifts) - c, return_inverse=True)
     ws, at_freq = np.unique(freqs, return_inverse=True)
     order = np.argsort(at_shift, kind="stable")
 
@@ -244,15 +250,18 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
                           "the transform is truncated by the signal grid", RuntimeWarning,
                           stacklevel=_caller_stacklevel())
         return out
-    linear = 2.0 * math.pi * float(np.max(np.abs(ws.imag)))
-    half = quad.radius if quad.radius is not None else f.support_radius(linear) - abs(f.center)
+    half = f._half_width(2.0 * math.pi * float(np.max(np.abs(ws.imag))))
 
     def refined(nodes: int):
-        t, wts = line_nodes(half, nodes)
-        t = t + f.center
-        return level(t, wts, f.evaluate(t))[:2]
+        s, wts = line_nodes(half, nodes)
+        return level(s, wts, f._centred(s))[:2]
 
-    return refine(refined, quad, what)
+    out = refine(refined, quad, what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = out * np.exp((2j * math.pi * c) * ws[at_freq])
+    if not np.all(np.isfinite(out)):
+        raise EvaluationOverflowError(f"{what}: e^(2 pi i z' c) at centre c = {c:g} leaves the float range")
+    return out
 
 
 def stft_eval(f: Signal, window: WindowModel, x: float, omega: float,
@@ -310,8 +319,7 @@ def spectrogram_on_set(f: Signal, window: WindowModel, points,
     """|V_g f| on a SamplingSet (or raw (n, 2) array), in set order."""
     pts = _point_array(points)
     vals = _transform(f, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature")
-    radius = "auto" if quad.radius is None else f"{quad.radius:g}"
-    qid = f"gauss-legendre(radius={radius},nodes={quad.nodes},tol={quad.tol:g})"
+    qid = f"gauss-legendre(nodes={quad.nodes},tol={quad.tol:g})"
     return SpectrogramSamples(points=pts, magnitudes=np.abs(vals), quad_config_id=qid)
 
 

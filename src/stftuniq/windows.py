@@ -89,10 +89,10 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     the cosine transform g(t) = 2 int_0^R p(xi) cos(2 pi xi t) dxi on the
     half line. The |xi|^m kink sits at the panel edge 0, and the panel is
     graded toward it (for every m: at even m, where there is no kink, the
-    graded and plain rules agree to 3e-15 from 256 nodes). A given
-    quad.radius is the half-width R of the profile. Real times give real
-    values; complex times (the radius then accounts for the exponential
-    growth of the cosine) give complex values. All entries share one node
+    graded and plain rules agree to 3e-15 from 256 nodes). The half-width R
+    is the profile's own truncation radius, widened for complex times to
+    cover the e^{2 pi |Im t| xi} growth of the cosine. Real times give real
+    values; complex times give complex values. All entries share one node
     grid. As in every quadrature of the package, the nodes double (worst
     case quad.nodes * 16 points) until two successive levels agree to
     quad.tol against the finer level's largest |g(t)|, since pointwise
@@ -100,11 +100,8 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     """
     ts = _time_array(ts)
     flat = ts.ravel()
-    radius = quad.radius
-    if radius is None:
-        # the profile's truncation radius, for times up to im_max off the axis
-        im_max = float(np.max(np.abs(flat.imag), initial=0.0)) if np.iscomplexobj(flat) else 0.0
-        radius = decay_truncation_radius(window.a, window.m, linear=2.0 * math.pi * im_max)
+    im_max = float(np.max(np.abs(flat.imag), initial=0.0)) if np.iscomplexobj(flat) else 0.0
+    radius = decay_truncation_radius(window.a, window.m, linear=2.0 * math.pi * im_max)
     arg = (2.0 * math.pi) * flat
 
     def level(nodes: int):

@@ -259,7 +259,7 @@ def test_discriminate_equivalent(capsys):
                            "--n", "12")
     assert code == 0
     doc = json.loads(out)
-    assert doc["meta"]["quad_radius"] == "auto"
+    assert "quad_radius" not in doc["meta"]
     assert doc["meta"]["quad_nodes"] == DEFAULT_QUADRATURE.nodes
     assert doc["meta"]["quad_tol"] == DEFAULT_QUADRATURE.tol
     res = doc["result"]

@@ -298,6 +298,25 @@ def _direct_log(zeros, genus, w):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+def _near_mp_log(zeros, genus, w, q):
+    """Complex log of prod_k G((w / zeta_k)^q; p) with the near factors, |w| / zeta_k >= 1/2.2, at 30 digits.
+
+    Those factors are formed from the exact inputs, so no rounding of u = (w / zeta_k)^q is
+    raised to the power p; _direct_log takes the others.
+    """
+    near = np.abs(w) / zeros >= 1.0 / 2.2
+    far = zeros[~near]
+    rest = _direct_log(far, genus, w) if q == 1 else _direct_log(far * far, genus, w * w)
+    with mpmath.workdps(30):
+        # coefficients 1/p, ..., 1/2, 1, 0 of sum_{j=1..p} u^j / j, highest degree first
+        coeffs = [mpmath.mpf(1) / j for j in range(genus, 0, -1)] + [0]
+        total = mpmath.mpc(rest)
+        for zeta in zeros[near]:
+            u = (mpmath.mpc(w) / zeta) ** q
+            total += mpmath.log(1 - u) + mpmath.polyval(coeffs, u)
+    return complex(total)
+
+
 def test_product_banded_matches_direct():
     zeros = np.arange(1, 100001, dtype=float) ** 2
     prod = CanonicalProduct(zeros=zeros, genus=0)
@@ -390,6 +409,19 @@ def test_counterexample_irregular_sequence_warning():
         counterexample_growth_coefficient(lam, 2.0, (2.0, 3.0), n_theta=16, b=math.pi)
     assert "keep increasing" in str(density_record[0].message)
     assert [r.filename for r in [*record, *density_record]] == [__file__] * 3
+
+
+def test_counterexample_radii_past_the_sequence_warn():
+    # lambda_K = 11 at 1000 terms: the radius 16 passes 5.5, and the fit reads 1.67 against 2.36
+    lam = 1.1 * np.arange(1, 1001, dtype=float) ** (1.0 / 3.0)
+    with pytest.warns(RuntimeWarning, match="fit radius 16 passes half the last sequence term 11") as record:
+        counterexample_growth_coefficient(lam, 3.0)
+    assert record[-1].filename == __file__
+    # at 100000 terms lambda_K = 51 and the same radii stay inside
+    lam = 1.1 * np.arange(1, 100001, dtype=float) ** (1.0 / 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counterexample_growth_coefficient(lam, 3.0, b=math.pi)
 
 
 @pytest.mark.parametrize("bad", [[1.0, -2.0, 3.0], [1.0, 2.0, math.nan, 4.0], [1.0, 3.0, 2.0],
@@ -614,7 +646,8 @@ def test_shortened_slices_match_direct(monkeypatch, slice_checks, genus, q):
     ends = [int(np.searchsorted(lam, e ** (1.0 / q) * 20.0, "right")) for e in entire._BAND_EDGES]
     assert any(n < 1000 and k + n not in ends for values, k, n in seen if values is lam)
     for v, g in zip(vs, got):
-        want = _direct_log(lam, genus, v) if q == 1 else _direct_log(lam * lam, genus, v * v)
+        # at genus 130 a float sum of u^j / j is itself off by up to 3.8e-14
+        want = _near_mp_log(lam, genus, v, q)
         assert abs(g - want) <= 2e-14 * max(abs(want), 1.0), (v, g, want)
 
 

@@ -131,6 +131,31 @@ def test_csv_missing_metadata_rejected():
         SamplingSet.from_csv(stripped + "\n")
 
 
+def test_csv_rows_must_match_the_metadata():
+    text = generate_sampling_set(2.0, 0.3, 0.3, 2, a=3.0).to_csv()
+    lines = text.splitlines()
+    n, sx, sw, _, om = lines[-1].split(",")
+    edited = "\n".join(lines[:-1] + [",".join([n, sx, sw, "99.0", om])]) + "\n"
+    with pytest.raises(InvalidParameterError, match="rows differ"):
+        SamplingSet.from_csv(edited)
+    with pytest.raises(InvalidParameterError, match="rows differ"):
+        SamplingSet.from_csv("\n".join(lines[:-1]) + "\n")
+    # the same float written another way is the same set
+    back = SamplingSet.from_csv(text.replace("# tau1=0.3", "# tau1=0.29999999999999999"))
+    assert back == SamplingSet(2.0, 0.3, 0.3, 2)
+    # extra metadata cannot rename the set it rides with
+    assert SamplingSet.from_csv(back.to_csv(extra_meta={"count": 3, "note": "x"})) == back
+
+
+@pytest.mark.parametrize("key, value", [("m", "0.5"), ("tau1", "-1.0")])
+def test_csv_metadata_is_validated(key, value):
+    text = generate_sampling_set(2.0, 0.3, 0.3, 2, a=3.0).to_csv()
+    bad = "\n".join(f"# {key}={value}" if line.startswith(f"# {key}=") else line
+                    for line in text.splitlines()) + "\n"
+    with pytest.raises(InvalidParameterError, match=key):
+        SamplingSet.from_csv(bad)
+
+
 def test_threshold_reference_values():
     assert math.isclose(uniqueness_threshold(2.0, math.pi), 0.34219828031221655, rel_tol=1e-13)
     assert math.isclose(uniqueness_threshold(3.0, 36.748179769244224),

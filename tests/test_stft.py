@@ -111,6 +111,24 @@ def test_width_needs_a_finite_envelope_rate_and_support_radius():
     assert math.isfinite(hermite_signal(2, width=1e-150).support_radius())
 
 
+@pytest.mark.parametrize("center", [1e6, 1e12, 1e17, 1e250])
+def test_far_centred_signal_keeps_its_transform(center):
+    # in centred time the window sits at x - c = 0 whatever c is, so |V| is the c = 0 value
+    window = make_generalized_gaussian(3.0, 2.0)
+    want = abs(stft_eval(gaussian_signal(1.0), window, 0.0, 0.7))
+    got = abs(stft_eval(gaussian_signal(1.0, center), window, center, 0.7))
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_far_centre_off_the_real_axis_overflows_with_a_typed_error():
+    # |V| carries e^(-2 pi Im(z') c) = e^(400 pi) here, beyond the float range
+    window = make_generalized_gaussian(3.0, 2.0)
+    with pytest.raises(EvaluationOverflowError, match="leaves the float range"):
+        extend_stft(gaussian_signal(1.0, 100.0), window, 100.2 + 0.1j, 0.5 - 2.0j)
+    # at Im(z') = +2 the same factor underflows, and the value is a plain 0
+    assert extend_stft(gaussian_signal(1.0, 100.0), window, 100.2 + 0.1j, 0.5 + 2.0j) == 0
+
+
 def test_amplitude_must_be_finite_with_a_finite_peak():
     for amp in (math.nan, math.inf, complex(1.0, math.nan), complex(1.5e308, 1.5e308)):
         with pytest.raises(InvalidParameterError, match="amplitude must be finite"):

@@ -81,10 +81,11 @@ def test_time_side_complex_argument():
 
 
 def test_time_side_radius_invariance():
+    # the derived truncation radius loses nothing a profile out to twice that radius keeps
     w = make_generalized_gaussian(2.0, 1.5)
     ts = np.array([0.0, 0.8, 1.6])
-    v1 = time_window_values(w, ts, QuadratureConfig(radius=10.0))
-    v2 = time_window_values(w, ts, QuadratureConfig(radius=20.0))
+    v1 = time_window_values(w, ts)
+    v2 = _full_line(w, ts, 2.0 * decay_truncation_radius(2.0, 1.5), 2048).real
     assert np.max(np.abs(v1 - v2)) / np.max(np.abs(v1)) < 1e-10
 
 
@@ -127,8 +128,9 @@ def test_cosine_transform_matches_the_full_line_sum(m, im):
     if not im:
         ts = ts.real
     # a tolerance no change exceeds returns the level at 2 * 256 nodes after one doubling
-    got = time_window_values(window, ts, QuadratureConfig(radius=12.0, nodes=256, tol=0.5))
-    want = _full_line(window, ts, 12.0, 512)
+    got = time_window_values(window, ts, QuadratureConfig(nodes=256, tol=0.5))
+    radius = decay_truncation_radius(2.0, m, linear=2.0 * math.pi * np.max(np.abs(np.imag(ts))))
+    want = _full_line(window, ts, radius, 512)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
