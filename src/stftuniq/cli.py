@@ -4,7 +4,8 @@ One subcommand per workflow: window step bounds, sampling-set generation,
 growth prediction/estimation, zero-sequence classification, two-signal
 discrimination, and counterexample growth. Output goes to stdout or
 --output as JSON {"meta": ..., "result": ...} (keys sorted, no timestamps,
-byte-deterministic) or as CSV with "# key=value" metadata comments.
+byte-deterministic); sample-set writes CSV with "# key=value" metadata
+comments unless --format json.
 Parameter errors exit 2 and numerical failures exit 3, both with a JSON
 error object on stderr.
 """
@@ -170,20 +171,21 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 def _run_bounds(ns, meta):
     meta.update({"m": ns.m, "a": ns.a})
     bounds = max_tau_bounds(ns.m, ns.a)
-    return {"m": ns.m, "a": ns.a, "tau1_max": bounds.tau1_max, "tau2_max": bounds.tau2_max}, None
+    return {"m": ns.m, "a": ns.a, "tau1_max": bounds.tau1_max, "tau2_max": bounds.tau2_max}
 
 
 def _run_sample_set(ns, meta):
-    meta.update({"m": ns.m, "a": ns.a, "tau1": ns.tau1, "tau2": ns.tau2,
+    meta.update({"format": ns.format, "m": ns.m, "a": ns.a, "tau1": ns.tau1, "tau2": ns.tau2,
                  "count": ns.n, "include_origin": ns.include_origin})
     lam = generate_sampling_set(ns.m, ns.tau1, ns.tau2, ns.n,
                                 include_origin=ns.include_origin, a=ns.a)
+    if ns.format == "csv":
+        return lam.to_csv(extra_meta=meta)
     rows = [[int(n), int(sx), int(sw), float(x), float(om)]
             for n, sx, sw, x, om in zip(lam.n_index, lam.sign_x, lam.sign_omega, lam.x, lam.omega)]
-    result = {"m": lam.m, "tau1": lam.tau1, "tau2": lam.tau2, "count": lam.count,
-              "includes_origin": lam.includes_origin,
-              "columns": ["n", "sign_x", "sign_omega", "x", "omega"], "points": rows}
-    return result, lam.to_csv(extra_meta=meta)
+    return {"m": lam.m, "tau1": lam.tau1, "tau2": lam.tau2, "count": lam.count,
+            "includes_origin": lam.includes_origin,
+            "columns": ["n", "sign_x", "sign_omega", "x", "omega"], "points": rows}
 
 
 def _run_growth(ns, meta):
@@ -200,14 +202,14 @@ def _run_growth(ns, meta):
             "type_estimated": type_est.type,
             "n_used": [int(n) for n in order_est.n_used],
         })
-    return result, None
+    return result
 
 
 def _run_classify(ns, meta):
     meta.update({"rho": ns.rho, "b": ns.b, "seq": ns.seq, "terms": ns.terms})
     lam = parse_sequence_expr(ns.seq, ns.terms)
     report = classify_sequence(lam, ns.rho, ns.b)
-    return report.to_json_dict(), None
+    return report.to_json_dict()
 
 
 def _run_discriminate(ns, meta):
@@ -226,7 +228,7 @@ def _run_discriminate(ns, meta):
     report = discriminate(f, h, window, lam, tol=ns.tol, residual_tol=ns.residual_tol, quad=quad)
     result = report.to_json_dict()
     result["points"] = len(lam)
-    return result, None
+    return result
 
 
 def _run_counterexample(ns, meta):
@@ -253,7 +255,7 @@ def _run_counterexample(ns, meta):
         "coefficient_below_b": bool(coeff < ns.b),
         "vanishes_at_sampled_zeros": bool(vanishes),
     }
-    return result, None
+    return result
 
 
 _HANDLERS = {
@@ -267,24 +269,22 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", default=None, help="write to this path instead of stdout")
-
     parser = _Parser(prog="stftuniq",
                      description="Sampling sets, growth analysis, and discrimination "
                                  "for transforms against super-exponentially decaying windows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, default_format):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    def add(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
         return p
 
-    p = add("bounds", "admissible step-scale bounds for a window", "json")
+    p = add("bounds", "admissible step-scale bounds for a window")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
 
-    p = add("sample-set", "four-quadrant sampling set on the power-law trajectories", "csv")
+    p = add("sample-set", "four-quadrant sampling set on the power-law trajectories")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--tau1", type=float, default=0.1)
@@ -292,19 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--include-origin", action="store_true")
 
-    p = add("growth", "predicted (and optionally estimated) order and type", "json")
+    p = add("growth", "predicted (and optionally estimated) order and type")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--n-coeffs", type=int, default=80, dest="n_coeffs")
     p.add_argument("--estimate", action="store_true")
 
-    p = add("classify", "zero-sequence density against both thresholds", "json")
+    p = add("classify", "zero-sequence density against both thresholds")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--seq", required=True, help="k-expression, e.g. '0.3*sqrt(k)'")
     p.add_argument("--terms", type=int, default=200)
 
-    p = add("discriminate", "compare two signals through spectrogram samples", "json")
+    p = add("discriminate", "compare two signals through spectrogram samples")
     p.add_argument("--quad-nodes", type=int, default=DEFAULT_QUADRATURE.nodes, dest="quad_nodes",
                    help="quadrature nodes per half interval")
     p.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.tol, dest="quad_tol",
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--residual-tol", type=float, default=0.1, dest="residual_tol")
 
-    p = add("counterexample", "growth of the vanishing construction on a sequence", "json")
+    p = add("counterexample", "growth of the vanishing construction on a sequence")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--seq", required=True)
@@ -339,14 +339,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        meta = {"command": ns.command, "format": ns.format}
-        result, csv_text = _HANDLERS[ns.command](ns, meta)
-        if ns.format == "csv":
-            if csv_text is None:
-                raise InvalidParameterError(f"{ns.command} has no CSV representation; use --format json")
-            text = csv_text
-        else:
-            text = json.dumps({"meta": meta, "result": result}, indent=2, sort_keys=True) + "\n"
+        meta = {"command": ns.command}
+        # a handler returns its result, or the finished text when it writes CSV
+        text = _HANDLERS[ns.command](ns, meta)
+        if not isinstance(text, str):
+            text = json.dumps({"meta": meta, "result": text}, indent=2, sort_keys=True) + "\n"
     except _PARAM_ERRORS as exc:
         _emit_error("invalid-parameter", exc)
         return 2

@@ -19,13 +19,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import EvaluationOverflowError, InvalidParameterError, ZeroNormError, _caller_stacklevel
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, refine
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, panel_nodes, refine
 from .sampling import SamplingSet, _read_csv, _write_csv
 from .entire import moment_integral
 from .windows import WindowModel, time_window_closed_form, time_window_values
 
 _TAIL_LOG = 43.0
-_MAX_COMMON_POINTS = 1 << 22
 # Entries of the window matrix, and of the exponential matrix, in one block of _transform
 _BLOCK = 1 << 21
 _SPECTROGRAM_HEADER = "x,omega,magnitude"
@@ -334,21 +333,6 @@ def _uniform_grid(values, name: str) -> np.ndarray:
     return g
 
 
-def _common_times(f: Signal, h: Signal, times) -> np.ndarray:
-    if times is not None:
-        return _uniform_grid(times, "times")
-    if isinstance(f, GridSignal):
-        return f.times
-    if isinstance(h, GridSignal):
-        return h.times
-    radius = max(f.support_radius(), h.support_radius())
-    if not radius * 128.0 <= _MAX_COMMON_POINTS:
-        raise InvalidParameterError(f"a shared grid at step 1/64 out to |t| = {radius:.3g} needs more than "
-                                    f"{_MAX_COMMON_POINTS} points; pass times= explicitly")
-    half = int(math.ceil(radius * 64.0))
-    return np.arange(-half, half + 1) / 64.0
-
-
 def _values_on(sig: Signal, t: np.ndarray) -> np.ndarray:
     if isinstance(sig, GridSignal):
         own = sig.times
@@ -358,35 +342,57 @@ def _values_on(sig: Signal, t: np.ndarray) -> np.ndarray:
     return sig.evaluate(t)
 
 
-def global_phase_residual(f: Signal, h: Signal, times=None) -> tuple[float, float]:
+def _phase(nf2: float, nh2: float, inner: complex) -> float:
+    """arg <f, h> in [0, 2 pi), or 0 when |<f, h>| <= 64 eps ||f|| ||h||: rounding carries no phase."""
+    if abs(inner) > 64.0 * np.finfo(float).eps * math.sqrt(nf2 * nh2):
+        return float(np.angle(inner)) % (2.0 * math.pi)
+    return 0.0
+
+
+def _alignment_sums(w: np.ndarray, fa: np.ndarray, ha: np.ndarray) -> np.ndarray:
+    """||f||^2, ||h||^2, <f, h> and ||f - e^{i alpha} h||^2 under w, the last summed, not cancelled."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nf2, nh2 = (float(np.sum(w * np.abs(v) ** 2)) for v in (fa, ha))
+        inner = complex(np.sum(w * fa * np.conj(ha)))
+        diff = fa - np.exp(1j * _phase(nf2, nh2, inner)) * ha
+        sums = np.array([nf2, nh2, inner, np.sum(w * np.abs(diff) ** 2)])
+    if not np.all(np.isfinite(sums)):
+        raise EvaluationOverflowError("signal energy leaves the float range")
+    return sums
+
+
+def global_phase_residual(f: Signal, h: Signal,
+                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple[float, float]:
     """Best global phase alignment of h to f and the relative misfit after it.
 
     alpha maximizes Re e^{-i alpha} <f, h> (so alpha = arg <f, h>, reported
-    in [0, 2 pi)), and the residual is ||f - e^{i alpha} h|| / ||f|| under
-    the trapezoid inner product on a shared grid. Both norms must be nonzero.
-    <f, h> = 0 pins alpha to 0: an inner product within rounding of zero
-    (|<f, h>| <= 64 eps ||f|| ||h||) carries no phase.
+    in [0, 2 pi)), and the residual is ||f - e^{i alpha} h|| / ||f||; both
+    norms must be nonzero. A grid signal gives trapezoid sums on its grid.
+    Closed-form pairs are refined under quad on panels over both half-width
+    intervals, in offsets s from f's centre with h at s - (c_h - c_f), so a
+    far common centre loses no digits; disjoint supports give <f, h> = 0.
     """
-    t = _common_times(f, h, times)
-    fa = _values_on(f, t)
-    ha = _values_on(h, t)
-    w = _trapezoid_weights(t.size, float(t[1] - t[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        nf2 = float(np.sum(w * np.abs(fa) ** 2))
-        nh2 = float(np.sum(w * np.abs(ha) ** 2))
-        if nf2 <= 0.0:
-            raise ZeroNormError("reference signal has zero norm on the comparison grid")
-        if nh2 <= 0.0:
-            raise ZeroNormError("candidate signal has zero norm on the comparison grid")
-        inner = complex(np.sum(w * fa * np.conj(ha)))
-        alpha = 0.0
-        if abs(inner) > 64.0 * np.finfo(float).eps * math.sqrt(nf2 * nh2):
-            alpha = float(np.angle(inner)) % (2.0 * math.pi)
-        diff = fa - np.exp(1j * alpha) * ha
-        residual = math.sqrt(float(np.sum(w * np.abs(diff) ** 2)) / nf2)
-    if not (math.isfinite(nf2) and math.isfinite(nh2) and math.isfinite(residual)):
-        raise EvaluationOverflowError("signal energy on the comparison grid leaves the float range")
-    return alpha, residual
+    if isinstance(f, GridSignal) or isinstance(h, GridSignal):
+        g = f if isinstance(f, GridSignal) else h
+        sums = _alignment_sums(_trapezoid_weights(g.values.size, g.step), _values_on(f, g.times),
+                               _values_on(h, g.times))
+    else:
+        d, xf, xh = h.center - f.center, f._half_width(0.0), h._half_width(0.0)
+        if abs(d) >= xf + xh:
+            # f and h as two orthogonal atoms of their exact norms
+            sums = _alignment_sums(np.ones(2), np.array([f.norm(), 0.0]), np.array([0.0, h.norm()]))
+        else:
+            def level(nodes: int):
+                s, w = panel_nodes(np.unique([-xf, xf, d - xh, d + xh]), nodes)
+                sums = _alignment_sums(w, f._centred(s), h._centred(s - d))
+                return sums, max(sums[0].real, sums[1].real)
+
+            sums = refine(level, quad, "phase alignment quadrature")
+    nf2, nh2, _, res2 = sums.real
+    for norm2, which in ((nf2, "reference"), (nh2, "candidate")):
+        if norm2 <= 0.0:
+            raise ZeroNormError(f"{which} signal has zero norm")
+    return _phase(nf2, nh2, sums[2]), math.sqrt(res2 / nf2)
 
 
 class DiscriminationVerdict(Enum):
@@ -425,15 +431,15 @@ def discriminate(f: Signal, h: Signal, window: WindowModel, points,
     with a large residual is reported as Inconsistent: on a valid sampling
     set for the window class that combination indicates the comparison was
     run outside the guarantees (undersampled set, wrong window, or signals
-    outside the transform's reach).
+    outside the transform's reach). quad governs the transforms and the
+    alignment, which runs first, so a zero norm fails before any transform.
     """
     if not (tol > 0):
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     if not (residual_tol > 0):
         raise InvalidParameterError(f"residual_tol must be positive, got {residual_tol}")
     pts = _point_array(points)
-    # the alignment first: it rejects signals no shared grid can hold before any transform runs
-    alpha, residual = global_phase_residual(f, h)
+    alpha, residual = global_phase_residual(f, h, quad)
     sf, sh = (np.abs(_transform(sig, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature"))
               for sig in (f, h))
     scale = max(float(sf.max()), float(sh.max()), 1e-300)

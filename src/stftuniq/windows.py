@@ -77,7 +77,9 @@ def time_window_closed_form(window: WindowModel):
 
     def closed(t):
         t = _time_array(t)
-        return front * np.exp(-rate * t * t)
+        # far times overflow rate * t^2 to inf, and e^-inf = 0 is exact
+        with np.errstate(over="ignore"):
+            return front * np.exp(-rate * t * t)
 
     return closed
 

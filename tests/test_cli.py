@@ -93,9 +93,24 @@ def test_bounds_values_and_determinism(capsys):
 
 
 def test_bounds_has_no_csv_form(capsys):
-    code, out, err = run_cli(capsys, "bounds", "--m", "2", "--a", "3", "--format", "csv")
+    code, error = only_json_error(capsys, "bounds", "--m", "2", "--a", "3", "--format", "csv")
     assert code == 2
-    assert last_json(err)["error"]["kind"] == "invalid-parameter"
+    assert error == {"kind": "invalid-parameter", "message": "unrecognized arguments: --format csv"}
+
+
+@pytest.mark.parametrize("args", [
+    ("bounds", "--m", "2", "--a", "3"),
+    ("growth", "--m", "2", "--a", "3"),
+    ("classify", "--rho", "2", "--b", "3", "--seq", "0.3*sqrt(k)"),
+    ("discriminate", "--f", "gaussian", "--h", "gaussian", "--n", "2"),
+    ("counterexample", "--rho", "2", "--b", "3", "--seq", "1.5*sqrt(k)", "--terms", "2000"),
+])
+def test_format_belongs_to_sample_set_alone(capsys, args):
+    # JSON is the only output of these commands, so neither --format value parses and meta has no format
+    code, error = only_json_error(capsys, *args, "--format", "json")
+    assert code == 2 and error["message"] == "unrecognized arguments: --format json"
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and "format" not in json.loads(out)["meta"]
 
 
 def test_bad_flag_reports_json_error(capsys):
@@ -136,6 +151,7 @@ def test_sample_set_json_format(capsys):
                            "--format", "json")
     assert code == 0
     doc = json.loads(out)
+    assert doc["meta"]["format"] == "json"
     assert len(doc["result"]["points"]) == 13
     assert doc["result"]["points"][0] == [0, 1, 1, 0.0, 0.0]
 
@@ -290,7 +306,6 @@ def test_low_decay_rate_warns_with_one_text(capsys):
 @pytest.mark.parametrize("spec,code,kind,fragment", [
     ("gaussian(width=1e-200)", 2, "invalid-parameter", "width must be"),
     ("gaussian(width=1e200)", 2, "invalid-parameter", "width must be"),
-    ("gaussian(center=1e300)", 2, "invalid-parameter", "pass times="),
     ("gaussian(amp=1e308)", 3, "numerical-failure", "leaves the float range"),
     ("gaussian(amp=nan)", 2, "invalid-parameter", "amplitude must be finite"),
     ("hermite(amp=1.7e308,width=1e-10)", 2, "invalid-parameter", "amplitude must be finite"),
@@ -299,6 +314,18 @@ def test_extreme_signal_is_one_json_error(capsys, spec, code, kind, fragment):
     got, error = only_json_error(capsys, "discriminate", "--f", spec, "--h", "gaussian", "--n", "2")
     assert got == code
     assert error["kind"] == kind and fragment in error["message"]
+
+
+def test_far_centre_signal_is_distinct(capsys):
+    # disjoint supports align to alpha 0 and residual sqrt(2) from the exact norms, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "discriminate", "--f", "gaussian(center=1e300)", "--h", "gaussian",
+                                 "--n", "2")
+    assert code == 0 and err == ""
+    res = json.loads(out)["result"]
+    assert res["verdict"] == "Distinct" and res["alpha"] == 0.0
+    assert abs(res["residual"] - math.sqrt(2.0)) < 1e-15
 
 
 # ------------------------------------------------------- counterexample

@@ -120,6 +120,12 @@ def test_far_centred_signal_keeps_its_transform(center):
     assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.filterwarnings("error")
+def test_window_far_from_the_signal_is_a_quiet_zero():
+    # rate * t^2 overflows for t near 1e300; e^-inf = 0 is exact and must not warn
+    assert stft_eval(gaussian_signal(1.0, 1e300), make_generalized_gaussian(3.0, 2.0), 0.3, 0.5) == 0
+
+
 def test_far_centre_off_the_real_axis_overflows_with_a_typed_error():
     # |V| carries e^(-2 pi Im(z') c) = e^(400 pi) here, beyond the float range
     window = make_generalized_gaussian(3.0, 2.0)
@@ -341,18 +347,54 @@ def test_phase_alignment_zero_norm():
         global_phase_residual(gaussian_signal(amplitude=0.0), gaussian_signal())
     with pytest.raises(ZeroNormError):
         global_phase_residual(gaussian_signal(), gaussian_signal(amplitude=0.0))
-    with pytest.raises(InvalidParameterError):
-        global_phase_residual(gaussian_signal(), gaussian_signal(),
-                              times=np.array([0.0, 0.5, 0.7]))
 
 
-def test_phase_alignment_caps_the_shared_grid():
-    # |t| up to 1e5 at step 1/64 is 1.3e7 points, over the 2^22 cap; an explicit grid is taken
+def test_phase_alignment_far_centre_needs_no_grid():
     far = gaussian_signal(center=1e5)
-    with pytest.raises(InvalidParameterError, match="pass times="):
-        global_phase_residual(far, far)
-    alpha, residual = global_phase_residual(far, far, times=1e5 + np.arange(-256, 257) / 32.0)
+    alpha, residual = global_phase_residual(far, far)
     assert alpha == 0.0 and residual == 0.0
+
+
+@pytest.mark.parametrize("width", [0.005, 0.01, 0.1, 1.0, 3.0])
+def test_phase_alignment_residual_of_offset_gaussians(width):
+    # equal widths w, centres d = 0.3 w apart: ||f - h||^2 / ||f||^2 = 2 - 2 e^{-pi d^2 / (2 w^2)}
+    d = 0.3 * width
+    alpha, residual = global_phase_residual(gaussian_signal(width), gaussian_signal(width, center=d))
+    want = math.sqrt(2.0 - 2.0 * math.exp(-math.pi * d * d / (2.0 * width * width)))
+    assert alpha == 0.0
+    assert abs(residual - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("center", [4e4, 1e12, 1e300])
+@pytest.mark.parametrize("phi", [0.4, 2.5, 5.9])
+def test_phase_alignment_rotation_at_far_centres(center, phi):
+    f = gaussian_signal(center=center, amplitude=0.8)
+    h = gaussian_signal(center=center, amplitude=0.8 * cmath.exp(1j * phi))
+    alpha, residual = global_phase_residual(f, h)
+    assert abs(cmath.exp(1j * alpha) - cmath.exp(-1j * phi)) < 1e-12
+    assert residual < 1e-12
+
+
+def test_phase_alignment_disjoint_supports():
+    # residual sqrt(1 + ||h||^2 / ||f||^2) from the exact norms, however far apart the centres
+    alpha, residual = global_phase_residual(gaussian_signal(center=1e300), gaussian_signal(width=2.0))
+    assert alpha == 0.0
+    assert abs(residual - math.sqrt(3.0)) < 1e-15
+
+
+def test_phase_alignment_that_cannot_converge_raises():
+    # a chirp at rate 1000 oscillates faster than 4096 nodes per panel resolve
+    with pytest.raises(QuadratureConvergenceError, match="phase alignment"):
+        global_phase_residual(gaussian_signal(), chirp_signal(chirp_rate=1000.0))
+
+
+def test_phase_alignment_takes_its_quadrature_settings():
+    # from 64 nodes, a rate-30 chirp settles to 1e-3 but not to 1e-13 within four doublings
+    f, h = gaussian_signal(), chirp_signal(chirp_rate=30.0)
+    _, residual = global_phase_residual(f, h, QuadratureConfig(nodes=64, tol=1e-3))
+    assert abs(residual - global_phase_residual(f, h)[1]) < 1e-3
+    with pytest.raises(QuadratureConvergenceError, match="nodes 1024"):
+        global_phase_residual(f, h, QuadratureConfig(nodes=64, tol=1e-13))
 
 
 def test_phase_alignment_energy_overflow_is_typed():
