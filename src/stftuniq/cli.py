@@ -4,8 +4,8 @@ One subcommand per workflow: window step bounds, sampling-set generation,
 growth prediction/estimation, zero-sequence classification, two-signal
 discrimination, and counterexample growth. Output goes to stdout or
 --output as JSON {"meta": ..., "result": ...} (keys sorted, no timestamps,
-byte-deterministic); sample-set writes CSV with "# key=value" metadata
-comments unless --format json.
+byte-deterministic), except that sample-set writes the set's CSV with
+"# key=value" metadata comments.
 Parameter errors exit 2 and numerical failures exit 3, both with a JSON
 error object on stderr.
 """
@@ -34,7 +34,7 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .windows import make_generalized_gaussian
 from .entire import (
     _growth_fit,
-    counterexample_log_magnitudes,
+    _log_magnitudes,
     predicted_growth,
     estimate_order,
     estimate_type,
@@ -175,17 +175,10 @@ def _run_bounds(ns, meta):
 
 
 def _run_sample_set(ns, meta):
-    meta.update({"format": ns.format, "m": ns.m, "a": ns.a, "tau1": ns.tau1, "tau2": ns.tau2,
-                 "count": ns.n, "include_origin": ns.include_origin})
-    lam = generate_sampling_set(ns.m, ns.tau1, ns.tau2, ns.n,
-                                include_origin=ns.include_origin, a=ns.a)
-    if ns.format == "csv":
-        return lam.to_csv(extra_meta=meta)
-    rows = [[int(n), int(sx), int(sw), float(x), float(om)]
-            for n, sx, sw, x, om in zip(lam.n_index, lam.sign_x, lam.sign_omega, lam.x, lam.omega)]
-    return {"m": lam.m, "tau1": lam.tau1, "tau2": lam.tau2, "count": lam.count,
-            "includes_origin": lam.includes_origin,
-            "columns": ["n", "sign_x", "sign_omega", "x", "omega"], "points": rows}
+    # the set's CSV carries its five parameters; meta adds only what they do not say
+    meta["a"] = ns.a
+    lam = generate_sampling_set(ns.m, ns.tau1, ns.tau2, ns.n, include_origin=ns.include_origin, a=ns.a)
+    return lam.to_csv(extra_meta=meta)
 
 
 def _run_growth(ns, meta):
@@ -240,14 +233,17 @@ def _run_counterexample(ns, meta):
         raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size}")
     # with b and 16 terms the fit reads the density from its own tail summary
     coeff, samples, density = _growth_fit(lam, ns.rho, radii, ns.n_theta, ns.b)
-    # log|F| is exactly -inf where z is real and |z| is a sequence entry
+    # log|F| is exactly -inf where z is real and |z| is a sequence entry; the fit has
+    # raised on any sequence that is not positive and strictly increasing, so the
+    # probe, which lands only on zeros, reads it without a second checking pass
     probe = min(4, lam.size - 1)
-    vanishes = np.all(counterexample_log_magnitudes(lam, ns.rho, [lam[0], -lam[probe]]) == -math.inf)
+    genus = int(math.floor(ns.rho / 2.0))
+    vanishes = np.all(_log_magnitudes(lam, genus, [lam[0], -lam[probe]], 2) == -math.inf)
     result = {
         "rho": ns.rho,
         "b": ns.b,
         "terms": ns.terms,
-        "genus": int(math.floor(ns.rho / 2.0)),
+        "genus": genus,
         "density": density,
         "nonuniq_threshold": nonuniqueness_threshold(ns.rho, ns.b),
         "growth_coefficient": coeff,
@@ -284,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
 
     p = add("sample-set", "four-quadrant sampling set on the power-law trajectories")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--tau1", type=float, default=0.1)

@@ -92,7 +92,8 @@ class CanonicalProduct:
         object.__setattr__(self, "zeros", zeros)
         _require(zeros.ndim == 1 and zeros.size >= 1, "need at least one zero")
         check_increasing(zeros, "zeros")
-        _require(self.genus >= 0, "genus must be nonnegative")
+        _require(isinstance(self.genus, (int, np.integer)) and self.genus >= 0,
+                 f"genus must be an integer >= 0, got {self.genus!r}")
 
 
 def _log_moment(n: int, a: float, m: float) -> float:
@@ -128,7 +129,8 @@ def taylor_coefficients(window: WindowModel, n_terms: int) -> TaylorSeries:
     into 0 or inf.
     """
     _require(isinstance(window, WindowModel), "taylor_coefficients needs a WindowModel")
-    _require(n_terms >= 2, f"need n_terms >= 2, got {n_terms}")
+    _require(isinstance(n_terms, (int, np.integer)) and n_terms >= 2,
+             f"need an integer n_terms >= 2, got {n_terms!r}")
     coeffs = np.zeros(n_terms + 1, dtype=complex)
     for n in range(0, n_terms + 1, 2):
         log_c = n * math.log(2.0 * math.pi) - math.lgamma(n + 1) + _log_moment(n, window.a, window.m)
@@ -236,7 +238,8 @@ def jensen_integral(f, r: float, n_theta: int = 1024) -> float:
     1e-300 trigger a warning and propagate -inf rather than failing.
     """
     _require(r > 0 and math.isfinite(r), f"radius must be positive, got {r}")
-    _require(n_theta >= 64, f"need n_theta >= 64, got {n_theta}")
+    _require(isinstance(n_theta, (int, np.integer)) and n_theta >= 64,
+             f"need an integer n_theta >= 64, got {n_theta!r}")
     f0 = complex(_eval_complex(f, np.zeros(1, dtype=complex))[0])
     if abs(f0) < 1e-300:
         raise ZeroAtOriginError("f vanishes at the origin; divide out the zero first")
@@ -270,12 +273,12 @@ def zero_count_bound(r: float, s: float, c_bound: float, b: float, rho: float) -
     return max(0, math.floor(value))
 
 
-# Ratio edges for the banded far-zero evaluation. Zeros with a factor argument
-# |u| = (|v| / zeta_k)^q of at most 1/2.2 admit a geometric tail series. Each
-# slice of them sums the powers its first (largest) ratio needs for a truncation
-# error near e^-43 = 2e-19: 55 at the inner edge, fewer further out.
-_BAND_EDGES = (2.2, 8.0, 64.0, 1024.0)
-_TERMS_CAP = math.ceil(43.0 / math.log(_BAND_EDGES[0]))
+# Ratio edge of the far zeros. Zeros with a factor argument |u| = (|v| / zeta_k)^q
+# of at most 1/2.2 admit a geometric tail series. Each slice of them sums the
+# powers its first (largest) ratio needs for a truncation error near
+# e^-43 = 2e-19: 55 at the edge, fewer further out.
+_FAR_EDGE = 2.2
+_TERMS_CAP = math.ceil(43.0 / math.log(_FAR_EDGE))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -299,7 +302,7 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
     With `what`, the zeros are checked to start positive and rise strictly
     (check_increasing's errors, naming `what`) in the same sweep: each far
     slice right after its ratios are formed, while it is in cache, and the
-    near band on its own. Calls with no sum to take check the whole array.
+    near zeros on their own. Calls with no sum to take check the whole array.
     """
     vmax = float(np.abs(vs).max()) if vs.size else 0.0
     if not math.isfinite(vmax):
@@ -318,11 +321,9 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
         return out
     out = np.zeros(vs.shape, dtype=complex)
 
-    # (vmax / zeta_k)^q <= 1 / e from the band edge e on; the running maximum
-    # keeps the bands in order, so every entry of an unordered array is checked
-    cuts = np.maximum.accumulate([np.searchsorted(zeros, e ** (1.0 / q) * vmax, "right")
-                                  for e in _BAND_EDGES]).tolist() + [zeros.size]
-    near = zeros[:cuts[0]]
+    # (vmax / zeta_k)^q <= 1 / 2.2 from the cut on; near and far together cover every entry
+    cut = int(np.searchsorted(zeros, _FAR_EDGE ** (1.0 / q) * vmax, "right"))
+    near = zeros[:cut]
     if what is not None:
         check_increasing(near, what)
     # blocks of _CHUNK / 8 complex entries: four live temporaries fill one float slice
@@ -343,33 +344,32 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
     # -sum_{j>p} (v / vmax)^(q j) T_j / j
     sums = np.zeros(max(p + 1, _TERMS_CAP) + 1)
     buf = np.empty(2 * _CHUNK)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        k = lo
-        while k < hi:
-            # only an unordered array, which fails its check below, has a lead of at most 1 or NaN
-            lead = zeros[k] / vmax
-            j_top = _TERMS_CAP if not lead > 1.0 else math.ceil(43.0 / (q * math.log(lead)))
-            j_top = max(p + 1, min(_TERMS_CAP, j_top))
-            # rows u^a .. u^c cover both halves of every j in p+1 .. j_top, and a last row
-            # keeps u itself when a > 1; that is at most 30 rows, whatever the genus
-            a, c = max(1, (p + 1) // 2), (j_top + 1) // 2
-            rows = c - a + 1 + (a > 1)
-            n = min(_CHUNK, 2 * _CHUNK // rows, hi - k)
-            pows = buf[:rows * n].reshape(rows, n)
-            u = pows[-1] if a > 1 else pows[0]
-            np.divide(vmax, zeros[k:k + n], out=u)
-            if what is not None:
-                _check_slice(zeros, k, n, what)
-            if q != 1:
-                u **= q
-            if a > 1:
-                np.power(u, a, out=pows[0])
-            for i in range(1, c - a + 1):
-                np.multiply(pows[i - 1], u, out=pows[i])
-            for j in range(p + 1, j_top + 1):
-                half = j // 2
-                sums[j] += np.dot(pows[half - a], pows[j - half - a]) if half else u.sum()
-            k += n
+    k = cut
+    while k < zeros.size:
+        # only an unordered array, which fails its check below, has a lead of at most 1 or NaN
+        lead = zeros[k] / vmax
+        j_top = _TERMS_CAP if not lead > 1.0 else math.ceil(43.0 / (q * math.log(lead)))
+        j_top = max(p + 1, min(_TERMS_CAP, j_top))
+        # rows u^a .. u^c cover both halves of every j in p+1 .. j_top, and a last row
+        # keeps u itself when a > 1; that is at most 30 rows, whatever the genus
+        a, c = max(1, (p + 1) // 2), (j_top + 1) // 2
+        rows = c - a + 1 + (a > 1)
+        n = min(_CHUNK, 2 * _CHUNK // rows, zeros.size - k)
+        pows = buf[:rows * n].reshape(rows, n)
+        u = pows[-1] if a > 1 else pows[0]
+        np.divide(vmax, zeros[k:k + n], out=u)
+        if what is not None:
+            _check_slice(zeros, k, n, what)
+        if q != 1:
+            u **= q
+        if a > 1:
+            np.power(u, a, out=pows[0])
+        for i in range(1, c - a + 1):
+            np.multiply(pows[i - 1], u, out=pows[i])
+        for j in range(p + 1, j_top + 1):
+            half = j // 2
+            sums[j] += np.dot(pows[half - a], pows[j - half - a]) if half else u.sum()
+        k += n
     ratio = vs / vmax
     if q != 1:
         ratio **= q
@@ -474,7 +474,8 @@ def _growth_fit(lambdas, rho: float, radii, n_theta: int, b: float | None):
     The warnings come after the evaluation has checked the sequence, so a
     bad sequence raises before any of them.
     """
-    _require(n_theta >= 16, f"need n_theta >= 16, got {n_theta}")
+    _require(isinstance(n_theta, (int, np.integer)) and n_theta >= 16,
+             f"need an integer n_theta >= 16, got {n_theta!r}")
     radii = np.asarray(radii, dtype=float)
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
     # the fit has two unknowns, so one radius, however often repeated, cannot fix them

@@ -63,8 +63,8 @@ class QuadratureConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.nodes < 64:
-            raise InvalidParameterError(f"quadrature needs at least 64 nodes, got {self.nodes}")
+        if not (isinstance(self.nodes, (int, np.integer)) and self.nodes >= 64):
+            raise InvalidParameterError(f"quadrature needs an integer of at least 64 nodes, got {self.nodes!r}")
         if not (0 < self.tol < 1):
             raise InvalidParameterError(f"quadrature tol must lie in (0, 1), got {self.tol}")
 

@@ -8,7 +8,6 @@ plus a finite-sequence density surrogate and a classifier built on it.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -120,22 +119,25 @@ class SamplingSet:
         """(len, 2) array of (x, omega) rows in set order."""
         return np.stack([self.x, self.omega], axis=1)
 
-    def to_csv(self, dest=None, extra_meta: dict | None = None):
-        """Serialize as commented-header CSV; returns the text when dest is None.
+    def to_csv(self, extra_meta: dict | None = None) -> str:
+        """The set as CSV text: `# key=value` comments (sorted by key), the header, then the rows.
 
-        The five construction parameters ride along as `# key=value` lines so
-        the set round-trips without sidecar files; extra_meta entries join
-        them (sorted by key, floats at full precision) but never replace one.
+        The five construction parameters ride along as comments so the set
+        round-trips without sidecar files; extra_meta entries join them
+        (floats at full precision) but never replace one.
         """
-        meta = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        meta = {**(extra_meta or {}), **{f.name: getattr(self, f.name) for f in fields(self) if f.init}}
         rows = (f"{n},{sx},{sw},{x:.17g},{om:.17g}"
                 for n, sx, sw, x, om in zip(self.n_index, self.sign_x, self.sign_omega, self.x, self.omega))
-        return _write_csv(dest, {**(extra_meta or {}), **meta}, _SET_HEADER, rows)
+        return "\n".join([f"# {k}={meta[k]!r}" for k in sorted(meta)] + [_SET_HEADER, *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, src) -> "SamplingSet":
-        """The set that to_csv output (path, file object, or text) names; rows that differ raise."""
-        meta, rows = _read_csv(src, _SET_HEADER, "sampling-set")
+        """The set that to_csv output names; rows that differ from it raise.
+
+        src is a path, a file object, or the CSV text itself (a str holding a newline).
+        """
+        meta, rows = _read_csv(src)
         for key in ("m", "tau1", "tau2", "count", "includes_origin"):
             if key not in meta:
                 raise InvalidParameterError(f"sampling-set CSV lacks the {key} metadata comment")
@@ -147,29 +149,8 @@ class SamplingSet:
         return lam
 
 
-def _write_csv(dest, meta: dict, header: str, rows):
-    """CSV with one `# key=value` comment per meta entry (sorted), the header, then rows.
-
-    Returns the text when dest is None; otherwise writes it to dest, a path
-    or a file object, and returns None.
-    """
-    text = "\n".join([f"# {k}={meta[k]!r}" for k in sorted(meta)] + [header, *rows]) + "\n"
-    if dest is None:
-        return text
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        dest.write(text)
-    return None
-
-
-def _read_csv(src, header: str, what: str) -> tuple[dict[str, str], list[list[str]]]:
-    """Metadata comments and comma-split data rows of _write_csv output.
-
-    src is a path, a file object, or the CSV text itself (a str holding a
-    newline). Every data row must have as many fields as the header.
-    """
+def _read_csv(src) -> tuple[dict[str, str], list[list[str]]]:
+    """Metadata comments and comma-split data rows of SamplingSet.to_csv output, each row checked for width."""
     if hasattr(src, "read"):
         lines = src.read().splitlines()
     elif isinstance(src, str) and "\n" in src:
@@ -177,12 +158,12 @@ def _read_csv(src, header: str, what: str) -> tuple[dict[str, str], list[list[st
     else:
         with open(src, "r", encoding="utf-8") as fp:
             lines = fp.read().splitlines()
-    width = header.count(",") + 1
+    width = _SET_HEADER.count(",") + 1
     meta: dict[str, str] = {}
     rows = []
     for raw in lines:
         line = raw.strip()
-        if not line or line == header:
+        if not line or line == _SET_HEADER:
             continue
         if line.startswith("#"):
             key, eq, val = line[1:].strip().partition("=")
@@ -191,10 +172,10 @@ def _read_csv(src, header: str, what: str) -> tuple[dict[str, str], list[list[st
             continue
         parts = line.split(",")
         if len(parts) != width:
-            raise InvalidParameterError(f"malformed {what} row: {line!r}")
+            raise InvalidParameterError(f"malformed sampling-set row: {line!r}")
         rows.append(parts)
     if not rows:
-        raise InvalidParameterError(f"{what} CSV has no data rows")
+        raise InvalidParameterError("sampling-set CSV has no data rows")
     return meta, rows
 
 

@@ -20,14 +20,13 @@ import numpy as np
 
 from .errors import EvaluationOverflowError, InvalidParameterError, ZeroNormError, _caller_stacklevel
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, panel_nodes, refine
-from .sampling import SamplingSet, _read_csv, _write_csv
+from .sampling import SamplingSet
 from .entire import moment_integral
 from .windows import WindowModel, time_window_closed_form, time_window_values
 
 _TAIL_LOG = 43.0
 # Entries of the window matrix, and of the exponential matrix, in one block of _transform
 _BLOCK = 1 << 21
-_SPECTROGRAM_HEADER = "x,omega,magnitude"
 
 
 class SignalFamily(Enum):
@@ -276,7 +275,6 @@ class SpectrogramSamples:
 
     points: np.ndarray
     magnitudes: np.ndarray
-    quad_config_id: str = ""
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -287,20 +285,6 @@ class SpectrogramSamples:
             raise InvalidParameterError("points must be a nonempty (n, 2) array")
         if mags.shape != (pts.shape[0],):
             raise InvalidParameterError("magnitudes must align with points")
-
-    def to_csv(self, dest=None, extra_meta: dict | None = None):
-        """Serialize as commented-header CSV; returns the text when dest is None."""
-        rows = (f"{x:.17g},{om:.17g},{mag:.17g}" for (x, om), mag in zip(self.points, self.magnitudes))
-        return _write_csv(dest, {"quad_config_id": self.quad_config_id, **(extra_meta or {})},
-                          _SPECTROGRAM_HEADER, rows)
-
-    @classmethod
-    def from_csv(cls, src) -> "SpectrogramSamples":
-        """Rebuild samples from to_csv output (path, file object, or text)."""
-        meta, rows = _read_csv(src, _SPECTROGRAM_HEADER, "spectrogram")
-        arr = np.array([[float(v) for v in r] for r in rows])
-        return cls(points=arr[:, :2], magnitudes=arr[:, 2],
-                   quad_config_id=meta.get("quad_config_id", "").strip("'\""))
 
 
 def _point_array(points) -> np.ndarray:
@@ -318,8 +302,7 @@ def spectrogram_on_set(f: Signal, window: WindowModel, points,
     """|V_g f| on a SamplingSet (or raw (n, 2) array), in set order."""
     pts = _point_array(points)
     vals = _transform(f, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature")
-    qid = f"gauss-legendre(nodes={quad.nodes},tol={quad.tol:g})"
-    return SpectrogramSamples(points=pts, magnitudes=np.abs(vals), quad_config_id=qid)
+    return SpectrogramSamples(points=pts, magnitudes=np.abs(vals))
 
 
 def _uniform_grid(values, name: str) -> np.ndarray:

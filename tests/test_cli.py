@@ -104,13 +104,14 @@ def test_bounds_has_no_csv_form(capsys):
     ("classify", "--rho", "2", "--b", "3", "--seq", "0.3*sqrt(k)"),
     ("discriminate", "--f", "gaussian", "--h", "gaussian", "--n", "2"),
     ("counterexample", "--rho", "2", "--b", "3", "--seq", "1.5*sqrt(k)", "--terms", "2000"),
+    ("sample-set", "--m", "1.5", "--a", "1", "--n", "2"),
 ])
-def test_format_belongs_to_sample_set_alone(capsys, args):
-    # JSON is the only output of these commands, so neither --format value parses and meta has no format
+def test_no_command_takes_format(capsys, args):
+    # each command writes one format, so neither --format value parses and no output names a format
     code, error = only_json_error(capsys, *args, "--format", "json")
     assert code == 2 and error["message"] == "unrecognized arguments: --format json"
     code, out, _ = run_cli(capsys, *args)
-    assert code == 0 and "format" not in json.loads(out)["meta"]
+    assert code == 0 and "format" not in out
 
 
 def test_bad_flag_reports_json_error(capsys):
@@ -130,6 +131,10 @@ def test_sample_set_default_csv(capsys):
     assert len(data) == 800
     back = SamplingSet.from_csv(out)
     assert back.count == 200 and not back.includes_origin
+    # the set's five parameters, and from the command line only what they do not say
+    keys = [l[2:].partition("=")[0] for l in lines if l.startswith("# ")]
+    assert keys == ["a", "command", "count", "includes_origin", "m", "tau1", "tau2"]
+    assert "# a=1.0" in lines and "# command='sample-set'" in lines
 
 
 def test_sample_set_small(capsys):
@@ -143,17 +148,6 @@ def test_sample_set_small(capsys):
     assert float(first[3]) == 0.1 and float(first[4]) == 0.3
     third = data[2].split(",")
     assert third[:3] == ["1", "-1", "1"] and float(third[3]) == -0.1
-
-
-def test_sample_set_json_format(capsys):
-    code, out, _ = run_cli(capsys, "sample-set", "--m", "2", "--a", str(math.pi),
-                           "--tau2", "0.3", "--n", "3", "--include-origin",
-                           "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["meta"]["format"] == "json"
-    assert len(doc["result"]["points"]) == 13
-    assert doc["result"]["points"][0] == [0, 1, 1, 0.0, 0.0]
 
 
 def test_sample_set_rejects_step_above_bound(capsys):
@@ -383,9 +377,9 @@ def test_counterexample_builds_the_product_once(capsys, monkeypatch, slice_check
                            "--radii", "2,3", "--n-theta", "32")
     assert code == 0
     assert json.loads(out)["result"]["vanishes_at_sampled_zeros"] is True
-    # two sweeps over the sequence: the growth fit's evaluation, and the check of the
-    # call that probes both zeros and so takes no sum; no array of squares is checked
-    assert slice_checks.sweeps_over(lams[0]) == 2
+    # one sweep over the sequence, the growth fit's evaluation: the probe at two zeros
+    # reads the array the fit has checked; no array of squares is checked
+    assert slice_checks.sweeps_over(lams[0]) == 1
     assert all(np.shares_memory(values, lams[0]) for values, _, _ in slice_checks.seen)
 
 

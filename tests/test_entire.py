@@ -20,6 +20,7 @@ from stftuniq import (
     EvaluationOverflowError,
     InsufficientDataError,
     InvalidParameterError,
+    QuadratureConfig,
     TaylorSeries,
     ZeroAtOriginError,
     build_counterexample_product,
@@ -324,6 +325,22 @@ def test_product_banded_matches_direct():
     assert abs(banded - _direct_log(zeros, 0, -1.0).real) < 1e-10
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: QuadratureConfig(nodes=256.0), "nodes"),
+    (lambda: QuadratureConfig(nodes=300.5), "nodes"),
+    (lambda: CanonicalProduct(zeros=np.arange(1.0, 50.0), genus=1.5), "genus"),
+    (lambda: taylor_coefficients(make_generalized_gaussian(2, 1.5), 80.5), "n_terms"),
+    (lambda: counterexample_growth_coefficient(2 * np.sqrt(np.arange(1.0, 50.0)), 2.0, (1.0, 2.0),
+                                               n_theta=16.5), "n_theta"),
+    (lambda: jensen_integral(np.cos, 1.0, n_theta=100.5), "n_theta"),
+], ids=["nodes-whole", "nodes-half", "genus", "n_terms", "growth-n_theta", "jensen-n_theta"])
+def test_integer_parameters_reject_floats(call, name):
+    # a float count either failed later with an untyped TypeError or, as n_theta, spaced
+    # its angles at 2 pi / n_theta without closing the circle
+    with pytest.raises(InvalidParameterError, match=name):
+        call()
+
+
 def test_product_overflow_guard():
     zeros = 0.01 * np.arange(1, 2001, dtype=float)
     prod = CanonicalProduct(zeros=zeros, genus=1)
@@ -607,8 +624,11 @@ def test_one_disorder_anywhere_fails_every_call_before_any_warning(monkeypatch, 
     monkeypatch.setattr(sampling, "_CHUNK", 64)
     vmax = 4.0
     lam = 0.5 * np.sqrt(np.arange(1, 80001 + 37, dtype=float))
-    edges = [int(np.searchsorted(lam, math.sqrt(e) * vmax, "right")) for e in entire._BAND_EDGES] + [lam.size]
-    # every band spans several slices of its own
+    # the far zeros start at the ratio edge 2.2; "band b" places a disorder in the b-th of four
+    # ratio spans that together run from there to the last term
+    ratios = (entire._FAR_EDGE, 8.0, 64.0, 1024.0)
+    edges = [int(np.searchsorted(lam, math.sqrt(e) * vmax, "right")) for e in ratios] + [lam.size]
+    # every span holds several slices
     assert 0 < edges[0] and all(hi - lo > 3 * 64 for lo, hi in zip(edges, edges[1:]))
     counterexample_log_magnitudes(lam, 2.0, [vmax * 1j])
     slices = [(k, n) for values, k, n in slice_checks.seen if values is lam]
@@ -642,9 +662,8 @@ def test_shortened_slices_match_direct(monkeypatch, slice_checks, genus, q):
     seen = slice_checks.seen
     got = entire._log_product(lam, genus, vs, q, "zeros")
     # a slice keeps its powers in 2000 floats, so one that needs more than two rows is
-    # shorter than 1000 even where its band goes on
-    ends = [int(np.searchsorted(lam, e ** (1.0 / q) * 20.0, "right")) for e in entire._BAND_EDGES]
-    assert any(n < 1000 and k + n not in ends for values, k, n in seen if values is lam)
+    # shorter than 1000 even where the zeros go on
+    assert any(n < 1000 and k + n < lam.size for values, k, n in seen if values is lam)
     for v, g in zip(vs, got):
         # at genus 130 a float sum of u^j / j is itself off by up to 3.8e-14
         want = _near_mp_log(lam, genus, v, q)
@@ -656,9 +675,9 @@ def test_genus_above_the_slice_size_ends(monkeypatch, slice_checks):
     lam = np.arange(5.0, 2005.0)
     # the top power 301 > 4 _CHUNK: a slice still holds three rows, u^150, u^151 and u
     got = entire._log_product(lam, 300, np.array([3.0 + 1.0j, -4.0]), 1, "zeros")
-    ends = [int(np.searchsorted(lam, e * 4.0, "right")) for e in entire._BAND_EDGES] + [lam.size]
-    assert all(n == 2 * 64 // 3 or k + n in ends for values, k, n in slice_checks.seen
-               if values is lam and k >= ends[0])
+    far = [(k, n) for values, k, n in slice_checks.seen if values is lam]
+    assert far[0][0] == int(np.searchsorted(lam, entire._FAR_EDGE * 4.0, "right"))
+    assert all(n == 2 * 64 // 3 or k + n == lam.size for k, n in far)
     assert slice_checks.sweeps_over(lam) == 1
     for v, g in zip((3.0 + 1.0j, -4.0), got):
         want = _direct_log(lam, 300, v)

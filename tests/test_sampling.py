@@ -117,7 +117,7 @@ def test_csv_round_trip_is_exact():
 def test_csv_file_and_handle_round_trip(tmp_path):
     s = generate_sampling_set(2.0, 0.1, 0.2, 5, a=math.pi)
     path = tmp_path / "set.csv"
-    assert s.to_csv(path) is None
+    path.write_text(s.to_csv(), encoding="utf-8")
     back = SamplingSet.from_csv(path)
     assert np.array_equal(back.points, s.points)
     handle = io.StringIO(s.to_csv())

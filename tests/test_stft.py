@@ -1,7 +1,6 @@
 """Transform evaluation, discrimination, phase alignment, and the extension."""
 
 import cmath
-import io
 import math
 import tracemalloc
 
@@ -169,9 +168,12 @@ def test_gaussian_pair_closed_form_grid(gauss_window):
     f = gaussian_signal()
     xs = np.linspace(-1.5, 1.5, 7)
     pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    got = spectrogram_on_set(f, gauss_window, pts).magnitudes
+    samples = spectrogram_on_set(f, gauss_window, pts)
+    assert np.array_equal(samples.points, pts)
     want = 2.0**-0.5 * np.exp(-0.5 * math.pi * (pts[:, 0] ** 2 + pts[:, 1] ** 2))
-    assert np.max(np.abs(got - want) / want) < 1e-8
+    assert np.max(np.abs(samples.magnitudes - want) / want) < 1e-8
+    with pytest.raises(InvalidParameterError, match="align"):
+        SpectrogramSamples(points=np.zeros((2, 2)), magnitudes=np.zeros(3))
 
 
 def test_grid_signal_path_matches_closed_form(gauss_window):
@@ -282,36 +284,6 @@ def test_transform_blocks_match_one_block(gauss_window, monkeypatch):
             blocked, blocked_peak = _traced(lambda: spectrogram_on_set(f, gauss_window, pts).magnitudes)
         assert np.max(np.abs(blocked - one)) <= 1e-15 * np.max(one)
         assert blocked_peak < one_peak / 2
-
-
-# ------------------------------------------------------ spectrogram files
-
-def test_spectrogram_csv_round_trip(gauss_window):
-    f = gaussian_signal()
-    pts = np.array([[0.0, 0.0], [0.5, -0.25], [1.0, 2.0]])
-    samples = spectrogram_on_set(f, gauss_window, pts)
-    assert samples.quad_config_id.startswith("gauss-legendre(")
-    back = SpectrogramSamples.from_csv(samples.to_csv())
-    assert np.array_equal(back.points, samples.points)
-    assert np.array_equal(back.magnitudes, samples.magnitudes)
-    assert back.quad_config_id == samples.quad_config_id
-    with pytest.raises(InvalidParameterError):
-        SpectrogramSamples.from_csv("x,omega,magnitude\n1.0,2.0\n")
-    with pytest.raises(InvalidParameterError):
-        SpectrogramSamples(points=np.zeros((2, 2)), magnitudes=np.zeros(3))
-
-
-def test_spectrogram_csv_file_and_handle_round_trip(gauss_window, tmp_path):
-    samples = spectrogram_on_set(gaussian_signal(), gauss_window, np.array([[0.0, 0.0], [0.5, -0.25]]))
-    handle = io.StringIO()
-    assert samples.to_csv(handle, extra_meta={"note": "x"}) is None
-    handle.seek(0)
-    back = SpectrogramSamples.from_csv(handle)
-    assert np.array_equal(back.magnitudes, samples.magnitudes)
-    assert back.quad_config_id == samples.quad_config_id
-    path = tmp_path / "spec.csv"
-    assert samples.to_csv(path) is None
-    assert np.array_equal(SpectrogramSamples.from_csv(path).points, samples.points)
 
 
 # ------------------------------------------------------- phase alignment
