@@ -479,7 +479,7 @@ def _growth_fit(lambdas, rho: float, radii, n_theta: int, b: float | None):
     radii = np.asarray(radii, dtype=float)
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
     # the fit has two unknowns, so one radius, however often repeated, cannot fix them
-    _require(radii.ndim == 1 and np.unique(radii).size >= 2, "need at least two distinct radii")
+    _require(radii.ndim == 1 and len(set(radii.tolist())) >= 2, "need at least two distinct radii")
     threshold = None if b is None else nonuniqueness_threshold(rho, b)
     lam, genus = _counterexample_sequence(lambdas, rho)
     zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))

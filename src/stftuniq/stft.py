@@ -4,9 +4,9 @@ Convention: V_g f(x, omega) = int f(t) conj(g(t - x)) e^{-2 pi i omega t} dt.
 Signals are either closed-form models (Gaussian bumps, Hermite functions,
 linear chirps) integrated by node-doubling quadrature around their centre,
 or samples on a uniform grid integrated by the trapezoid rule. One kernel,
-_transform, computes the integral at a list of (shift, frequency) pairs;
-spectrogram sampling, phase-aware discrimination, an energy identity check
-and the entire extension to complex arguments all call it.
+_transform, computes the integral at a list of real (shift, frequency)
+pairs; spectrogram sampling, phase-aware discrimination and an energy
+identity check all call it.
 """
 
 from __future__ import annotations
@@ -100,15 +100,16 @@ class ClosedFormSignal:
         w2 = self.width * self.width
         return (0.5 if self.family is SignalFamily.HERMITE else math.pi) / w2 if w2 > 0 else math.inf
 
-    def _half_width(self, linear: float) -> float:
-        """Offset x from the centre beyond which |f(c + s)| e^{linear |s|} is negligible (~e^-43)."""
+    def _half_width(self) -> float:
+        """Offset x from the centre beyond which |f(c + s)| is negligible (~e^-43)."""
         alpha = self._envelope_rate()
         tail = _TAIL_LOG + (3.0 * self.hermite_index if self.family is SignalFamily.HERMITE else 0.0)
-        return (linear + math.sqrt(linear * linear + 4.0 * alpha * tail)) / (2.0 * alpha)
+        # 4 alpha tail overflows from widths near 1e-154, which rejects them; sqrt(tail / alpha) would not
+        return math.sqrt(4.0 * alpha * tail) / (2.0 * alpha)
 
     def support_radius(self) -> float:
         """Radius beyond which |f(t)| is negligible (~e^-43)."""
-        return abs(self.center) + self._half_width(0.0)
+        return abs(self.center) + self._half_width()
 
 
 @dataclass(frozen=True)
@@ -191,28 +192,25 @@ def _window_values(window: WindowModel, targets, quad: QuadratureConfig) -> np.n
 
 
 def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureConfig, what: str) -> np.ndarray:
-    """int f(t) conj(g(t - conj(z))) e^{2 pi i z' t} dt at each pair (z, z') of shifts and freqs.
+    """int f(t) g(t - x) e^{2 pi i w t} dt (g is real) at each real pair (x, w) of shifts and freqs.
 
-    V_g f(x, omega) is the pair (x, -omega); complex pairs give the entire
-    extension. The pairs are taken in shift order, in blocks of
-    _BLOCK / (time nodes) pairs, so neither the window matrix nor the
-    exponential matrix of a block has more than _BLOCK entries. Within a
-    block the window is evaluated once per distinct shift and the
-    exponential once per distinct frequency, and the pairs of each shift
-    are summed by one product. The scale of the result is the largest
-    absolute integrand mass over the pairs: off the real axes the
-    integrand is amplified super-exponentially and cancels back down, so
-    a result's own magnitude can sit below the reachable roundoff floor.
-    A grid signal is integrated once, by the trapezoid rule on its own
-    samples; it cannot widen its own grid, so an integrand above 1e-10 of
-    the scale at a grid edge only warns. A closed-form signal is refined,
-    against the scale, in centred time s = t - c on [-x, x], x its
-    half-width for the e^{2 pi |Im z'| |s|} growth: the shift becomes
-    conj(z) - c and the result gains e^{2 pi i z' c} (Groechenig 2001,
-    sec. 3.1), so a far centre c loses no digits to rounding c + s.
+    V_g f(x, omega) is the pair (x, -omega). The pairs run in shift order,
+    in blocks of _BLOCK / (time nodes) pairs, so no window or exponential
+    matrix of a block has more than _BLOCK entries. A block evaluates the
+    window once per distinct shift and the exponential once per distinct
+    frequency, and sums each shift's pairs by one product. The scale is the
+    largest absolute integrand mass over the shifts: oscillation cancels the
+    integrand down, so a result can sit below the roundoff floor of that
+    mass. A grid signal is integrated once, by the trapezoid rule on its own
+    samples; it cannot widen its grid, so an integrand above 1e-10 of the
+    scale at a grid edge only warns. A closed-form signal is refined, against
+    the scale, in centred time s = t - c on [-r, r], r its half-width: the
+    shift becomes x - c and the result gains e^{2 pi i w c} (Groechenig 2001,
+    sec. 3.1), so a far centre c loses no digits to rounding c + s. A phase
+    2 pi w c past the float range raises EvaluationOverflowError.
     """
     c = 0.0 if isinstance(f, GridSignal) else f.center
-    zs, at_shift = np.unique(np.conj(shifts) - c, return_inverse=True)
+    xs, at_shift = np.unique(shifts - c, return_inverse=True)
     ws, at_freq = np.unique(freqs, return_inverse=True)
     order = np.argsort(at_shift, kind="stable")
 
@@ -220,16 +218,12 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
         """Values, scale and edge integrand of pairs that run in shift order."""
         shift_ids, col = np.unique(at_shift[pairs], return_inverse=True)
         freq_ids, row = np.unique(at_freq[pairs], return_inverse=True)
-        rates, at_rate = np.unique(ws[freq_ids].imag, return_inverse=True)
-        gw = tw[:, None] * np.conj(_window_values(window, t[:, None] - zs[shift_ids], quad))
+        gw = tw[:, None] * _window_values(window, t[:, None] - xs[shift_ids], quad)
         kern = np.exp((2j * math.pi) * t[:, None] * ws[freq_ids])
         runs = np.split(row, np.flatnonzero(np.diff(col)) + 1)
         vals = np.concatenate([gw[:, j] @ kern[:, rows] for j, rows in enumerate(runs)])
-        # |e^{2 pi i z' t}| = e^{-2 pi Im(z') t}: the integrand's magnitudes need one column per decay rate
-        mags, growth = np.abs(gw), np.exp((-2.0 * math.pi) * t[:, None] * rates)
-        at_rate = at_rate[row]
-        scale = float(np.max((mags.T @ growth)[col, at_rate]))
-        return vals, scale, float(np.max(mags[[0, -1]][:, col] * growth[[0, -1]][:, at_rate]))
+        mags = np.abs(gw)
+        return vals, float(np.max(np.sum(mags, axis=0))), float(np.max(mags[[0, -1]]))
 
     def level(t, wts, fv):
         out = np.empty(at_shift.size, dtype=complex)
@@ -248,7 +242,7 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
                           "the transform is truncated by the signal grid", RuntimeWarning,
                           stacklevel=_caller_stacklevel())
         return out
-    half = f._half_width(2.0 * math.pi * float(np.max(np.abs(ws.imag))))
+    half = f._half_width()
 
     def refined(nodes: int):
         s, wts = line_nodes(half, nodes)
@@ -258,7 +252,7 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
     with np.errstate(over="ignore", invalid="ignore"):
         out = out * np.exp((2j * math.pi * c) * ws[at_freq])
     if not np.all(np.isfinite(out)):
-        raise EvaluationOverflowError(f"{what}: e^(2 pi i z' c) at centre c = {c:g} leaves the float range")
+        raise EvaluationOverflowError(f"{what}: e^(2 pi i w c) at centre c = {c:g} leaves the float range")
     return out
 
 
@@ -360,13 +354,13 @@ def global_phase_residual(f: Signal, h: Signal,
         sums = _alignment_sums(_trapezoid_weights(g.values.size, g.step), _values_on(f, g.times),
                                _values_on(h, g.times))
     else:
-        d, xf, xh = h.center - f.center, f._half_width(0.0), h._half_width(0.0)
+        d, xf, xh = h.center - f.center, f._half_width(), h._half_width()
         if abs(d) >= xf + xh:
             # f and h as two orthogonal atoms of their exact norms
             sums = _alignment_sums(np.ones(2), np.array([f.norm(), 0.0]), np.array([0.0, h.norm()]))
         else:
             def level(nodes: int):
-                s, w = panel_nodes(np.unique([-xf, xf, d - xh, d + xh]), nodes)
+                s, w = panel_nodes(np.array(sorted({-xf, xf, d - xh, d + xh})), nodes)
                 sums = _alignment_sums(w, f._centred(s), h._centred(s - d))
                 return sums, max(sums[0].real, sums[1].real)
 
@@ -458,17 +452,3 @@ def moyal_energy_check(f: Signal, window: WindowModel, x_grid, omega_grid,
         return 0.0
     return abs(energy - reference) / reference
 
-
-def extend_stft(f: Signal, window: WindowModel, z, zprime,
-                quad: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
-    """The transform continued to complex time shift z and frequency zprime.
-
-    Computes int f(t) conj(G(t - conj(z))) e^{2 pi i zprime t} dt, where G is
-    the entire continuation of the window; the conjugations make the result
-    holomorphic in both arguments. At real arguments it reduces to
-    stft_eval(f, window, x, -omega). Truncation radii account for the
-    e^{2 pi |Im zprime| |t|} growth factor; grid signals cannot widen their
-    own grid, so a non-negligible integrand at the grid edge only warns.
-    """
-    return complex(_transform(f, window, np.array([complex(z)]), np.array([complex(zprime)]), quad,
-                              "extension quadrature")[0])

@@ -412,6 +412,18 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["meta"]["command"] == "bounds"
 
 
+def test_discriminate_and_counterexample_leave_numpy_ma_unloaded():
+    # np.unique without a return_* flag imports numpy.ma, about 20 ms of a fresh process
+    code = ("import sys\n"
+            "from stftuniq.cli import main\n"
+            "main(['discriminate', '--f', 'gaussian(width=1)', '--h', 'hermite(index=3)', '--n', '2'])\n"
+            "main(['counterexample', '--rho', '2', '--b', '3.14', '--seq', '1.5*sqrt(k)', '--terms', '1000'])\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_help_exits_cleanly(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

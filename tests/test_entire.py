@@ -412,9 +412,13 @@ def test_counterexample_genus_and_validation():
 def test_counterexample_density_warning():
     # too sparse to clear the non-uniqueness threshold for (rho=2, b=pi)
     lam = 0.5 * np.arange(1, 101, dtype=float) ** 0.5
-    with pytest.warns(RuntimeWarning, match="non-uniqueness threshold") as record:
+    with pytest.warns(RuntimeWarning) as record:
         counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi)
-    assert record[0].filename == __file__
+    # lambda_K = 5 at 100 terms, so the radius 4 also passes 2.5
+    assert [str(r.message).split(";")[0] for r in record] == [
+        "sequence density does not clear the non-uniqueness threshold",
+        "fit radius 4 passes half the last sequence term 5"]
+    assert [r.filename for r in record] == [__file__] * 2
 
 
 def test_counterexample_irregular_sequence_warning():
@@ -482,7 +486,8 @@ def test_counterexample_rejects_squares_that_round_together():
     assert np.all(counterexample_log_magnitudes(lam, 2.0, np.array([1.0, -1.0])) == -math.inf)
     assert math.isfinite(counterexample_eval(lam, 2.0, 0.5).real)
     assert np.all(np.isfinite(counterexample_log_magnitudes(lam, 2.0, np.array([0.5j, 0.5, 3.0 + 1.0j]))))
-    coeff, samples = counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16)
+    with pytest.warns(RuntimeWarning, match="not close to a power law"):
+        coeff, samples = counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16)
     assert math.isfinite(coeff) and all(math.isfinite(v) for _, v in samples)
     # with a zero at 1e-160, |F(0.5)| = |(1 - u) e^u| at u = 2.5e319 is past the float range
     for bad, _ in cases[:2]:

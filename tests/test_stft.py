@@ -1,4 +1,4 @@
-"""Transform evaluation, discrimination, phase alignment, and the extension."""
+"""Transform evaluation, discrimination and phase alignment."""
 
 import cmath
 import math
@@ -17,7 +17,6 @@ from stftuniq import (
     ZeroNormError,
     chirp_signal,
     discriminate,
-    extend_stft,
     gaussian_signal,
     generate_sampling_set,
     global_phase_residual,
@@ -125,13 +124,11 @@ def test_window_far_from_the_signal_is_a_quiet_zero():
     assert stft_eval(gaussian_signal(1.0, 1e300), make_generalized_gaussian(3.0, 2.0), 0.3, 0.5) == 0
 
 
-def test_far_centre_off_the_real_axis_overflows_with_a_typed_error():
-    # |V| carries e^(-2 pi Im(z') c) = e^(400 pi) here, beyond the float range
+def test_far_centre_phase_past_the_float_range_is_a_typed_error():
+    # V carries e^(-2 pi i omega c), whose phase pi c overflows to -inf at c = 1.7e308: not a silent NaN
     window = make_generalized_gaussian(3.0, 2.0)
     with pytest.raises(EvaluationOverflowError, match="leaves the float range"):
-        extend_stft(gaussian_signal(1.0, 100.0), window, 100.2 + 0.1j, 0.5 - 2.0j)
-    # at Im(z') = +2 the same factor underflows, and the value is a plain 0
-    assert extend_stft(gaussian_signal(1.0, 100.0), window, 100.2 + 0.1j, 0.5 + 2.0j) == 0
+        stft_eval(gaussian_signal(1.0, 1.7e308), window, 1.7e308, 0.5)
 
 
 def test_amplitude_must_be_finite_with_a_finite_peak():
@@ -468,45 +465,10 @@ def test_moyal_requires_uniform_grids(gauss_window):
         moyal_energy_check(gaussian_signal(), gauss_window, good, bad)
 
 
-# --------------------------------------------------------------- extension
-
-def test_extension_reduces_to_transform_on_real_arguments(gauss_window):
-    f = gaussian_signal()
-    for window in (gauss_window, make_generalized_gaussian(2.0, 1.5)):
-        for x, om in ((0.7, -0.3), (1.2, 0.5), (0.0, 1.0)):
-            ve = extend_stft(f, window, x, om)
-            vs = stft_eval(f, window, x, -om)
-            assert abs(ve - vs) / abs(vs) < 1e-10
-
-
-def test_extension_growth_along_imaginary_time(gauss_window):
-    # matched Gaussian pair: log |ext(iy, 0)| = pi y^2 / 2 - log(2)/2
-    f = gaussian_signal()
-    for y in (0.5, 1.0, 2.0):
-        val = extend_stft(f, gauss_window, 1j * y, 0.0)
-        want = 0.5 * math.pi * y * y - 0.5 * math.log(2.0)
-        assert abs(math.log(abs(val)) - want) < 1e-8
-        # and stays below the order-2 envelope
-        assert math.log(abs(val)) <= math.pi * y * y
-
-
-def test_extension_is_quadratic_in_imaginary_frequency(gauss_window):
-    f = gaussian_signal()
-    logs = [math.log(abs(extend_stft(f, gauss_window, 0.0, 1j * y)))
-            for y in (0.0, 1.0, 2.0)]
-    ratio = (logs[2] - logs[0]) / (logs[1] - logs[0])
-    assert abs(ratio - 4.0) < 1e-6
-
-
-def test_extension_grid_edge_warning(gauss_window):
+def test_grid_edge_warning_names_the_caller(gauss_window):
+    # the grid ends at t = 2, where the window centred at x = 1.8 still meets e^(-4 pi) of the signal
     ts = np.arange(-64, 65) / 32.0
     gf = grid_signal(np.exp(-math.pi * ts**2), -2.0, 1 / 32.0)
     with pytest.warns(RuntimeWarning, match="grid edge") as record:
-        extend_stft(gf, gauss_window, 0.0, 2j)
+        stft_eval(gf, gauss_window, 1.8, 0.5)
     assert record[0].filename == __file__
-
-
-def test_extension_quadrature_failure(gauss_window):
-    c = chirp_signal(chirp_rate=60.0)
-    with pytest.raises(QuadratureConvergenceError):
-        extend_stft(c, gauss_window, 0.3, 0.2, QuadratureConfig(nodes=64))

@@ -63,21 +63,14 @@ def test_time_side_gaussian_closed_form():
 def test_time_side_closed_form_agrees_with_quadrature():
     # force the quadrature path by building a window the closed form also covers
     for w in (make_generalized_gaussian(2.0, 2.0), make_generalized_gaussian(1.5, 2.0)):
-        for ts in (np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, 2.0, 9) + 0.4j):
-            closed = time_window_closed_form(w)
-            assert closed is not None
-            direct = np.array([closed(t) for t in ts])
-            quad = time_window_values(w, ts)
-            assert np.max(np.abs(direct - quad)) / np.max(np.abs(direct)) < 1e-9
+        ts = np.linspace(-2.0, 2.0, 9)
+        closed = time_window_closed_form(w)
+        assert closed is not None
+        direct = np.array([closed(t) for t in ts])
+        quad = time_window_values(w, ts)
+        assert np.max(np.abs(direct - quad)) / np.max(np.abs(direct)) < 1e-9
     # no closed form outside m = 2
     assert time_window_closed_form(make_generalized_gaussian(2.0, 3.0)) is None
-
-
-def test_time_side_complex_argument():
-    w = make_generalized_gaussian(math.pi, 2.0)
-    val = time_window_values(w, np.array([1j]))[0]
-    want = math.exp(math.pi)
-    assert abs(val - want) / want < 1e-8
 
 
 def test_time_side_radius_invariance():
@@ -113,24 +106,20 @@ def test_time_side_dtype_follows_the_times():
     ts = np.linspace(-2.0, 2.0, 5)
     assert time_window_values(plain, ts).dtype == np.float64
     assert time_window_values(plain, np.arange(-2, 3)).dtype == np.float64
-    assert time_window_values(plain, ts + 0.25j).dtype == np.complex128
-    assert time_window_values(plain, ts.astype(complex)).dtype == np.complex128
     closed = time_window_closed_form(make_generalized_gaussian(2.0, 2.0))
     assert closed(ts).dtype == np.float64
-    assert closed(ts + 0.25j).dtype == np.complex128
+    assert closed(np.arange(-2, 3)).dtype == np.float64
 
 
 @pytest.mark.parametrize("m", [1.2, 1.5, 3.0])
-@pytest.mark.parametrize("im", [0.0, 0.3])
-def test_cosine_transform_matches_the_full_line_sum(m, im):
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_cosine_transform_matches_the_full_line_sum(m, offset):
     window = make_generalized_gaussian(2.0, m)
-    ts = np.linspace(-3.0, 3.0, 13) + 1j * im * np.linspace(-1.0, 1.0, 13)
-    if not im:
-        ts = ts.real
+    # the offset moves the times off the grid that is symmetric about 0
+    ts = np.linspace(-3.0, 3.0, 13) + offset
     # a tolerance no change exceeds returns the level at 2 * 256 nodes after one doubling
     got = time_window_values(window, ts, QuadratureConfig(nodes=256, tol=0.5))
-    radius = decay_truncation_radius(2.0, m, linear=2.0 * math.pi * np.max(np.abs(np.imag(ts))))
-    want = _full_line(window, ts, radius, 512)
+    want = _full_line(window, ts, decay_truncation_radius(2.0, m), 512)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
