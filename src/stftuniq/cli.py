@@ -27,7 +27,6 @@ from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     QuadratureConvergenceError,
-    ZeroAtOriginError,
     ZeroNormError,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -53,7 +52,7 @@ from .stft import (
     hermite_signal,
 )
 
-_PARAM_ERRORS = (InvalidParameterError, InsufficientDataError, ZeroAtOriginError, ZeroNormError)
+_PARAM_ERRORS = (InvalidParameterError, InsufficientDataError, ZeroNormError)
 _NUMERICAL_ERRORS = (QuadratureConvergenceError, EvaluationOverflowError)
 
 
@@ -184,8 +183,8 @@ def _run_sample_set(ns, meta):
 def _run_growth(ns, meta):
     meta.update({"m": ns.m, "a": ns.a, "n_coeffs": ns.n_coeffs, "estimate": ns.estimate})
     predicted = predicted_growth(ns.m, ns.a)
-    result = {"m": ns.m, "a": ns.a,
-              "order_predicted": predicted.order, "type_predicted": predicted.type}
+    result = {"m": ns.m, "a": ns.a, "order_predicted": predicted.order,
+              "type_predicted": predicted.type, "log_type_predicted": predicted.log_type}
     if ns.estimate:
         series = taylor_coefficients(make_generalized_gaussian(ns.a, ns.m), ns.n_coeffs)
         order_est = estimate_order(series)

@@ -2,16 +2,17 @@
 
 Closed-form Taylor coefficients of a window's entire extension (from the
 Gamma-function absolute moments of its even profile), order/type
-estimation from coefficient decay and the predicted growth of a decay
-profile, Jensen circle means and zero-count bounds, and Weierstrass
-canonical products over finitely many positive zeros with banded
-evaluation, including the symmetric counterexample F(z) = V(z^2). The counterexample functions evaluate F in z
-itself, as the product of G((z / lambda_k)^2; p) over the sequence, so they
-neither form nor check the squares lambda_k^2; F vanishes exactly at every
-+-lambda_k, which are distinct whenever the lambda_k are. They check that
-the lambda_k rise strictly inside the evaluation's sweep over the sequence,
-slice by slice while each slice is in cache, so the check makes no pass
-over memory of its own.
+estimation from coefficient decay, the predicted growth of a decay profile
+(from the log-domain chain in sampling), Jensen's zero-count bound, and
+Weierstrass canonical products over finitely many positive zeros with
+banded evaluation, including the symmetric counterexample F(z) = V(z^2).
+The counterexample functions evaluate F in z itself, as the product of
+G((z / lambda_k)^2; p) over the sequence, so they neither form nor check
+the squares lambda_k^2; F vanishes exactly at every +-lambda_k, which are
+distinct whenever the lambda_k are. They check that the lambda_k rise
+strictly inside the evaluation's sweep over the sequence, slice by slice
+while each slice is in cache, so the check makes no pass over memory of
+its own.
 Everything here works with the convention F(z) = int ghat(xi)
 e^{2 pi i xi z} d xi, so the coefficients are c_n = (2 pi i)^n / n! times the
 n-th moment of ghat.
@@ -29,12 +30,12 @@ from .errors import (
     EvaluationOverflowError,
     InsufficientDataError,
     InvalidParameterError,
-    ZeroAtOriginError,
     _caller_stacklevel,
 )
 from .sampling import (
     _CHUNK,
     _check_slice,
+    _log_growth,
     check_increasing,
     nonuniqueness_threshold,
     tail_density,
@@ -73,11 +74,12 @@ class TaylorSeries:
 
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Order and type estimates plus the coefficient indices backing them."""
+    """Order and type estimates, the coefficient indices backing them, and a prediction's log type."""
 
     order: float
-    type: float
+    type: float | None
     n_used: tuple[int, ...] = ()
+    log_type: float | None = None
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,8 @@ def estimate_type(series: TaylorSeries, rho: float) -> GrowthEstimate:
     Uses tau = limsup n |c_n|^{rho/n} / (e rho): over the tail window the
     quantity u_n = log n + (rho/n) log|c_n| tends to log(e rho tau) with an
     O(log n / n) correction, so tau comes from the intercept of a fit of u_n
-    against {1, log n / n, 1/n}. Polynomial series report type 0.
+    against {1, log n / n, 1/n}. Polynomial series report type 0, and an
+    intercept past the float range raises EvaluationOverflowError.
     """
     _require(rho > 0 and math.isfinite(rho), f"order must be positive, got {rho}")
     tail = _usable_tail(series)
@@ -197,6 +200,9 @@ def estimate_type(series: TaylorSeries, rho: float) -> GrowthEstimate:
     u = np.log(nf) + (rho / nf) * logs
     basis = np.stack([np.ones_like(nf), np.log(nf) / nf, 1.0 / nf], axis=1)
     beta, *_ = np.linalg.lstsq(basis, u, rcond=None)
+    if beta[0] > _LOG_FLOAT_MAX:
+        raise EvaluationOverflowError(f"estimated type has log magnitude {beta[0] - 1.0 - math.log(rho):.1f}, "
+                                      "past the float range of its fit")
     tau = math.exp(float(beta[0])) / (math.e * rho)
     return GrowthEstimate(order=float(rho), type=tau, n_used=tuple(int(n) for n in ns))
 
@@ -204,66 +210,29 @@ def estimate_type(series: TaylorSeries, rho: float) -> GrowthEstimate:
 def predicted_growth(m: float, a: float) -> GrowthEstimate:
     """Order and type of the entire continuation for a decay profile exp(-a |xi|^m).
 
-    order rho = m/(m-1) and type
-    tau = ((m-1)/m) (2 pi)^{m/(m-1)} (a m)^{-1/(m-1)}; both blow up as m -> 1,
-    so the type is assembled in the log domain and overflow is reported
-    rather than returned as inf.
+    order rho = m/(m-1) and type tau = ((m-1)/m) (2 pi)^{m/(m-1)} (a m)^{-1/(m-1)},
+    by the log-domain chain of the step bounds. Both blow up as m -> 1, where
+    log_type stays a float and type is None, so no caller reads tau as inf.
     """
     _require(m > 1 and math.isfinite(m), f"decay exponent m must exceed 1, got {m}")
     _require(a > 0 and math.isfinite(a), f"decay rate a must be positive, got {a}")
-    rho = m / (m - 1.0)
-    log_tau = math.log((m - 1.0) / m) + rho * math.log(2.0 * math.pi) - math.log(a * m) / (m - 1.0)
-    if log_tau > _LOG_FLOAT_MAX:
-        raise EvaluationOverflowError(f"predicted type has log magnitude {log_tau:.1f}, beyond float range")
-    return GrowthEstimate(order=rho, type=math.exp(log_tau))
-
-
-def _eval_complex(f, z: np.ndarray) -> np.ndarray:
-    """Evaluate f on a complex array, falling back to elementwise calls."""
-    try:
-        out = np.asarray(f(z), dtype=complex)
-        if out.shape == z.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(w)) for w in z.ravel()], dtype=complex).reshape(z.shape)
-
-
-def jensen_integral(f, r: float, n_theta: int = 1024) -> float:
-    """Circle mean of log|f| at radius r, minus log|f(0)|.
-
-    By Jensen's formula this equals the integral of n(t)/t up to r, so it is
-    nonnegative and nondecreasing in r for entire f. The mean uses the
-    rectangle rule (spectrally accurate here); grid points where |f| is below
-    1e-300 trigger a warning and propagate -inf rather than failing.
-    """
-    _require(r > 0 and math.isfinite(r), f"radius must be positive, got {r}")
-    _require(isinstance(n_theta, (int, np.integer)) and n_theta >= 64,
-             f"need an integer n_theta >= 64, got {n_theta!r}")
-    f0 = complex(_eval_complex(f, np.zeros(1, dtype=complex))[0])
-    if abs(f0) < 1e-300:
-        raise ZeroAtOriginError("f vanishes at the origin; divide out the zero first")
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    vals = _eval_complex(f, r * np.exp(1j * theta))
-    mags = np.abs(vals)
-    if np.any(mags < 1e-300):
-        warnings.warn("log|f| is singular on the circle; the mean may be -inf", RuntimeWarning,
-                      stacklevel=_caller_stacklevel())
-    with np.errstate(divide="ignore"):
-        logs = np.log(mags)
-    return float(np.mean(logs) - math.log(abs(f0)))
+    rho, log_tau = _log_growth(m, a)
+    return GrowthEstimate(order=rho, type=math.exp(log_tau) if log_tau <= _LOG_FLOAT_MAX else None,
+                          log_type=log_tau)
 
 
 def zero_count_bound(r: float, s: float, c_bound: float, b: float, rho: float) -> int:
     """Upper bound on the number of zeros in |z| <= r of any f with |f| <= c_bound exp(b |z|^rho).
 
     Jensen's formula gives n(r) <= (log c_bound + b (s r)^rho) / log s for any s > 1.
+    At s = e^{1/rho} and c_bound = 1 the bound is b rho e r^rho, which equals
+    2 (r / delta)^rho at the uniqueness threshold delta of order rho and type b.
     """
-    _require(r > 0, f"radius must be positive, got {r}")
-    _require(s > 1, f"dilation s must exceed 1, got {s}")
-    _require(c_bound > 0, f"envelope constant must be positive, got {c_bound}")
-    _require(b >= 0, f"envelope coefficient must be nonnegative, got {b}")
-    _require(rho > 0, f"envelope order must be positive, got {rho}")
+    _require(0 < r < math.inf, f"radius must be positive and finite, got {r}")
+    _require(1 < s < math.inf, f"dilation s must be finite and exceed 1, got {s}")
+    _require(0 < c_bound < math.inf, f"envelope constant must be positive and finite, got {c_bound}")
+    _require(0 <= b < math.inf, f"envelope coefficient must be nonnegative and finite, got {b}")
+    _require(0 < rho < math.inf, f"envelope order must be positive and finite, got {rho}")
     try:
         value = (math.log(c_bound) + b * (s * r) ** rho) / math.log(s)
     except OverflowError as exc:

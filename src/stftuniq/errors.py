@@ -37,9 +37,5 @@ class EvaluationOverflowError(OverflowError):
     """A magnitude exponent left the representable floating-point range."""
 
 
-class ZeroAtOriginError(ValueError):
-    """Circle-mean formulas need a nonzero value at the center."""
-
-
 class ZeroNormError(ValueError):
     """Phase alignment is undefined against a zero-norm signal."""

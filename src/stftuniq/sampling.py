@@ -3,6 +3,8 @@
 The admissible step sizes, the four-quadrant point sets they generate, and
 the uniqueness / non-uniqueness density thresholds for real zero sequences,
 plus a finite-sequence density surrogate and a classifier built on it.
+Both step sizes are uniqueness thresholds: at the predicted growth of the
+window's entire continuation, carried as a log type, and at (m, a).
 """
 
 from __future__ import annotations
@@ -37,35 +39,50 @@ class TauBounds(NamedTuple):
     tau2_max: float
 
 
+def _check_threshold_params(rho: float, b: float, names: tuple[str, str] = ("order rho", "type b")) -> None:
+    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 1):
+        raise InvalidParameterError(f"{names[0]} must be a finite real > 1, got {rho!r}")
+    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
+        raise InvalidParameterError(f"{names[1]} must be a finite positive real, got {b!r}")
+
+
 def _check_window_params(m: float, a: float) -> None:
-    if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 1):
-        raise InvalidParameterError(f"decay exponent m must be a finite real > 1, got {m!r}")
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise InvalidParameterError(f"decay rate a must be a finite positive real, got {a!r}")
+    _check_threshold_params(m, a, ("decay exponent m", "decay rate a"))
     if a <= 1:
-        warnings.warn(
-            f"decay rate a = {a} is at or below 1; the step bounds are formal there",
-            UserWarning,
-            stacklevel=_caller_stacklevel(),
-        )
+        warnings.warn(f"decay rate a = {a} is at or below 1; the step bounds are formal there",
+                      UserWarning, stacklevel=_caller_stacklevel())
+
+
+def _log_growth(m: float, a: float) -> tuple[float, float]:
+    """Order rho = m/(m-1) and log type of the window's entire continuation.
+
+    The type, ((m-1)/m) (2 pi)^rho (a m)^{-1/(m-1)}, leaves the float range as m -> 1; its log does not.
+    """
+    rho = m / (m - 1.0)
+    return rho, math.log((m - 1.0) / m) + rho * math.log(2.0 * math.pi) - math.log(a * m) / (m - 1.0)
+
+
+def _threshold(rho: float, b: float) -> float:
+    return (2.0 / (b * rho * math.e)) ** (1.0 / rho)
+
+
+def _log_threshold(rho: float, log_b: float) -> float:
+    """log of the uniqueness threshold at order rho and type e^{log_b}, which scales as b^{-1/rho}."""
+    return math.log(_threshold(rho, 1.0)) - log_b / rho
 
 
 def max_tau_bounds(m: float, a: float) -> TauBounds:
     """Largest admissible step scales for the two power-law trajectories.
 
-    For a window with Fourier decay exp(-a |xi|^m) the time-side steps
-    tau1 n^{(m-1)/m} work for every tau1 below
-    (2 / ((2 pi)^{m/(m-1)} (m a)^{-1/(m-1)} e))^{(m-1)/m}, and the
-    frequency-side steps tau2 n^{1/m} for every tau2 below (2/(a m e))^{1/m}.
-    tau1_max is assembled in the log domain since its inner exponent m/(m-1)
-    blows up as m -> 1.
+    Both are uniqueness thresholds. The time-side steps tau1 n^{(m-1)/m} work
+    for every tau1 below the threshold at the predicted growth of the
+    window's entire continuation (order m/(m-1), type as in _log_growth), and
+    the frequency-side steps tau2 n^{1/m} for every tau2 below the threshold
+    at order m and type a, (2/(a m e))^{1/m}. tau1_max goes through the log
+    type, which stays a float as m -> 1 where the type does not.
     """
     _check_window_params(m, a)
-    rho = m / (m - 1.0)
-    log_tau1 = (math.log(2.0) - rho * math.log(2.0 * math.pi)
-                + math.log(m * a) / (m - 1.0) - 1.0) / rho
-    tau2 = (2.0 / (a * m * math.e)) ** (1.0 / m)
-    return TauBounds(math.exp(log_tau1), tau2)
+    return TauBounds(math.exp(_log_threshold(*_log_growth(m, a))), _threshold(m, a))
 
 
 @dataclass(frozen=True)
@@ -202,13 +219,6 @@ def generate_sampling_set(m: float, tau1: float, tau2: float, count: int,
     return lam
 
 
-def _check_threshold_params(rho: float, b: float) -> None:
-    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 1):
-        raise InvalidParameterError(f"order rho must be a finite real > 1, got {rho!r}")
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
-        raise InvalidParameterError(f"type b must be a finite positive real, got {b!r}")
-
-
 def uniqueness_threshold(rho: float, b: float) -> float:
     """Density bound below which zero sets of order-rho type-b functions cannot reach.
 
@@ -217,7 +227,7 @@ def uniqueness_threshold(rho: float, b: float) -> float:
     without vanishing identically.
     """
     _check_threshold_params(rho, b)
-    return (2.0 / (b * rho * math.e)) ** (1.0 / rho)
+    return _threshold(rho, b)
 
 
 def nonuniqueness_threshold(rho: float, b: float) -> float:

@@ -22,7 +22,7 @@ from .errors import EvaluationOverflowError, InvalidParameterError, ZeroNormErro
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, panel_nodes, refine
 from .sampling import SamplingSet
 from .entire import moment_integral
-from .windows import WindowModel, time_window_closed_form, time_window_values
+from .windows import WindowModel, _real_array, time_window_closed_form, time_window_values
 
 _TAIL_LOG = 43.0
 # Entries of the window matrix, and of the exponential matrix, in one block of _transform
@@ -282,8 +282,8 @@ class SpectrogramSamples:
 
 
 def _point_array(points) -> np.ndarray:
-    """(x, omega) rows of a SamplingSet or raw (n, 2) array; at least one row, all finite."""
-    pts = points.points if isinstance(points, SamplingSet) else np.asarray(points, dtype=float).reshape(-1, 2)
+    """(x, omega) rows of a SamplingSet or raw (n, 2) array; at least one row, all real and finite."""
+    pts = points.points if isinstance(points, SamplingSet) else _real_array(points, "points").reshape(-1, 2)
     if pts.shape[0] == 0:
         raise InvalidParameterError("need at least one time-frequency point")
     if not np.all(np.isfinite(pts)):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -30,6 +31,14 @@ from .quadrature import (
     refine,
 )
 from .sampling import _check_window_params
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float array; complex input raises rather than losing its imaginary part."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise InvalidParameterError(f"{what} must be real, got complex values")
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,7 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     |g(t)|, since pointwise relative error in the far tail is not
     meaningful.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _real_array(ts, "times")
     flat = ts.ravel()
     radius = decay_truncation_radius(window.a, window.m)
     arg = (2.0 * math.pi) * flat

@@ -38,6 +38,7 @@ from stftuniq import (
     taylor_coefficients,
     uniqueness_threshold,
     nonuniqueness_threshold,
+    zero_count_bound,
 )
 from stftuniq.cli import main as cli_main
 
@@ -84,21 +85,24 @@ def test_acceptance_2_order_type_estimation():
 
 
 def test_acceptance_3_bound_threshold_consistency():
+    # each step bound is a uniqueness threshold delta: Jensen's count of the zeros an order-rho
+    # type-b function has in |z| <= r is b rho e r^rho at the optimal dilation s = e^{1/rho},
+    # which is 2 (r/delta)^rho; checked at r where that count is near 1e14
     t0 = time.perf_counter()
     worst = 0.0
     for m in (1.2, 1.5, 2.0, 2.5):
         for a in (1.2, 2.0, math.pi, 5.0):
             bounds = max_tau_bounds(m, a)
             pred = predicted_growth(m, a)
-            via_growth = uniqueness_threshold(pred.order, pred.type)
-            via_params = uniqueness_threshold(m, a)
-            worst = max(worst,
-                        abs(bounds.tau1_max - via_growth) / via_growth,
-                        abs(bounds.tau2_max - via_params) / via_params)
+            for delta, rho, b in ((bounds.tau1_max, pred.order, pred.type), (bounds.tau2_max, m, a)):
+                r = delta * 5e13 ** (1.0 / rho)
+                want = 2.0 * (r / delta) ** rho
+                count = zero_count_bound(r, math.exp(1.0 / rho), 1.0, b, rho)
+                worst = max(worst, abs(count - want) / want)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
     _report("C3 bound-threshold-consistency", ok,
-            f"worst rel dev {worst:.2e} over 16 windows, both routes", elapsed, 1.0)
+            f"worst rel dev {worst:.2e} over 16 windows, both bounds against the Jensen count", elapsed, 1.0)
     assert worst < 1e-12
     assert elapsed < 1.0
 

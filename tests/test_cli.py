@@ -175,6 +175,15 @@ def test_growth_predicted(capsys):
     assert math.isclose(res["order_predicted"], 2.0, rel_tol=1e-14)
     assert math.isclose(res["type_predicted"], math.pi, rel_tol=1e-12)
     assert "order_estimated" not in res
+    assert math.isclose(res["log_type_predicted"], math.log(math.pi), rel_tol=1e-12)
+    # near m = 1 the type is e^1138.7, past the float range; the order and the log type are not
+    code, out, _ = run_cli(capsys, "growth", "--m", "1.001", "--a", "2")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert math.isclose(res["order_predicted"], 1001.0, rel_tol=1e-12)
+    assert math.isfinite(res["log_type_predicted"])
+    assert math.isclose(res["log_type_predicted"], 1138.6595078035366, rel_tol=1e-13)
+    assert res["type_predicted"] is None
 
 
 def test_growth_estimated(capsys):
@@ -197,6 +206,10 @@ def test_growth_estimated_at_large_n(capsys):
     code, _, err = run_cli(capsys, "growth", "--m", "3", "--a", "2", "--estimate", "--n-coeffs", "1000")
     assert code == 3
     assert "normal floats" in last_json(err)["error"]["message"]
+    # near m = 1 the fitted type is past the float range as well
+    code, _, err = run_cli(capsys, "growth", "--m", "1.001", "--a", "2", "--estimate")
+    assert code == 3
+    assert "float range" in last_json(err)["error"]["message"]
 
 
 def test_unstable_quadrature_exit_code(capsys):

@@ -22,7 +22,6 @@ from stftuniq import (
     InvalidParameterError,
     QuadratureConfig,
     TaylorSeries,
-    ZeroAtOriginError,
     build_counterexample_product,
     counterexample_eval,
     counterexample_growth_coefficient,
@@ -30,11 +29,11 @@ from stftuniq import (
     density_index,
     estimate_order,
     estimate_type,
-    jensen_integral,
     make_generalized_gaussian,
     moment_integral,
     predicted_growth,
     taylor_coefficients,
+    uniqueness_threshold,
     zero_count_bound,
 )
 from stftuniq.entire import canonical_product_eval, canonical_product_log_magnitudes
@@ -197,6 +196,7 @@ def test_predicted_growth_values():
     g = predicted_growth(2.0, math.pi)
     assert math.isclose(g.order, 2.0, rel_tol=1e-14)
     assert math.isclose(g.type, math.pi, rel_tol=1e-14)
+    assert math.isclose(g.log_type, math.log(g.type), rel_tol=1e-15)
     g = predicted_growth(2.0, 1.0)
     assert math.isclose(g.type, math.pi**2, rel_tol=1e-14)
     g = predicted_growth(1.5, 1.0)
@@ -205,36 +205,17 @@ def test_predicted_growth_values():
     for m, a in ((1.0, 1.0), (0.8, 1.0), (2.0, 0.0)):
         with pytest.raises(InvalidParameterError):
             predicted_growth(m, a)
-
-
-# ------------------------------------------------- Jensen and zero counts
-
-def test_jensen_reference_values():
-    assert jensen_integral(lambda z: np.ones_like(z), 5.0) == 0.0
-    val = jensen_integral(lambda z: 1.0 - z * z, 2.0, n_theta=4096)
-    assert abs(val - 2.0 * math.log(2.0)) < 1e-10
-    # e^z has mean log-modulus equal to log|f(0)| on every circle
-    assert abs(jensen_integral(np.exp, 3.0, n_theta=256)) < 1e-14
-
-
-def test_jensen_monotone_in_radius():
-    vals = [jensen_integral(np.cos, r, n_theta=2048) for r in (1.0, 2.0, 4.0, 8.0)]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert all(v >= -1e-12 for v in vals)
-
-
-def test_jensen_guards():
-    with pytest.raises(ZeroAtOriginError):
-        jensen_integral(lambda z: z, 1.0)
+    # near m = 1 the type is past the float range and only its log is carried
+    g = predicted_growth(1.001, 2.0)
+    assert math.isclose(g.order, 1001.0, rel_tol=1e-12)
+    assert g.type is None
+    assert math.isclose(g.log_type, 1138.6595078035366, rel_tol=1e-13)
+    # a caller that reads the type as a float gets a typed error, not a number
     with pytest.raises(InvalidParameterError):
-        jensen_integral(np.exp, 0.0)
-    with pytest.raises(InvalidParameterError):
-        jensen_integral(np.exp, 1.0, n_theta=32)
-    with pytest.warns(RuntimeWarning) as record:
-        val = jensen_integral(lambda z: 1.0 - z, 1.0)
-    assert val == -math.inf
-    assert record[0].filename == __file__
+        uniqueness_threshold(g.order, g.type)
 
+
+# ------------------------------------------------------------ zero counts
 
 def test_zero_count_bound():
     assert zero_count_bound(1.0, 2.0, 4.0, math.pi, 2.0) == 20
@@ -243,7 +224,10 @@ def test_zero_count_bound():
     assert counts == sorted(counts)
     for args in ((0.0, 2.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0),
                  (1.0, 2.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, -1.0, 1.0),
-                 (1.0, 2.0, 1.0, 1.0, 0.0)):
+                 (1.0, 2.0, 1.0, 1.0, 0.0),
+                 (math.inf, 2.0, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, 1.0, 1.0),
+                 (1.0, 2.0, math.inf, 1.0, 1.0), (1.0, 2.0, 1.0, math.inf, 1.0),
+                 (1.0, 2.0, 1.0, 1.0, math.inf)):
         with pytest.raises(InvalidParameterError):
             zero_count_bound(*args)
 
@@ -332,8 +316,7 @@ def test_product_banded_matches_direct():
     (lambda: taylor_coefficients(make_generalized_gaussian(2, 1.5), 80.5), "n_terms"),
     (lambda: counterexample_growth_coefficient(2 * np.sqrt(np.arange(1.0, 50.0)), 2.0, (1.0, 2.0),
                                                n_theta=16.5), "n_theta"),
-    (lambda: jensen_integral(np.cos, 1.0, n_theta=100.5), "n_theta"),
-], ids=["nodes-whole", "nodes-half", "genus", "n_terms", "growth-n_theta", "jensen-n_theta"])
+], ids=["nodes-whole", "nodes-half", "genus", "n_terms", "growth-n_theta"])
 def test_integer_parameters_reject_floats(call, name):
     # a float count either failed later with an untyped TypeError or, as n_theta, spaced
     # its angles at 2 pi / n_theta without closing the circle

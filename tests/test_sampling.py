@@ -22,6 +22,7 @@ from stftuniq import (
     nonuniqueness_threshold,
     predicted_growth,
     uniqueness_threshold,
+    zero_count_bound,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -37,6 +38,10 @@ def test_bound_reference_values():
     b = max_tau_bounds(1.5, 1.0)
     assert math.isclose(b.tau1_max, 0.18827506618070766, rel_tol=1e-13)
     assert math.isclose(b.tau2_max, 0.6219605464711152, rel_tol=1e-13)
+    # near m = 1 the predicted type is past the float range; the log-domain chain keeps the bound
+    b = max_tau_bounds(1.001, 2.0)
+    assert math.isclose(b.tau1_max, 0.3183097272938011, rel_tol=1e-13)
+    assert math.isclose(b.tau2_max, 0.36787962480504066, rel_tol=1e-13)
 
 
 def test_bounds_warn_at_low_decay_rate():
@@ -47,18 +52,27 @@ def test_bounds_warn_at_low_decay_rate():
             max_tau_bounds(m, a)
 
 
+def _jensen_gap(delta: float, rho: float, b: float) -> float:
+    """Relative gap between Jensen's zero count at s = e^{1/rho} and 2 (r/delta)^rho.
+
+    Taken at the radius r where 2 (r/delta)^rho is 1e14, so the floor of the count costs 1e-14.
+    """
+    r = delta * 5e13 ** (1.0 / rho)
+    want = 2.0 * (r / delta) ** rho
+    return abs(zero_count_bound(r, math.exp(1.0 / rho), 1.0, b, rho) - want) / want
+
+
 @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("a", [1.5, 2.0, math.pi, 5.0])
 def test_bounds_agree_with_growth_thresholds(m, a):
-    # the same numbers reached through the growth picture: the time-side
-    # bound via the predicted order/type of the transform, the frequency-side
-    # bound via the window parameters directly
+    # each bound is a uniqueness threshold, checked against Jensen's count of the zeros an
+    # order-rho type-b function can have, which reaches 2 (r/delta)^rho at the optimal
+    # dilation: the time-side bound at the predicted order/type of the transform, the
+    # frequency-side bound at the window parameters themselves
     bounds = max_tau_bounds(m, a)
     pred = predicted_growth(m, a)
-    via_growth = uniqueness_threshold(pred.order, pred.type)
-    assert abs(bounds.tau1_max - via_growth) / via_growth < 1e-12
-    via_params = uniqueness_threshold(m, a)
-    assert abs(bounds.tau2_max - via_params) / via_params < 1e-12
+    assert _jensen_gap(bounds.tau1_max, pred.order, pred.type) < 1e-12
+    assert _jensen_gap(bounds.tau2_max, m, a) < 1e-12
 
 
 def test_generate_small_set_layout():

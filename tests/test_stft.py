@@ -27,6 +27,7 @@ from stftuniq import (
     moyal_energy_check,
     spectrogram_on_set,
     stft_eval,
+    time_window_values,
     window_l2_norm,
 )
 import stftuniq.stft as stft
@@ -430,6 +431,18 @@ def test_points_must_be_nonempty_and_finite(gauss_window, pts, match):
         discriminate(gaussian_signal(), gaussian_signal(), gauss_window, pts)
     with pytest.raises(InvalidParameterError, match=match):
         spectrogram_on_set(gaussian_signal(), gauss_window, pts)
+
+
+def test_complex_points_and_times_are_rejected():
+    # a float conversion would drop a complex array's imaginary part with only numpy's
+    # ComplexWarning, and fail on a Python complex in a list with an untyped TypeError
+    window = make_generalized_gaussian(2.0, 1.5)
+    for pts in (np.array([[0.3 + 1j, 0.5]]), [[0.3 + 1j, 0.5]]):
+        with pytest.raises(InvalidParameterError, match="real"):
+            spectrogram_on_set(gaussian_signal(), window, pts)
+    for ts in (np.array([0.3 + 2j]), [0.3 + 2j]):
+        with pytest.raises(InvalidParameterError, match="real"):
+            time_window_values(window, ts)
 
 
 # ------------------------------------------------------- energy identity
