@@ -127,8 +127,14 @@ def _legendre_rule(n: int):
 
 
 def line_nodes(radius: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for [-radius, radius], split at 0, `nodes` points per half."""
-    return panel_nodes(np.array([-radius, 0.0, radius]), nodes)
+    """Nodes and weights for [-radius, radius], split at 0, `nodes` points per half.
+
+    The [0, radius] panel is built once and mirrored, so the nodes are
+    exactly antisymmetric and the weights exactly symmetric: time_window_values
+    then tables only the non-negative half of a line's nodes.
+    """
+    t, w = panel_nodes(np.array([0.0, radius]), nodes)
+    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
 def panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:

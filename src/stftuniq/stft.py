@@ -186,9 +186,12 @@ def window_l2_norm(window: WindowModel) -> float:
     return math.sqrt(moment_integral(0, 2.0 * window.a, window.m))
 
 
-def _window_values(window: WindowModel, targets, quad: QuadratureConfig) -> np.ndarray:
+def _window_values(window: WindowModel, t: np.ndarray, shifts: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
+    """g(t[:, None] - shifts): the closed form at m = 2, else one shared trig table per level."""
     closed = time_window_closed_form(window)
-    return closed(targets) if closed is not None else time_window_values(window, targets, quad)
+    if closed is not None:
+        return closed(t[:, None] - shifts)
+    return time_window_values(window, t, quad, shifts=shifts)
 
 
 def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureConfig, what: str) -> np.ndarray:
@@ -198,7 +201,11 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
     in blocks of _BLOCK / (time nodes) pairs, so no window or exponential
     matrix of a block has more than _BLOCK entries. A block evaluates the
     window once per distinct shift and the exponential once per distinct
-    frequency, and sums each shift's pairs by one product. The scale is the
+    frequency, and sums each shift's pairs by one product. Off m = 2 the
+    window at a block's shifts comes from time_window_values, which tables
+    the trigonometric values of the time nodes once per window refine level
+    for every shift, and of only their non-negative half, since line_nodes
+    mirrors its nodes exactly. The scale is the
     largest absolute integrand mass over the shifts: oscillation cancels the
     integrand down, so a result can sit below the roundoff floor of that
     mass. A grid signal is integrated once, by the trapezoid rule on its own
@@ -218,7 +225,7 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
         """Values, scale and edge integrand of pairs that run in shift order."""
         shift_ids, col = np.unique(at_shift[pairs], return_inverse=True)
         freq_ids, row = np.unique(at_freq[pairs], return_inverse=True)
-        gw = tw[:, None] * _window_values(window, t[:, None] - xs[shift_ids], quad)
+        gw = tw[:, None] * _window_values(window, t, xs[shift_ids], quad)
         kern = np.exp((2j * math.pi) * t[:, None] * ws[freq_ids])
         runs = np.split(row, np.flatnonzero(np.diff(col)) + 1)
         vals = np.concatenate([gw[:, j] @ kern[:, rows] for j, rows in enumerate(runs)])
@@ -258,9 +265,9 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
 
 def stft_eval(f: Signal, window: WindowModel, x: float, omega: float,
               quad: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
-    """V_g f(x, omega) at one time-frequency point."""
-    return complex(_transform(f, window, np.array([float(x)]), np.array([-float(omega)]), quad,
-                              "transform quadrature")[0])
+    """V_g f(x, omega) at one real, finite time-frequency point."""
+    pts = _point_array([[x, omega]])
+    return complex(_transform(f, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature")[0])
 
 
 @dataclass(frozen=True)
@@ -283,11 +290,11 @@ class SpectrogramSamples:
 
 def _point_array(points) -> np.ndarray:
     """(x, omega) rows of a SamplingSet or raw (n, 2) array; at least one row, all real and finite."""
-    pts = points.points if isinstance(points, SamplingSet) else _real_array(points, "points").reshape(-1, 2)
+    # a SamplingSet's columns are computed from finite parameters
+    pts = points.points if isinstance(points, SamplingSet) else _real_array(points, "time-frequency points")
+    pts = pts.reshape(-1, 2)
     if pts.shape[0] == 0:
         raise InvalidParameterError("need at least one time-frequency point")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidParameterError("time-frequency points must be finite")
     return pts
 
 

@@ -46,6 +46,9 @@ def test_line_nodes_split_at_origin():
     assert abs(wts.sum() - 6.0) < 1e-12
     odd = np.sum(wts * pts**3)
     assert abs(odd) < 1e-13
+    # an exact mirror, so the window's trig table covers only the non-negative half
+    np.testing.assert_array_equal(pts, -pts[::-1])
+    np.testing.assert_array_equal(wts, wts[::-1])
 
 
 @pytest.mark.parametrize("n", [64, 65])

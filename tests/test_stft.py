@@ -268,20 +268,32 @@ def _traced(call):
         tracemalloc.stop()
 
 
-def test_transform_blocks_match_one_block(gauss_window, monkeypatch):
+def test_transform_blocks_match_one_block(monkeypatch):
+    _blocks_match_one_block(2.0, monkeypatch)
+
+
+def test_transform_blocks_match_one_block_off_gaussian(monkeypatch):
+    _blocks_match_one_block(1.5, monkeypatch)
+
+
+def _blocks_match_one_block(m, monkeypatch):
+    window = make_generalized_gaussian(math.pi, m)
     f = chirp_signal(width=0.8, center=0.2, amplitude=1.0 + 0.5j, chirp_rate=0.3)
-    bounds = max_tau_bounds(2.0, math.pi)
-    four = generate_sampling_set(2.0, 0.9 * bounds.tau1_max, 0.9 * bounds.tau2_max, 300, a=math.pi).points
+    bounds = max_tau_bounds(m, math.pi)
+    four = generate_sampling_set(m, 0.9 * bounds.tau1_max, 0.9 * bounds.tau2_max, 300, a=math.pi).points
     grid = np.linspace(-3.0, 3.0, 49)
     product = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     for pts in (four, product):
-        one, one_peak = _traced(lambda: spectrogram_on_set(f, gauss_window, pts).magnitudes)
+        one, one_peak = _traced(lambda: spectrogram_on_set(f, window, pts).magnitudes)
         with monkeypatch.context() as patch:
             # 16 pairs a block at 1024 time nodes
             patch.setattr(stft, "_BLOCK", 1 << 14)
-            blocked, blocked_peak = _traced(lambda: spectrogram_on_set(f, gauss_window, pts).magnitudes)
+            blocked, blocked_peak = _traced(lambda: spectrogram_on_set(f, window, pts).magnitudes)
         assert np.max(np.abs(blocked - one)) <= 1e-15 * np.max(one)
-        assert blocked_peak < one_peak / 2
+        # off m = 2 the window's trig tables take about 1 MB in any block, and the product
+        # set's 49 shifts peak at 2.7 MB in one block, so only the four-quadrant set can halve
+        if m == 2.0 or pts is four:
+            assert blocked_peak < one_peak / 2
 
 
 # ------------------------------------------------------- phase alignment
@@ -431,6 +443,14 @@ def test_points_must_be_nonempty_and_finite(gauss_window, pts, match):
         discriminate(gaussian_signal(), gaussian_signal(), gauss_window, pts)
     with pytest.raises(InvalidParameterError, match=match):
         spectrogram_on_set(gaussian_signal(), gauss_window, pts)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0])
+@pytest.mark.parametrize("x, omega", [(math.nan, 0.5), (0.3, math.inf), (math.inf, 0.5)])
+def test_stft_eval_rejects_non_finite_coordinates(m, x, omega):
+    # at m = 1.5 a NaN shift used to fail quadrature after four doublings; at m = 2 x = inf returned 0j
+    with pytest.raises(InvalidParameterError, match="finite"):
+        stft_eval(gaussian_signal(), make_generalized_gaussian(2.0, m), x, omega)
 
 
 def test_complex_points_and_times_are_rejected():

@@ -13,7 +13,7 @@ from stftuniq import (
     generate_sampling_set,
     max_tau_bounds,
 )
-from stftuniq.quadrature import decay_truncation_radius, graded_nodes, panel_nodes
+from stftuniq.quadrature import decay_truncation_radius, graded_nodes, line_nodes, panel_nodes
 from stftuniq.windows import time_window_closed_form, time_window_values
 
 
@@ -130,3 +130,45 @@ def test_time_side_plain_window_is_even(m):
     ts = np.concatenate([ts, -ts])
     vals = time_window_values(w, ts)
     assert np.max(np.abs(vals[:41] - vals[41:])) <= 4 * np.finfo(float).eps * np.max(np.abs(vals))
+
+
+# ------------------------------------------------ one trig table for every shift
+
+_SHIFTS = np.array([-2.6, -0.7, 0.0, 0.45, 1.9, 3.3])
+
+
+@pytest.mark.parametrize("m", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("times", [
+    line_nodes(4.0, 64)[0],
+    np.linspace(-4.0, 4.0, 81),
+    np.linspace(-3.7, 4.1, 90),
+], ids=["mirrored-even", "mirrored-odd", "unmirrored"])
+def test_shifted_window_matches_the_outer_difference(m, times):
+    w = make_generalized_gaussian(2.0, m)
+    got = time_window_values(w, times, shifts=_SHIFTS)
+    want = time_window_values(w, times[:, None] - _SHIFTS)
+    assert got.shape == want.shape == (times.size, _SHIFTS.size)
+    # the angle sum cos a cos b + sin a sin b rounds a few eps more than cos(a - b) at the peak:
+    # 5-12 eps of max|g| here, 1.5-3 eps for the outer difference, both against long double
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_shifted_window_keeps_the_shapes():
+    w = make_generalized_gaussian(2.0, 1.5)
+    ts = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    assert time_window_values(w, ts, shifts=np.zeros((4, 1))).shape == (2, 3, 4, 1)
+    assert time_window_values(w, ts, shifts=0.25).shape == (2, 3)
+    assert time_window_values(w, np.zeros(0), shifts=_SHIFTS).shape == (0, _SHIFTS.size)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(ts=[np.inf]), "times must be finite"),
+    (dict(ts=[0.3, np.nan]), "times must be finite"),
+    (dict(ts=[0.3], shifts=[-np.inf]), "shifts must be finite"),
+    (dict(ts=[0.3], shifts=np.array([0.3 + 1j])), "shifts must be real"),
+    (dict(ts=[0.3], shifts=[0.3 + 1j]), "shifts must be real"),
+])
+def test_time_window_rejects_non_finite_and_complex_input(bad, match):
+    # an infinite time used to run four doublings of NaN before a convergence error
+    with pytest.raises(InvalidParameterError, match=match):
+        time_window_values(make_generalized_gaussian(2.0, 1.5), **bad)
