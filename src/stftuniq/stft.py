@@ -138,6 +138,13 @@ class GridSignal:
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.values.size)
 
+    def _midpoint(self) -> float:
+        return self.start + 0.5 * self.step * (self.values.size - 1)
+
+    def _offsets(self) -> np.ndarray:
+        """The sample times less the grid midpoint, exactly mirrored about 0."""
+        return self.step * (np.arange(self.values.size) - 0.5 * (self.values.size - 1))
+
     def norm(self) -> float:
         w = _trapezoid_weights(self.values.size, self.step)
         return math.sqrt(float(np.sum(w * np.abs(self.values) ** 2)))
@@ -208,15 +215,18 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
     mirrors its nodes exactly. The scale is the
     largest absolute integrand mass over the shifts: oscillation cancels the
     integrand down, so a result can sit below the roundoff floor of that
-    mass. A grid signal is integrated once, by the trapezoid rule on its own
-    samples; it cannot widen its grid, so an integrand above 1e-10 of the
-    scale at a grid edge only warns. A closed-form signal is refined, against
-    the scale, in centred time s = t - c on [-r, r], r its half-width: the
-    shift becomes x - c and the result gains e^{2 pi i w c} (Groechenig 2001,
-    sec. 3.1), so a far centre c loses no digits to rounding c + s. A phase
-    2 pi w c past the float range raises EvaluationOverflowError.
+    mass. Every signal is integrated in centred time s = t - c: the shift
+    becomes x - c and the result gains e^{2 pi i w c} (Groechenig 2001,
+    sec. 3.1), so a far centre c loses no digits to the window's angles
+    2 pi xi s or the kernel's 2 pi w s. A phase 2 pi w c past the float
+    range raises EvaluationOverflowError. A grid signal is centred at its
+    grid midpoint, where its offsets are exactly mirrored, and integrated
+    once, by the trapezoid rule on its own samples; it cannot widen its
+    grid, so an integrand above 1e-10 of the scale at a grid edge only
+    warns. A closed-form signal is refined, against the scale, on [-r, r]
+    about its centre, r its half-width.
     """
-    c = 0.0 if isinstance(f, GridSignal) else f.center
+    c = f._midpoint() if isinstance(f, GridSignal) else f.center
     xs, at_shift = np.unique(shifts - c, return_inverse=True)
     ws, at_freq = np.unique(freqs, return_inverse=True)
     order = np.argsort(at_shift, kind="stable")
@@ -243,19 +253,19 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
         return out, scale, edge
 
     if isinstance(f, GridSignal):
-        out, scale, edge = level(f.times, _trapezoid_weights(f.values.size, f.step), f.values)
+        out, scale, edge = level(f._offsets(), _trapezoid_weights(f.values.size, f.step), f.values)
         if edge > 1e-10 * scale:
             warnings.warn("integrand is not negligible at the grid edge; "
                           "the transform is truncated by the signal grid", RuntimeWarning,
                           stacklevel=_caller_stacklevel())
-        return out
-    half = f._half_width()
+    else:
+        half = f._half_width()
 
-    def refined(nodes: int):
-        s, wts = line_nodes(half, nodes)
-        return level(s, wts, f._centred(s))[:2]
+        def refined(nodes: int):
+            s, wts = line_nodes(half, nodes)
+            return level(s, wts, f._centred(s))[:2]
 
-    out = refine(refined, quad, what)
+        out = refine(refined, quad, what)
     with np.errstate(over="ignore", invalid="ignore"):
         out = out * np.exp((2j * math.pi * c) * ws[at_freq])
     if not np.all(np.isfinite(out)):

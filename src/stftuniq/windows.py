@@ -96,7 +96,7 @@ def time_window_closed_form(window: WindowModel):
 
 
 def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT_QUADRATURE,
-                       shifts=None) -> np.ndarray:
+                       shifts=0.0) -> np.ndarray:
     """Inverse transform g(t) = int ghat(xi) e^{2 pi i xi t} dxi at real times, or g(t - x) at shifts.
 
     The profile p(xi) = e^{-a |xi|^m} is real and even, so its transform is
@@ -121,13 +121,14 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     takes the same tables with the sine term negated. So a level costs
     |t| |xi| trigonometric values for mirrored times and 2 |t| |xi| for
     others, plus 2 |shifts| |xi|, where one cosine per shift and time pair
-    would cost |shifts| |t| |xi|. Without shifts the same code runs with one
-    zero shift and no sine table. The tables are built in blocks of 2^16
-    entries, and the coefficients in blocks of 2^20.
+    would cost |shifts| |t| |xi|. The default shift is the scalar 0, which
+    gives g(ts) in the shape of ts. The coefficients are built in blocks of
+    2^20 entries, and the tables in blocks of 2^16 entries within each
+    coefficient block, so shifts that span several coefficient blocks (more
+    than 2^20 / |xi| of them) table the times once per block.
     """
     ts = _real_array(ts, "times")
-    shifted = shifts is not None
-    xs = _real_array(shifts, "shifts") if shifted else np.zeros(())
+    xs = _real_array(shifts, "shifts")
     t = ts.ravel()
     x = xs.ravel()
     neg = t.size // 2 if np.array_equal(t, -t[::-1]) else 0
@@ -143,7 +144,7 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
         out = np.empty((t.size, x.size))
         # the rows of pos; the cosine terms first, the sine terms added last
         top = out[neg:]
-        sin_part = np.empty(top.shape) if shifted else None
+        sin_part = np.empty(top.shape)
         # tables of 2^16 entries (512 KB) stay in cache between the trig values and the products
         step = max(1, (1 << 16) // nodes)
         # coefficient blocks of 2^20 entries bound the memory of many shifts at a fine level
@@ -151,17 +152,14 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
         for j in range(0, x.size, cols):
             ang = theta[:, None] * x[j:j + cols]
             even = pw[:, None] * np.cos(ang)
-            odd = pw[:, None] * np.sin(ang) if shifted else None
+            odd = pw[:, None] * np.sin(ang)
             for k in range(0, pos.size, step):
                 block = pos[k:k + step, None] * theta
                 top[k:k + step, j:j + cols] = np.cos(block) @ even
-                if shifted:
-                    sin_part[k:k + step, j:j + cols] = np.sin(block, out=block) @ odd
+                sin_part[k:k + step, j:j + cols] = np.sin(block, out=block) @ odd
         # at -t the cosine terms repeat and the sine terms change sign
-        out[:neg] = top[lead:][::-1]
-        if shifted:
-            out[:neg] -= sin_part[lead:][::-1]
-            top += sin_part
+        out[:neg] = top[lead:][::-1] - sin_part[lead:][::-1]
+        top += sin_part
         return out, float(np.max(np.abs(out), initial=0.0))
 
     return refine(level, quad, "time-window quadrature").reshape(ts.shape + xs.shape)

@@ -184,6 +184,20 @@ def test_grid_signal_path_matches_closed_form(gauss_window):
         assert abs(a - b) / abs(a) < 1e-8
 
 
+def test_far_grid_signal_matches_the_grid_at_the_origin():
+    # the same samples on a grid 1e5 away: a window or kernel angle taken at the raw times
+    # t ~ 1e5 rounds to |2 pi xi t| eps, about 1e-10 of max|g| at m = 1.5; centred times do not
+    window = make_generalized_gaussian(2.0, 1.5)
+    s = np.arange(-96, 97) / 32.0
+    vals = np.exp(-math.pi * s**2 + 1j * math.pi * 0.4 * s**2)
+    # dyadic steps and offsets, so both grids centre their points exactly
+    offsets = np.array([[-1.5, -0.5], [-0.25, 0.0], [0.0, 0.375], [0.75, 1.0], [2.0, -0.75]])
+    near = spectrogram_on_set(grid_signal(vals, -3.0, 1 / 32.0), window, offsets).magnitudes
+    far_pts = offsets + np.array([1e5, 0.0])
+    far = spectrogram_on_set(grid_signal(vals, 1e5 - 3.0, 1 / 32.0), window, far_pts).magnitudes
+    assert np.max(np.abs(far - near)) <= 1e-14 * np.max(near)
+
+
 def test_global_phase_invariance(gauss_window):
     f = gaussian_signal()
     rotated = gaussian_signal(amplitude=cmath.exp(1.3j))

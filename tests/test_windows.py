@@ -138,16 +138,18 @@ _SHIFTS = np.array([-2.6, -0.7, 0.0, 0.45, 1.9, 3.3])
 
 
 @pytest.mark.parametrize("m", [1.2, 1.5, 3.0])
-@pytest.mark.parametrize("times", [
-    line_nodes(4.0, 64)[0],
-    np.linspace(-4.0, 4.0, 81),
-    np.linspace(-3.7, 4.1, 90),
-], ids=["mirrored-even", "mirrored-odd", "unmirrored"])
-def test_shifted_window_matches_the_outer_difference(m, times):
+@pytest.mark.parametrize("times, shifts", [
+    (line_nodes(4.0, 64)[0], _SHIFTS),
+    (np.linspace(-4.0, 4.0, 81), _SHIFTS),
+    (np.linspace(-3.7, 4.1, 90), _SHIFTS),
+    # more than 2^20 / 512 shifts: the 512-node level builds its coefficients in two blocks
+    (line_nodes(2.0, 4)[0], np.linspace(-3.3, 3.3, 2100)),
+], ids=["mirrored-even", "mirrored-odd", "unmirrored", "many-shifts"])
+def test_shifted_window_matches_the_outer_difference(m, times, shifts):
     w = make_generalized_gaussian(2.0, m)
-    got = time_window_values(w, times, shifts=_SHIFTS)
-    want = time_window_values(w, times[:, None] - _SHIFTS)
-    assert got.shape == want.shape == (times.size, _SHIFTS.size)
+    got = time_window_values(w, times, shifts=shifts)
+    want = time_window_values(w, times[:, None] - shifts)
+    assert got.shape == want.shape == (times.size, shifts.size)
     # the angle sum cos a cos b + sin a sin b rounds a few eps more than cos(a - b) at the peak:
     # 5-12 eps of max|g| here, 1.5-3 eps for the outer difference, both against long double
     assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.max(np.abs(want))
