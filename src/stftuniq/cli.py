@@ -35,8 +35,7 @@ from .entire import (
     _growth_fit,
     _log_magnitudes,
     predicted_growth,
-    estimate_order,
-    estimate_type,
+    estimate_growth,
     taylor_coefficients,
 )
 from .sampling import (
@@ -186,14 +185,10 @@ def _run_growth(ns, meta):
     result = {"m": ns.m, "a": ns.a, "order_predicted": predicted.order,
               "type_predicted": predicted.type, "log_type_predicted": predicted.log_type}
     if ns.estimate:
-        series = taylor_coefficients(make_generalized_gaussian(ns.a, ns.m), ns.n_coeffs)
-        order_est = estimate_order(series)
-        type_est = estimate_type(series, predicted.order)
-        result.update({
-            "order_estimated": order_est.order,
-            "type_estimated": type_est.type,
-            "n_used": [int(n) for n in order_est.n_used],
-        })
+        est = estimate_growth(taylor_coefficients(make_generalized_gaussian(ns.a, ns.m), ns.n_coeffs),
+                              predicted.order)
+        result.update({"order_estimated": est.order, "type_estimated": est.type,
+                       "log_type_estimated": est.log_type, "n_used": list(est.n_used)})
     return result
 
 

@@ -1,9 +1,9 @@
 """Growth analysis for entire functions arising as Fourier transforms.
 
-Closed-form Taylor coefficients of a window's entire extension (from the
-Gamma-function absolute moments of its even profile), order/type
-estimation from coefficient decay, the predicted growth of a decay profile
-(from the log-domain chain in sampling), Jensen's zero-count bound, and
+Closed-form log magnitudes of the Taylor coefficients of a window's entire
+extension (from the Gamma-function absolute moments of its even profile),
+one order/type estimate from their decay, the predicted growth of a decay
+profile (from the log-domain chain in sampling), Jensen's zero-count bound, and
 Weierstrass canonical products over finitely many positive zeros with
 banded evaluation, including the symmetric counterexample F(z) = V(z^2).
 The counterexample functions evaluate F in z itself, as the product of
@@ -44,7 +44,6 @@ from .sampling import (
 from .windows import WindowModel
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-_LOG_FLOAT_MIN = math.log(np.finfo(float).tiny)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -54,32 +53,35 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """Taylor coefficients c_0 .. c_N of an entire function about the origin."""
+    """log|c_n| for the Taylor coefficients c_0 .. c_N of an entire function about the origin.
 
-    coefficients: np.ndarray
+    An entry is -inf where c_n = 0; no entry is NaN or +inf.
+    """
+
+    log_magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", coeffs)
-        _require(coeffs.ndim == 1, "coefficients must be one-dimensional")
-        _require(coeffs.size >= 3, "need at least coefficients c_0, c_1, c_2")
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidParameterError("coefficients must all be finite")
+        logs = np.asarray(self.log_magnitudes, dtype=float)
+        object.__setattr__(self, "log_magnitudes", logs)
+        _require(logs.ndim == 1, "log magnitudes must be one-dimensional")
+        _require(logs.size >= 3, "need at least coefficients c_0, c_1, c_2")
+        # NaN fails the comparison too
+        _require(bool(np.all(logs < math.inf)), "log magnitudes must be finite or -inf")
 
     @property
     def truncation(self) -> int:
         """The index N of the last coefficient."""
-        return self.coefficients.size - 1
+        return self.log_magnitudes.size - 1
 
 
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Order and type estimates, the coefficient indices backing them, and a prediction's log type."""
+    """Order, type (None past the float range), log type, and the coefficient indices behind an estimate."""
 
     order: float
     type: float | None
+    log_type: float
     n_used: tuple[int, ...] = ()
-    log_type: float | None = None
 
 
 @dataclass(frozen=True)
@@ -120,34 +122,28 @@ def moment_integral(n: int, a: float, m: float) -> float:
 
 
 def taylor_coefficients(window: WindowModel, n_terms: int) -> TaylorSeries:
-    """Coefficients of F(z) = int ghat(xi) e^{2 pi i xi z} d xi about z = 0, in closed form.
+    """log|c_n| for F(z) = int ghat(xi) e^{2 pi i xi z} d xi about z = 0, in closed form.
 
     For ghat = exp(-a |xi|^m) the odd moments vanish, so odd coefficients
-    are exact zeros (the order/type estimators rely on that), and the even
-    ones are c_n = (-1)^(n/2) (2 pi)^n / n! M_n with M_n the absolute moment
-    (moment_integral). Magnitudes are built in the log domain, so large
-    n_terms cannot overflow intermediates; a coefficient that leaves the
-    range of normal floats raises EvaluationOverflowError instead of turning
-    into 0 or inf.
+    are exact zeros (log magnitude -inf, which the estimator relies on), and
+    the even ones have |c_n| = (2 pi)^n / n! M_n with M_n the absolute moment
+    (moment_integral). Every magnitude stays in the log domain, so no n_terms
+    and no window leaves the float range.
     """
     _require(isinstance(window, WindowModel), "taylor_coefficients needs a WindowModel")
     _require(isinstance(n_terms, (int, np.integer)) and n_terms >= 2,
              f"need an integer n_terms >= 2, got {n_terms!r}")
-    coeffs = np.zeros(n_terms + 1, dtype=complex)
+    logs = np.full(n_terms + 1, -math.inf)
     for n in range(0, n_terms + 1, 2):
-        log_c = n * math.log(2.0 * math.pi) - math.lgamma(n + 1) + _log_moment(n, window.a, window.m)
-        if not _LOG_FLOAT_MIN <= log_c <= _LOG_FLOAT_MAX:
-            raise EvaluationOverflowError(f"Taylor coefficient c_{n} has log magnitude {log_c:.1f}, "
-                                          "outside the range of normal floats")
-        coeffs[n] = (-1) ** (n // 2) * math.exp(log_c)
-    return TaylorSeries(coeffs)
+        logs[n] = n * math.log(2.0 * math.pi) - math.lgamma(n + 1) + _log_moment(n, window.a, window.m)
+    return TaylorSeries(logs)
 
 
 def _usable_tail(series: TaylorSeries):
     """Tail-window indices and log magnitudes, or None for a polynomial series."""
-    mags = np.abs(series.coefficients)
+    logs = series.log_magnitudes
     N = series.truncation
-    nz = np.nonzero(mags)[0]
+    nz = np.flatnonzero(np.isfinite(logs))
     nz = nz[nz >= 1]
     if nz.size == 0 or nz.max() <= N // 2:
         # the trailing half vanishes identically: polynomial input
@@ -157,54 +153,45 @@ def _usable_tail(series: TaylorSeries):
     window = nz[nz >= N // 2]
     if window.size < 5:
         window = nz[-10:]
-    return window, np.log(mags[window])
+    return window, logs[window]
 
 
-def estimate_order(series: TaylorSeries) -> GrowthEstimate:
-    """Estimate exponential order from coefficient decay.
+def estimate_growth(series: TaylorSeries, rho: float) -> GrowthEstimate:
+    """Exponential order fitted from coefficient decay, and the type at a known order rho.
 
     For order-rho type-tau growth, -log|c_n| = (1/rho) n log n + O(n), so the
     order is recovered from the n log n coefficient of a least-squares fit of
     -log|c_n| against {n log n, n, log n, 1} over the tail window [N/2, N].
     The extra basis members absorb the lower-order bias that the bare ratio
-    n log n / log(1/|c_n|) keeps at any reachable N. Series whose trailing
-    half vanishes identically are read as polynomials (order 0).
+    n log n / log(1/|c_n|) keeps at any reachable N.
+
+    The type at the given rho (not the fitted order) uses tau = limsup
+    n |c_n|^{rho/n} / (e rho): over the same window u_n = log n +
+    (rho/n) log|c_n| tends to log(e rho tau) with an O(log n / n) correction,
+    so log tau comes from the intercept of a fit of u_n against
+    {1, log n / n, 1/n}. log_type is always a float; type is None where tau
+    passes the float range, as in predicted_growth. Series whose trailing
+    half vanishes identically are read as polynomials, of order and type 0.
     """
+    _require(rho > 0 and math.isfinite(rho), f"order must be positive, got {rho}")
     tail = _usable_tail(series)
     if tail is None:
-        return GrowthEstimate(order=0.0, type=0.0)
+        return GrowthEstimate(order=0.0, type=0.0, log_type=-math.inf)
     ns, logs = tail
     nf = ns.astype(float)
     basis = np.stack([nf * np.log(nf), nf, np.log(nf), np.ones_like(nf)], axis=1)
     beta, *_ = np.linalg.lstsq(basis, -logs, rcond=None)
     alpha = float(beta[0])
     order = math.inf if alpha <= 1e-12 else 1.0 / alpha
-    return GrowthEstimate(order=order, type=0.0, n_used=tuple(int(n) for n in ns))
-
-
-def estimate_type(series: TaylorSeries, rho: float) -> GrowthEstimate:
-    """Estimate exponential type at a known order rho.
-
-    Uses tau = limsup n |c_n|^{rho/n} / (e rho): over the tail window the
-    quantity u_n = log n + (rho/n) log|c_n| tends to log(e rho tau) with an
-    O(log n / n) correction, so tau comes from the intercept of a fit of u_n
-    against {1, log n / n, 1/n}. Polynomial series report type 0, and an
-    intercept past the float range raises EvaluationOverflowError.
-    """
-    _require(rho > 0 and math.isfinite(rho), f"order must be positive, got {rho}")
-    tail = _usable_tail(series)
-    if tail is None:
-        return GrowthEstimate(order=0.0, type=0.0)
-    ns, logs = tail
-    nf = ns.astype(float)
     u = np.log(nf) + (rho / nf) * logs
     basis = np.stack([np.ones_like(nf), np.log(nf) / nf, 1.0 / nf], axis=1)
     beta, *_ = np.linalg.lstsq(basis, u, rcond=None)
-    if beta[0] > _LOG_FLOAT_MAX:
-        raise EvaluationOverflowError(f"estimated type has log magnitude {beta[0] - 1.0 - math.log(rho):.1f}, "
-                                      "past the float range of its fit")
-    tau = math.exp(float(beta[0])) / (math.e * rho)
-    return GrowthEstimate(order=float(rho), type=tau, n_used=tuple(int(n) for n in ns))
+    log_e_rho_tau = float(beta[0])
+    log_tau = log_e_rho_tau - 1.0 - math.log(rho)
+    # e^intercept / (e rho) wherever e^intercept is a float, the rounding C2 and the CLI print
+    tau = (math.exp(log_e_rho_tau) / (math.e * rho) if log_e_rho_tau <= _LOG_FLOAT_MAX
+           else math.exp(log_tau) if log_tau <= _LOG_FLOAT_MAX else None)
+    return GrowthEstimate(order=order, type=tau, n_used=tuple(int(n) for n in ns), log_type=log_tau)
 
 
 def predicted_growth(m: float, a: float) -> GrowthEstimate:

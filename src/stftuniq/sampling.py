@@ -220,11 +220,14 @@ def generate_sampling_set(m: float, tau1: float, tau2: float, count: int,
 
 
 def uniqueness_threshold(rho: float, b: float) -> float:
-    """Density bound below which zero sets of order-rho type-b functions cannot reach.
+    """Density bound below which a sequence is too dense for an order-rho type-b zero set.
 
-    A real sequence with lambda_k >= delta k^{1/rho} for
-    delta > (2/(b rho e))^{1/rho} outgrows what such a function can vanish on
-    without vanishing identically.
+    delta = (2/(b rho e))^{1/rho}. By Jensen's formula such a function,
+    unless it vanishes identically, has at most about 2 (r / delta)^rho zeros
+    in |z| <= r (zero_count_bound). The points +-lambda_k with
+    liminf lambda_k / k^{1/rho} below delta put more than that in |z| <= r
+    along a sequence of radii, so a function of that growth that vanishes on
+    them vanishes identically: uniqueness needs the density below delta.
     """
     _check_threshold_params(rho, b)
     return _threshold(rho, b)

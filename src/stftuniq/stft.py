@@ -422,11 +422,14 @@ def discriminate(f: Signal, h: Signal, window: WindowModel, points,
 
     Matching magnitudes with a small aligned residual means equivalent up to
     a global phase; differing magnitudes mean distinct. Matching magnitudes
-    with a large residual is reported as Inconsistent: on a valid sampling
-    set for the window class that combination indicates the comparison was
-    run outside the guarantees (undersampled set, wrong window, or signals
-    outside the transform's reach). quad governs the transforms and the
-    alignment, which runs first, so a zero norm fails before any transform.
+    with a large residual is reported as Inconsistent. The comparison may
+    have run outside the guarantees (undersampled set, wrong window, or
+    signals outside the transform's reach). On a valid set it also arises
+    when uniqueness separates the pair but their magnitudes differ by less
+    than tol * scale there, as for two bumps far apart at m = 2, whose
+    difference decays like e^{-c d^2} in their distance d. quad governs the
+    transforms and the alignment, which runs first, so a zero norm fails
+    before any transform.
     """
     if not (tol > 0):
         raise InvalidParameterError(f"tol must be positive, got {tol}")

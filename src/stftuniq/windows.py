@@ -108,8 +108,10 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     finite, and so are the values. All entries share one node grid. As in
     every quadrature of the package, the nodes double (worst case
     quad.nodes * 16 points) until two successive levels agree to quad.tol
-    against the finer level's largest |g|, since pointwise relative error
-    in the far tail is not meaningful.
+    against the finer level's profile mass sum(w p) = g(0), the largest |g|
+    at any time. Pointwise relative error in the far tail is not
+    meaningful, and the angles' rounding floor scales with that mass, so
+    times that all lie far from 0 are checked against it too.
 
     With shifts, the result is g(ts[:, None] - shifts), of shape
     ts.shape + shifts.shape, from the angle sum
@@ -160,6 +162,6 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
         # at -t the cosine terms repeat and the sine terms change sign
         out[:neg] = top[lead:][::-1] - sin_part[lead:][::-1]
         top += sin_part
-        return out, float(np.max(np.abs(out), initial=0.0))
+        return out, float(np.sum(pw))
 
     return refine(level, quad, "time-window quadrature").reshape(ts.shape + xs.shape)

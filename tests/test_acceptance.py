@@ -23,8 +23,7 @@ from stftuniq import (
     counterexample_eval,
     counterexample_growth_coefficient,
     discriminate,
-    estimate_order,
-    estimate_type,
+    estimate_growth,
     gaussian_signal,
     generate_sampling_set,
     grid_signal,
@@ -69,9 +68,8 @@ def test_acceptance_1_moment_identity():
 
 def test_acceptance_2_order_type_estimation():
     t0 = time.perf_counter()
-    series = taylor_coefficients(make_generalized_gaussian(math.pi, 2.0), 80)
-    order = estimate_order(series).order
-    gtype = estimate_type(series, 2.0).type
+    est = estimate_growth(taylor_coefficients(make_generalized_gaussian(math.pi, 2.0), 80), 2.0)
+    order, gtype = est.order, est.type
     elapsed = time.perf_counter() - t0
     order_ok = 1.94 <= order <= 2.06
     type_ok = 0.95 * math.pi <= gtype <= 1.05 * math.pi

@@ -11,7 +11,7 @@ import pytest
 
 import stftuniq.cli as cli
 import stftuniq.entire as entire
-from stftuniq import DEFAULT_QUADRATURE, SamplingSet
+from stftuniq import DEFAULT_QUADRATURE, SamplingSet, predicted_growth
 from stftuniq.cli import main, parse_sequence_expr, parse_signal_spec
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -193,6 +193,7 @@ def test_growth_estimated(capsys):
     res = json.loads(out)["result"]
     assert abs(res["order_estimated"] - 2.0) < 0.06
     assert abs(res["type_estimated"] - math.pi) / math.pi < 0.05
+    assert math.isclose(res["log_type_estimated"], math.log(res["type_estimated"]), rel_tol=1e-13)
     assert len(res["n_used"]) >= 10
 
 
@@ -202,14 +203,34 @@ def test_growth_estimated_at_large_n(capsys):
     res = json.loads(out)["result"]
     assert abs(res["order_estimated"] - 3.00005) < 1e-5
     assert abs(res["type_estimated"] - 9.18697) < 1e-5
-    # coefficients below the smallest normal float are a numerical failure, not zeros
-    code, _, err = run_cli(capsys, "growth", "--m", "3", "--a", "2", "--estimate", "--n-coeffs", "1000")
-    assert code == 3
-    assert "normal floats" in last_json(err)["error"]["message"]
-    # near m = 1 the fitted type is past the float range as well
-    code, _, err = run_cli(capsys, "growth", "--m", "1.001", "--a", "2", "--estimate")
-    assert code == 3
-    assert "float range" in last_json(err)["error"]["message"]
+    # coefficients below the smallest normal float stay log magnitudes, not zeros
+    code, out, _ = run_cli(capsys, "growth", "--m", "3", "--a", "2", "--estimate", "--n-coeffs", "1000")
+    assert code == 0
+    res = json.loads(out)["result"]
+    pred = predicted_growth(3.0, 2.0)
+    assert abs(res["order_estimated"] - pred.order) / pred.order < 2e-6
+    assert abs(res["log_type_estimated"] - pred.log_type) < 1e-6
+    # near m = 1 the fitted type is past the float range as well; its log is not
+    code, out, _ = run_cli(capsys, "growth", "--m", "1.001", "--a", "2", "--estimate")
+    assert code == 0
+    res = json.loads(out)["result"]
+    pred = predicted_growth(1.001, 2.0)
+    assert res["type_estimated"] is None
+    assert abs(res["order_estimated"] - pred.order) / pred.order < 3e-4
+    assert abs(res["log_type_estimated"] - pred.log_type) < 2e-4
+
+
+@pytest.mark.parametrize("m", [1.001, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0])
+def test_growth_estimated_across_m(capsys, m):
+    # the order's tail fit and the type at the predicted order, from the log magnitudes;
+    # the bounds sit just above the largest measured gaps, 1.83e-5 (log type) and 3.48e-5 (order)
+    code, out, _ = run_cli(capsys, "growth", "--m", str(m), "--a", "2", "--estimate", "--n-coeffs", "300")
+    assert code == 0
+    res = json.loads(out)["result"]
+    pred = predicted_growth(m, 2.0)
+    assert abs(res["log_type_estimated"] - pred.log_type) < 1.9e-5
+    assert abs(res["order_estimated"] - pred.order) / pred.order < 3.5e-5
+    assert (res["type_estimated"] is None) == (pred.type is None)
 
 
 def test_unstable_quadrature_exit_code(capsys):

@@ -27,8 +27,7 @@ from stftuniq import (
     counterexample_growth_coefficient,
     counterexample_log_magnitudes,
     density_index,
-    estimate_order,
-    estimate_type,
+    estimate_growth,
     make_generalized_gaussian,
     moment_integral,
     predicted_growth,
@@ -71,25 +70,25 @@ def test_moment_validation_and_overflow():
 def test_taylor_gaussian_window_leading_coefficients():
     series = taylor_coefficients(make_generalized_gaussian(1.0, 2.0), 40)
     assert series.truncation == 40
-    assert len(series.coefficients) == 41
-    c = series.coefficients
+    assert len(series.log_magnitudes) == 41
+    c = np.exp(series.log_magnitudes)
     assert abs(c[0] - math.sqrt(math.pi)) < 1e-12
     assert c[1] == 0.0
-    want_c2 = -math.pi**2 * math.sqrt(math.pi)
-    assert abs(c[2] - want_c2) / abs(want_c2) < 1e-9
+    want_c2 = math.pi**2 * math.sqrt(math.pi)
+    assert abs(c[2] - want_c2) / want_c2 < 1e-9
     # even real profile: every odd coefficient is pinned, not just small
-    assert all(c[n] == 0.0 for n in range(1, 41, 2))
+    assert all(series.log_magnitudes[n] == -math.inf for n in range(1, 41, 2))
 
 
 def test_taylor_coefficient_envelope():
     # |c_n| <= (2 pi)^n / n! * M_n with M_n the absolute moment
     series = taylor_coefficients(make_generalized_gaussian(1.0, 2.0), 40)
-    for n, cn in enumerate(series.coefficients):
-        if cn == 0.0:
+    for n, log_cn in enumerate(series.log_magnitudes):
+        if log_cn == -math.inf:
             continue
         log_bound = (n * math.log(2.0 * math.pi) - gammaln(n + 1)
                      + math.log(moment_integral(n, 1.0, 2.0)))
-        assert math.log(abs(cn)) <= log_bound + 1e-10
+        assert log_cn <= log_bound + 1e-10
 
 
 def _mp_taylor(a, m, n):
@@ -101,52 +100,72 @@ def _mp_taylor(a, m, n):
 
 @pytest.mark.parametrize("a,m", [(2.0, 1.5), (2.0, 3.0), (1.5, 1.2), (3.0, 4.0)])
 def test_taylor_coefficients_against_mpmath(a, m):
-    got = taylor_coefficients(make_generalized_gaussian(a, m), 12).coefficients
+    got = np.exp(taylor_coefficients(make_generalized_gaussian(a, m), 12).log_magnitudes)
     for n in range(13):
         if n % 2:
             assert got[n] == 0.0
             continue
-        want = _mp_taylor(a, m, n)
-        assert abs(got[n] - want) <= 1e-12 * abs(want), (n, got[n], want)
+        want = abs(_mp_taylor(a, m, n))
+        assert abs(got[n] - want) <= 1e-12 * want, (n, got[n], want)
 
 
 def test_taylor_large_n_stays_in_range():
     # at N = 300 the moments themselves overflow, the coefficients do not
     series = taylor_coefficients(make_generalized_gaussian(2.0, 1.5), 300)
-    assert abs(estimate_order(series).order - 3.00005) < 1e-5
-    assert abs(estimate_type(series, 3.0).type - 9.18697) < 1e-5
-    # at m = 3 the tail coefficients fall below the smallest normal float; read
-    # as zeros they would make the series a polynomial of order 0
-    with pytest.raises(EvaluationOverflowError, match="normal floats"):
-        taylor_coefficients(make_generalized_gaussian(2.0, 3.0), 1000)
+    est = estimate_growth(series, 3.0)
+    assert abs(est.order - 3.00005) < 1e-5
+    assert abs(est.type - 9.18697) < 1e-5
+    # at m = 3 the tail coefficients fall below the smallest normal float; their
+    # logs stay finite, so the series is not read as a polynomial of order 0
+    series = taylor_coefficients(make_generalized_gaussian(2.0, 3.0), 1000)
+    assert series.log_magnitudes[1000] < math.log(np.finfo(float).tiny)
+    pred = predicted_growth(3.0, 2.0)
+    est = estimate_growth(series, pred.order)
+    assert abs(est.order - pred.order) / pred.order < 2e-6
+    assert abs(est.log_type - pred.log_type) < 1e-6
+    assert math.isclose(est.type, math.exp(est.log_type), rel_tol=1e-13)
     with pytest.raises(InvalidParameterError):
         taylor_coefficients(make_generalized_gaussian(2.0, 1.5).fourier_eval, 20)
 
 
 def test_series_validation():
-    assert TaylorSeries(np.ones(3)).truncation == 2
+    assert TaylorSeries(np.zeros(3)).truncation == 2
+    assert TaylorSeries(np.array([0.0, -math.inf, -1.0])).truncation == 2
     with pytest.raises(InvalidParameterError):
-        TaylorSeries(np.ones((3, 3)))
+        TaylorSeries(np.zeros((3, 3)))
     with pytest.raises(InvalidParameterError):
-        TaylorSeries(np.ones(2))
+        TaylorSeries(np.zeros(2))
     with pytest.raises(InvalidParameterError):
-        TaylorSeries(np.array([1.0, np.nan, 0.5]))
+        TaylorSeries(np.array([0.0, np.nan, -1.0]))
+    with pytest.raises(InvalidParameterError):
+        TaylorSeries(np.array([0.0, math.inf, -1.0]))
 
 
 # ------------------------------------------------------- order and type
 
+def _exp_series(n_terms):
+    """log|c_n| = -log n! for exp(z), of order 1 and type 1."""
+    return TaylorSeries(-gammaln(np.arange(n_terms + 1) + 1.0))
+
+
+def _polynomial_series(coeffs, n_terms):
+    logs = np.full(n_terms + 1, -math.inf)
+    for n, c in coeffs.items():
+        logs[n] = math.log(abs(c))
+    return TaylorSeries(logs)
+
+
 def test_estimate_order_exponential():
-    c = np.array([1.0 / math.factorial(n) for n in range(61)])
-    est = estimate_order(TaylorSeries(c))
+    est = estimate_growth(_exp_series(60), 1.0)
     assert abs(est.order - 1.0) < 0.03
     assert len(est.n_used) >= 10
 
 
 def test_estimate_order_even_lacunary():
     # sum z^{2k} / k! = exp(z^2), order 2
-    c = np.zeros(81)
-    c[0::2] = [1.0 / math.factorial(k) for k in range(41)]
-    est = estimate_order(TaylorSeries(c))
+    logs = np.full(81, -math.inf)
+    logs[0::2] = -gammaln(np.arange(41) + 1.0)
+    est = estimate_growth(TaylorSeries(logs), 2.0)
     assert abs(est.order - 2.0) < 0.05
 
 
@@ -154,27 +173,23 @@ def test_estimate_order_even_lacunary():
 def test_estimate_order_window_transforms(m, a):
     series = taylor_coefficients(make_generalized_gaussian(a, m), 80)
     want = m / (m - 1.0)
-    est = estimate_order(series)
+    est = estimate_growth(series, want)
     assert abs(est.order - want) / want < 0.03
 
 
 def test_estimate_order_polynomial_is_zero():
-    c = np.zeros(41)
-    c[0], c[3] = 1.0, -2.0
-    est = estimate_order(TaylorSeries(c))
+    est = estimate_growth(_polynomial_series({0: 1.0, 3: -2.0}, 40), 1.0)
     assert est.order == 0.0
 
 
 def test_estimate_order_needs_data():
-    c = np.zeros(41)
-    c[[0, 5, 10, 15, 20, 25, 30, 35, 40]] = 1e-3
+    series = _polynomial_series({n: 1e-3 for n in range(0, 41, 5)}, 40)
     with pytest.raises(InsufficientDataError):
-        estimate_order(TaylorSeries(c))
+        estimate_growth(series, 1.0)
 
 
 def test_estimate_type_exponential():
-    c = np.array([1.0 / math.factorial(n) for n in range(61)])
-    est = estimate_type(TaylorSeries(c), 1.0)
+    est = estimate_growth(_exp_series(60), 1.0)
     assert abs(est.type - 1.0) < 0.05
 
 
@@ -182,14 +197,12 @@ def test_estimate_type_exponential():
 def test_estimate_type_window_transforms(m, a):
     series = taylor_coefficients(make_generalized_gaussian(a, m), 80)
     pred = predicted_growth(m, a)
-    est = estimate_type(series, pred.order)
+    est = estimate_growth(series, pred.order)
     assert abs(est.type - pred.type) / pred.type < 0.05
 
 
 def test_estimate_type_polynomial_is_zero():
-    c = np.zeros(41)
-    c[0] = 1.0
-    assert estimate_type(TaylorSeries(c), 1.0).type == 0.0
+    assert estimate_growth(_polynomial_series({0: 1.0}, 40), 1.0).type == 0.0
 
 
 def test_predicted_growth_values():

@@ -9,9 +9,12 @@ from stftuniq import (
     InvalidParameterError,
     QuadratureConfig,
     WindowModel,
+    gaussian_signal,
     make_generalized_gaussian,
     generate_sampling_set,
     max_tau_bounds,
+    moment_integral,
+    stft_eval,
 )
 from stftuniq.quadrature import decay_truncation_radius, graded_nodes, line_nodes, panel_nodes
 from stftuniq.windows import time_window_closed_form, time_window_values
@@ -174,3 +177,50 @@ def test_time_window_rejects_non_finite_and_complex_input(bad, match):
     # an infinite time used to run four doublings of NaN before a convergence error
     with pytest.raises(InvalidParameterError, match=match):
         time_window_values(make_generalized_gaussian(2.0, 1.5), **bad)
+
+
+# ------------------------------------------------ far times against the window's tail
+
+def _tail_term(a, m, t, k):
+    """k-th term of g(t) ~ -2 sum_k (-a)^k Gamma(km + 1) sin(pi km / 2) / (k! (2 pi |t|)^(km + 1)).
+
+    Each |xi|^(km) of the profile's power series transforms termwise
+    (Erdelyi, Asymptotic Expansions, 1956, ch. 2); even integer km gives an
+    exact 0, where the sine would only round near it.
+    """
+    if (k * m) % 2 == 0:
+        return 0.0
+    return (-2.0 * (-a) ** k * math.gamma(k * m + 1) * math.sin(math.pi * k * m / 2)
+            / (math.factorial(k) * (2 * math.pi * abs(t)) ** (k * m + 1)))
+
+
+def _tail_series(a, m, t, terms=3):
+    """The tail series to `terms` terms, and the first nonzero term it omits."""
+    k = terms + 1
+    while _tail_term(a, m, t, k) == 0.0:
+        k += 1
+    return sum(_tail_term(a, m, t, j) for j in range(1, terms + 1)), abs(_tail_term(a, m, t, k))
+
+
+@pytest.mark.parametrize("m", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
+def test_far_time_alone_matches_the_tail_series(m, t):
+    # a time requested alone is checked against the mass g(0): its own tail value lies below the
+    # angles' rounding floor at m = 3, t = 20, where no level could pass a check against it
+    a = 2.0
+    got = float(time_window_values(make_generalized_gaussian(a, m), [t])[0])
+    want, omitted = _tail_series(a, m, t)
+    # the series misses by 0.97-1.07 times its first omitted term; where that term is below
+    # rounding (m = 3 from t = 10), the angle sum's floor of a few eps g(0) is what remains
+    floor = 8 * np.finfo(float).eps * moment_integral(0, a, m)
+    assert abs(got - want) <= 1.5 * omitted + floor, (got, want, omitted)
+
+
+def test_far_signal_stft_matches_the_window_tail():
+    # |V_g f(x, w)| ~ |g(c - x)| |fhat(w)| for a signal far from x; a unit Gaussian at c = 30 has
+    # |fhat(0.5)| = e^(-pi/4), and the next order in its width is about
+    # (m + 1)(m + 2) / (4 pi (c - x)^2) = 7.9e-4 relative
+    a, m, c, x, w = 2.0, 1.5, 30.0, 0.3, 0.5
+    got = abs(stft_eval(gaussian_signal(1.0, c), make_generalized_gaussian(a, m), x, w))
+    want = abs(_tail_series(a, m, c - x)[0]) * math.exp(-math.pi * w * w)
+    assert abs(got - want) <= 1e-3 * want
