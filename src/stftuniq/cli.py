@@ -32,8 +32,8 @@ from .errors import (
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .windows import make_generalized_gaussian
 from .entire import (
-    _growth_fit,
-    _log_magnitudes,
+    build_counterexample_product,
+    counterexample_growth_fit,
     predicted_growth,
     estimate_growth,
     taylor_coefficients,
@@ -225,25 +225,21 @@ def _run_counterexample(ns, meta):
     lam = parse_sequence_expr(ns.seq, ns.terms)
     if lam.size < 16:
         raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size}")
-    # with b and 16 terms the fit reads the density from its own tail summary
-    coeff, samples, density = _growth_fit(lam, ns.rho, radii, ns.n_theta, ns.b)
-    # log|F| is exactly -inf where z is real and |z| is a sequence entry; the fit has
-    # raised on any sequence that is not positive and strictly increasing, so the
-    # probe, which lands only on zeros, reads it without a second checking pass
-    probe = min(4, lam.size - 1)
-    genus = int(math.floor(ns.rho / 2.0))
-    vanishes = np.all(_log_magnitudes(lam, genus, [lam[0], -lam[probe]], 2) == -math.inf)
+    product = build_counterexample_product(lam, ns.rho)
+    # with b and 16 terms the fit reads the density from its own tail summary, and its one
+    # sweep over the sequence also probes F at the zeros lambda_1 and -lambda_5
+    coeff, samples, density, vanishes = counterexample_growth_fit(product, radii, ns.n_theta, ns.b)
     result = {
         "rho": ns.rho,
         "b": ns.b,
         "terms": ns.terms,
-        "genus": genus,
+        "genus": product.genus,
         "density": density,
         "nonuniq_threshold": nonuniqueness_threshold(ns.rho, ns.b),
         "growth_coefficient": coeff,
         "log_max_samples": [[r, v] for r, v in samples],
         "coefficient_below_b": bool(coeff < ns.b),
-        "vanishes_at_sampled_zeros": bool(vanishes),
+        "vanishes_at_sampled_zeros": vanishes,
     }
     return result
 

@@ -4,15 +4,13 @@ Closed-form log magnitudes of the Taylor coefficients of a window's entire
 extension (from the Gamma-function absolute moments of its even profile),
 one order/type estimate from their decay, the predicted growth of a decay
 profile (from the log-domain chain in sampling), Jensen's zero-count bound, and
-Weierstrass canonical products over finitely many positive zeros with
-banded evaluation, including the symmetric counterexample F(z) = V(z^2).
-The counterexample functions evaluate F in z itself, as the product of
-G((z / lambda_k)^2; p) over the sequence, so they neither form nor check
-the squares lambda_k^2; F vanishes exactly at every +-lambda_k, which are
-distinct whenever the lambda_k are. They check that the lambda_k rise
-strictly inside the evaluation's sweep over the sequence, slice by slice
-while each slice is in cache, so the check makes no pass over memory of
-its own.
+the symmetric counterexample F(z) = prod_k G((z / lambda_k)^2; floor(rho/2))
+as one type, CounterexampleProduct, with banded evaluation in z. F vanishes
+exactly at every +-lambda_k, which are distinct whenever the lambda_k are,
+and the squares lambda_k^2 are never formed. A product is built without a
+copy or a pass over its sequence; every evaluation checks that the lambda_k
+rise strictly inside its own sweep over the sequence, slice by slice while
+each slice is in cache, so the check makes no pass over memory of its own.
 Everything here works with the convention F(z) = int ghat(xi)
 e^{2 pi i xi z} d xi, so the coefficients are c_n = (2 pi i)^n / n! times the
 n-th moment of ghat.
@@ -85,19 +83,34 @@ class GrowthEstimate:
 
 
 @dataclass(frozen=True)
-class CanonicalProduct:
-    """Weierstrass product prod_k G(w / omega_k; p) over strictly increasing positive zeros."""
+class CounterexampleProduct:
+    """F(z) = prod_k G((z / lambda_k)^power; genus) over a sequence lambda_k of order rho.
 
-    zeros: np.ndarray
-    genus: int
+    Genus floor(rho/2) and power 2 make F(z) = V(z^2), with V the canonical
+    product over the squares lambda_k^2, an even entire function of order
+    rho vanishing at every +-lambda_k. Every given term is a factor; pass
+    lambdas[:K] for fewer. A float array is held as given, without a copy,
+    and only its shape and rho are checked here: canonical_product_eval and
+    canonical_product_log_magnitudes check that it starts positive and rises
+    strictly in their own sweep over it.
+    """
+
+    lambdas: np.ndarray
+    rho: float
 
     def __post_init__(self) -> None:
-        zeros = np.asarray(self.zeros, dtype=float)
-        object.__setattr__(self, "zeros", zeros)
-        _require(zeros.ndim == 1 and zeros.size >= 1, "need at least one zero")
-        check_increasing(zeros, "zeros")
-        _require(isinstance(self.genus, (int, np.integer)) and self.genus >= 0,
-                 f"genus must be an integer >= 0, got {self.genus!r}")
+        lam = np.asarray(self.lambdas, dtype=float)
+        object.__setattr__(self, "lambdas", lam)
+        _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
+        _require(self.rho > 1 and math.isfinite(self.rho), f"order rho must exceed 1, got {self.rho}")
+
+    @property
+    def genus(self) -> int:
+        return math.floor(self.rho / 2.0)
+
+    @property
+    def power(self) -> int:
+        return 2
 
 
 def _log_moment(n: int, a: float, m: float) -> float:
@@ -235,17 +248,20 @@ def zero_count_bound(r: float, s: float, c_bound: float, b: float, rho: float) -
 # e^-43 = 2e-19: 55 at the edge, fewer further out.
 _FAR_EDGE = 2.2
 _TERMS_CAP = math.ceil(43.0 / math.log(_FAR_EDGE))
+# what the evaluation names the sequence by when its check fails
+_SEQUENCE = "sequence entries"
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: str | None = None) -> np.ndarray:
+def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int) -> np.ndarray:
     """Complex log of prod_k G((v / zeta_k)^q; p) on a flat complex array.
 
-    q = 1 is the canonical product over the zeros zeta_k; q = 2 is the even
-    product V(z^2) over the squares zeta_k^2, read in z, so the squares are
-    never formed. Zeros within (2.2)^(1/q) of the batch's largest |v|
-    contribute direct factor logs; the (typically vast) remainder enters
-    through power sums, an exact rearrangement of the tail log series. Each
+    The counterexample's power q = 2 is the even product V(z^2) over the
+    squares zeta_k^2, read in z, so the squares are never formed; q = 1
+    would be the canonical product over the zeta_k themselves. Zeros within
+    (2.2)^(1/q) of the batch's largest |v| contribute direct factor logs; the
+    (typically vast) remainder enters through power sums, an exact
+    rearrangement of the tail log series. Each
     slice sums the powers j = p+1 .. j_max its own first ratio needs; it
     keeps the powers u^floor((p+1)/2) .. u^ceil(j_max/2) of its ratios u in
     one buffer of 2 _CHUNK floats (at most 30 rows, so slices needing more
@@ -255,10 +271,11 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
     that point cannot overflow; a factor argument past the float range
     raises EvaluationOverflowError.
 
-    With `what`, the zeros are checked to start positive and rise strictly
-    (check_increasing's errors, naming `what`) in the same sweep: each far
-    slice right after its ratios are formed, while it is in cache, and the
-    near zeros on their own. Calls with no sum to take check the whole array.
+    The zeros are checked to start positive and rise strictly
+    (check_increasing's errors, naming the sequence entries) in the same
+    sweep: each far slice
+    right after its ratios are formed, while it is in cache, and the near
+    zeros on their own. Calls with no sum to take check the whole array.
     """
     vmax = float(np.abs(vs).max()) if vs.size else 0.0
     if not math.isfinite(vmax):
@@ -268,20 +285,18 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
     k = np.minimum(np.searchsorted(zeros, x), zeros.size - 1)
     on_zero = (vs.imag == 0.0) & (zeros[k] == x)
     if on_zero.all() or vmax == 0.0:
-        if what is not None:
-            check_increasing(zeros, what)
+        check_increasing(zeros, _SEQUENCE)
         return np.where(on_zero, complex(-math.inf, 0.0), 0j)
     if on_zero.any():
         out = np.full(vs.shape, complex(-math.inf, 0.0))
-        out[~on_zero] = _log_product(zeros, p, vs[~on_zero], q, what)
+        out[~on_zero] = _log_product(zeros, p, vs[~on_zero], q)
         return out
     out = np.zeros(vs.shape, dtype=complex)
 
     # (vmax / zeta_k)^q <= 1 / 2.2 from the cut on; near and far together cover every entry
     cut = int(np.searchsorted(zeros, _FAR_EDGE ** (1.0 / q) * vmax, "right"))
     near = zeros[:cut]
-    if what is not None:
-        check_increasing(near, what)
+    check_increasing(near, _SEQUENCE)
     # blocks of _CHUNK / 8 complex entries: four live temporaries fill one float slice
     step = max(1, _CHUNK // 8 // max(near.size, 1))
     for i in range(0, vs.size, step):
@@ -314,8 +329,7 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
         pows = buf[:rows * n].reshape(rows, n)
         u = pows[-1] if a > 1 else pows[0]
         np.divide(vmax, zeros[k:k + n], out=u)
-        if what is not None:
-            _check_slice(zeros, k, n, what)
+        _check_slice(zeros, k, n, _SEQUENCE)
         if q != 1:
             u **= q
         if a > 1:
@@ -339,96 +353,48 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int = 1, what: st
     return out
 
 
-def _eval_point(zeros: np.ndarray, p: int, v: complex, q: int = 1, what: str | None = None) -> complex:
-    """One point of the product, exactly 0 on a zero; the evaluator behind both public point calls."""
-    total = complex(_log_product(zeros, p, np.array([v]), q, what)[0])
+def canonical_product_eval(product: CounterexampleProduct, z) -> complex:
+    """F(z) at one point: the exp of the banded complex log, phase included.
+
+    Exactly 0 at every +-lambda_k; raises EvaluationOverflowError where |F(z)|
+    leaves the float range.
+    """
+    total = complex(_log_product(product.lambdas, product.genus, np.array([complex(z)]), product.power)[0])
     if total.real > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"product magnitude exponent {total.real:.1f} exceeds the float range")
     return complex(np.exp(total))
 
 
-def _log_magnitudes(zeros: np.ndarray, p: int, vs, q: int = 1, what: str | None = None) -> np.ndarray:
-    """Real part of the banded log on an array of points of any shape."""
-    vs = np.atleast_1d(np.asarray(vs, dtype=complex))
-    return _log_product(zeros, p, vs.ravel(), q, what).real.reshape(vs.shape)
+def canonical_product_log_magnitudes(product: CounterexampleProduct, zs) -> np.ndarray:
+    """log|F| on an array of z points of any shape: the real part of the banded log, -inf at +-lambda_k."""
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    return _log_product(product.lambdas, product.genus, zs.ravel(), product.power).real.reshape(zs.shape)
 
 
-def canonical_product_eval(product: CanonicalProduct, w) -> complex:
-    """Evaluate prod_k G(w / omega_k; p) at one point.
-
-    The exp of the banded complex log, phase included; raises
-    EvaluationOverflowError if the magnitude exponent leaves the float range.
-    Points equal to a zero return exactly 0.
-    """
-    return _eval_point(product.zeros, product.genus, complex(w))
-
-
-def canonical_product_log_magnitudes(product: CanonicalProduct, ws) -> np.ndarray:
-    """log|product| on an array of points (the real part of the banded log; -inf on a zero)."""
-    return _log_magnitudes(product.zeros, product.genus, ws)
-
-
-# what the counterexample calls name the sequence by when its check fails
-_SEQUENCE = "sequence entries"
-
-
-def _counterexample_sequence(lambdas, rho: float) -> tuple[np.ndarray, int]:
-    """The sequence as a float array and the genus floor(rho/2) of its product over the squares.
-
-    Only its shape is checked here. The zeros +-lambda_k of F are distinct
-    exactly when the lambda_k are positive and strictly increasing; the
-    evaluation checks that in its own sweep over the sequence.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
-    _require(rho > 1 and math.isfinite(rho), f"order rho must exceed 1, got {rho}")
-    return lam, int(math.floor(rho / 2.0))
-
-
-def build_counterexample_product(lambdas, rho: float) -> CanonicalProduct:
-    """Canonical product with zeros lambda_k^2, genus matched to order rho in z.
-
-    The product V(w) of genus floor(rho/2) over the squares lambda_k^2 makes
-    F(z) = V(z^2) an even entire function of order rho vanishing at every
-    +-lambda_k. Every given term is a factor; pass lambdas[:K] for fewer.
-    The product stores the squares as floats, so it rejects a sequence whose
-    squares leave the float range or round onto each other. The
-    counterexample_* functions evaluate F without building it, from the
-    sequence itself.
-    """
-    lam, genus = _counterexample_sequence(lambdas, rho)
-    check_increasing(lam, _SEQUENCE)
-    # the product checks all the squares once more, as it does for any zeros
-    return CanonicalProduct(zeros=lam * lam, genus=genus)
+def build_counterexample_product(lambdas, rho: float) -> CounterexampleProduct:
+    """The CounterexampleProduct of order rho over the sequence, which is neither copied nor swept here."""
+    return CounterexampleProduct(lambdas, rho)
 
 
 def counterexample_eval(lambdas, rho: float, z) -> complex:
-    """F(z) = V(z^2), evaluated in z as the product of G((z / lambda_k)^2; p).
-
-    Vanishes exactly at +-lambda_k for every k. Agrees with the built product
-    at z^2 to rounding, and also takes sequences whose squares the built
-    product rejects; raises EvaluationOverflowError where |F(z)| leaves the
-    float range.
-    """
-    lam, genus = _counterexample_sequence(lambdas, rho)
-    return _eval_point(lam, genus, complex(z), 2, _SEQUENCE)
+    """F(z) for the sequence and rho, through the built product; see canonical_product_eval."""
+    return canonical_product_eval(build_counterexample_product(lambdas, rho), z)
 
 
 def counterexample_log_magnitudes(lambdas, rho: float, zs) -> np.ndarray:
-    """log|F| on an array of z points, through the banded product evaluation in z.
-
-    -inf at +-lambda_k; the sequence is read as in counterexample_eval.
-    """
-    lam, genus = _counterexample_sequence(lambdas, rho)
-    return _log_magnitudes(lam, genus, zs, 2, _SEQUENCE)
+    """log|F| on an array of z points, through the built product; see canonical_product_log_magnitudes."""
+    return canonical_product_log_magnitudes(build_counterexample_product(lambdas, rho), zs)
 
 
-def _growth_fit(lambdas, rho: float, radii, n_theta: int, b: float | None):
-    """counterexample_growth_coefficient's fit and samples, with the tail density it read.
+def counterexample_growth_fit(product: CounterexampleProduct, radii, n_theta: int, b: float | None):
+    """counterexample_growth_coefficient's fit and samples, the tail density, and whether F vanished.
 
     The density is None unless b is given and there are at least 16 terms.
-    The warnings come after the evaluation has checked the sequence, so a
-    bad sequence raises before any of them.
+    The ring's evaluation also takes the zeros lambda_1 and -lambda_5 (or
+    -lambda_K for K < 5), and the last item says whether F is exactly 0 at
+    both; the on-zero split hands the sweep the ring alone, so they leave its
+    values as they are. The warnings come after the evaluation has checked
+    the sequence, so a bad sequence raises before any of them.
     """
     _require(isinstance(n_theta, (int, np.integer)) and n_theta >= 16,
              f"need an integer n_theta >= 16, got {n_theta!r}")
@@ -436,10 +402,11 @@ def _growth_fit(lambdas, rho: float, radii, n_theta: int, b: float | None):
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
     # the fit has two unknowns, so one radius, however often repeated, cannot fix them
     _require(radii.ndim == 1 and len(set(radii.tolist())) >= 2, "need at least two distinct radii")
+    rho, lam = product.rho, product.lambdas
     threshold = None if b is None else nonuniqueness_threshold(rho, b)
-    lam, genus = _counterexample_sequence(lambdas, rho)
-    zs = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))
-    log_max = _log_magnitudes(lam, genus, zs, 2, _SEQUENCE).max(axis=1)
+    ring = radii[:, None] * np.exp(1j * np.arange(n_theta) * (2.0 * math.pi / n_theta))
+    logs = canonical_product_log_magnitudes(product, np.append(ring, [lam[0], -lam[min(4, lam.size - 1)]]))
+    log_max = logs[:-2].reshape(ring.shape).max(axis=1)
     tail = tail_ratios(lam, rho)
     density = None
     if threshold is not None and lam.size >= 16:
@@ -458,7 +425,7 @@ def _growth_fit(lambdas, rho: float, radii, n_theta: int, b: float | None):
     basis = np.stack([radii**rho, np.ones_like(radii)], axis=1)
     beta, *_ = np.linalg.lstsq(basis, log_max, rcond=None)
     samples = tuple((float(r), float(v)) for r, v in zip(radii, log_max))
-    return float(beta[0]), samples, density
+    return float(beta[0]), samples, density, bool(np.all(logs[-2:] == -math.inf))
 
 
 def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0),
@@ -477,5 +444,5 @@ def counterexample_growth_coefficient(lambdas, rho: float, radii=(4.0, 8.0, 16.0
     rho = 2, c = 1.5 it is 2.33, 2.91 and 3.48 for radii (4, 8, 16),
     (8, 16, 32) and (16, 32, 64).
     """
-    coeff, samples, _ = _growth_fit(lambdas, rho, radii, n_theta, b)
+    coeff, samples, *_ = counterexample_growth_fit(build_counterexample_product(lambdas, rho), radii, n_theta, b)
     return coeff, samples

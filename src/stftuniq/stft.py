@@ -129,6 +129,8 @@ class GridSignal:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 2:
             raise InvalidParameterError("grid signal needs a 1-d array of at least 2 samples")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidParameterError("grid samples must be finite")
         if not (self.step > 0 and math.isfinite(self.step)):
             raise InvalidParameterError(f"grid step must be a finite positive real, got {self.step}")
         if not math.isfinite(self.start):

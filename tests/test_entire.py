@@ -1,9 +1,14 @@
 """Growth analysis: moments, Taylor data, order/type fits, products, counting."""
 
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,7 +21,7 @@ from scipy.special import gammaln
 import stftuniq.entire as entire
 import stftuniq.sampling as sampling
 from stftuniq import (
-    CanonicalProduct,
+    CounterexampleProduct,
     EvaluationOverflowError,
     InsufficientDataError,
     InvalidParameterError,
@@ -271,10 +276,17 @@ def test_weierstrass_log_bound(p, radius):
         assert abs(cmath.log(g)) <= bound + 1e-13
 
 
+# The product tests below take the zeros zeta_k of a genus-p product V(w) as lambda_k = sqrt(zeta_k)
+# and a point w as z = sqrt(w), with a rho of genus floor(rho/2) = p: F(z) = V(z^2).
+
+def _rho_of_genus(genus):
+    return 2.0 * genus + 1.5
+
+
 def test_product_matches_sinh():
     zeros = np.arange(1, 201, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=0)
-    val = canonical_product_eval(prod, -1.0)
+    prod = CounterexampleProduct(np.sqrt(zeros), _rho_of_genus(0))
+    val = canonical_product_eval(prod, cmath.sqrt(-1.0))
     want = math.sinh(math.pi) / math.pi
     assert abs(val - want) / want < 0.01
     assert abs(val.imag) == 0.0
@@ -282,10 +294,10 @@ def test_product_matches_sinh():
 
 def test_product_exact_zeros_and_origin():
     zeros = np.arange(1, 101, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=0)
-    assert canonical_product_eval(prod, zeros[7]) == 0.0
+    prod = CounterexampleProduct(np.sqrt(zeros), _rho_of_genus(0))
+    assert canonical_product_eval(prod, math.sqrt(zeros[7])) == 0.0
     assert canonical_product_eval(prod, 0.0) == 1.0
-    logs = canonical_product_log_magnitudes(prod, np.array([zeros[7], 4.5]))
+    logs = canonical_product_log_magnitudes(prod, np.sqrt([zeros[7], 4.5]))
     assert logs[0] == -math.inf and math.isfinite(logs[1])
 
 
@@ -317,19 +329,18 @@ def _near_mp_log(zeros, genus, w, q):
 
 def test_product_banded_matches_direct():
     zeros = np.arange(1, 100001, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=0)
-    banded = canonical_product_log_magnitudes(prod, np.array([-1.0]))[0]
+    prod = CounterexampleProduct(np.sqrt(zeros), _rho_of_genus(0))
+    banded = canonical_product_log_magnitudes(prod, np.sqrt(np.array([-1.0 + 0j])))[0]
     assert abs(banded - _direct_log(zeros, 0, -1.0).real) < 1e-10
 
 
 @pytest.mark.parametrize("call, name", [
     (lambda: QuadratureConfig(nodes=256.0), "nodes"),
     (lambda: QuadratureConfig(nodes=300.5), "nodes"),
-    (lambda: CanonicalProduct(zeros=np.arange(1.0, 50.0), genus=1.5), "genus"),
     (lambda: taylor_coefficients(make_generalized_gaussian(2, 1.5), 80.5), "n_terms"),
     (lambda: counterexample_growth_coefficient(2 * np.sqrt(np.arange(1.0, 50.0)), 2.0, (1.0, 2.0),
                                                n_theta=16.5), "n_theta"),
-], ids=["nodes-whole", "nodes-half", "genus", "n_terms", "growth-n_theta"])
+], ids=["nodes-whole", "nodes-half", "n_terms", "growth-n_theta"])
 def test_integer_parameters_reject_floats(call, name):
     # a float count either failed later with an untyped TypeError or, as n_theta, spaced
     # its angles at 2 pi / n_theta without closing the circle
@@ -339,28 +350,31 @@ def test_integer_parameters_reject_floats(call, name):
 
 def test_product_overflow_guard():
     zeros = 0.01 * np.arange(1, 2001, dtype=float)
-    prod = CanonicalProduct(zeros=zeros, genus=1)
+    prod = CounterexampleProduct(np.sqrt(zeros), _rho_of_genus(1))
     with pytest.raises(EvaluationOverflowError):
-        canonical_product_eval(prod, 1e4)
+        canonical_product_eval(prod, math.sqrt(1e4))
 
 
 def test_product_validation():
+    # the type checks the shape and rho when built, and the order of the sequence when evaluated
+    for lam in (np.sqrt([1.0, 1.0, 2.0]), np.array([-1.0, math.sqrt(2.0)])):
+        prod = CounterexampleProduct(lam, _rho_of_genus(0))
+        with pytest.raises(InvalidParameterError):
+            canonical_product_eval(prod, math.sqrt(0.5))
+        with pytest.raises(InvalidParameterError):
+            canonical_product_log_magnitudes(prod, np.sqrt([0.5, 0.25]))
     with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([1.0, 1.0, 2.0]), genus=0)
+        CounterexampleProduct(np.array([]), _rho_of_genus(0))
     with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([-1.0, 2.0]), genus=0)
-    with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([]), genus=0)
-    with pytest.raises(InvalidParameterError):
-        CanonicalProduct(zeros=np.array([1.0, 2.0]), genus=-1)
-    prod = CanonicalProduct(zeros=np.array([1.0, 2.0]), genus=1)
+        CounterexampleProduct(np.sqrt([1.0, 2.0]), _rho_of_genus(-1))
+    prod = CounterexampleProduct(np.sqrt([1.0, 2.0]), _rho_of_genus(1))
     for bad in (math.nan, complex(0.5, math.inf), complex(math.nan, 0.0)):
         with pytest.raises(InvalidParameterError, match="points must be finite"):
-            canonical_product_eval(prod, bad)
+            canonical_product_eval(prod, cmath.sqrt(bad))
         with pytest.raises(InvalidParameterError, match="points must be finite"):
-            canonical_product_log_magnitudes(prod, np.array([0.5, bad]))
+            canonical_product_log_magnitudes(prod, np.array([math.sqrt(0.5), cmath.sqrt(bad)]))
         with pytest.raises(InvalidParameterError, match="points must be finite"):
-            counterexample_eval(prod.zeros, 2.0, bad)
+            counterexample_eval(prod.lambdas, 2.0, bad)
 
 
 # --------------------------------------------------------- counterexamples
@@ -396,10 +410,11 @@ def test_counterexample_genus_and_validation():
     assert build_counterexample_product(lam, 2.0).genus == 1
     assert build_counterexample_product(lam, 3.9).genus == 1
     assert build_counterexample_product(lam, 4.0).genus == 2
+    assert build_counterexample_product(lam, 2.0).power == 2
     with pytest.raises(InvalidParameterError):
         build_counterexample_product(lam, 1.0)
     with pytest.raises(InvalidParameterError):
-        build_counterexample_product(np.array([2.0, 1.0, 3.0]), 2.0)
+        counterexample_eval(np.array([2.0, 1.0, 3.0]), 2.0, 0.5)
     # one radius, however often repeated, cannot fix the two unknowns of the fit
     with pytest.raises(InvalidParameterError, match="two distinct radii"):
         counterexample_growth_coefficient(lam, 2.0, (4.0, 4.0), n_theta=16)
@@ -445,33 +460,27 @@ def test_counterexample_radii_past_the_sequence_warn():
                                  [math.nan, 1.0, 2.0], [0.0, 1.0, 2.0]])
 def test_counterexample_rejects_bad_sequences(bad):
     lam = np.array(bad)
-    for call in (lambda: build_counterexample_product(lam, 2.0),
+    for call in (lambda: canonical_product_eval(build_counterexample_product(lam, 2.0), 0.0),
                  lambda: counterexample_eval(lam, 2.0, 0.5),
                  lambda: counterexample_log_magnitudes(lam, 2.0, np.array([0.5j])),
                  lambda: counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16),
-                 lambda: CanonicalProduct(zeros=lam, genus=0),
+                 lambda: canonical_product_log_magnitudes(CounterexampleProduct(lam, 1.5), [0.5, 1.0j]),
                  lambda: density_index(np.concatenate([lam, np.arange(10.0, 26.0)]), 2.0)):
         with pytest.raises(InvalidParameterError):
             call()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_counterexample_rejects_squares_that_round_together():
     cases = (
         # distinct entries whose squares land on the same subnormal float
-        ([1e-160, 1.0001e-160, 1.0], "zeros must be strictly increasing"),
+        [1e-160, 1.0001e-160, 1.0],
         # a first square that underflows to zero
-        ([1e-170, 1.0, 2.0], "zeros must be positive"),
+        [1e-170, 1.0, 2.0],
         # two squares that overflow to inf
-        ([1.0, 1e155, 2e155], "zeros must be strictly increasing"),
+        [1.0, 1e155, 2e155],
     )
-    for bad, message in cases:
+    for bad in cases:
         lam = np.array(bad)
-        # the built product stores the squares, so it rejects them
-        with pytest.raises(InvalidParameterError, match=message):
-            CanonicalProduct(zeros=lam * lam, genus=1)
-        with pytest.raises(InvalidParameterError, match=message):
-            build_counterexample_product(lam, 2.0)
         # the calls read F in z, where the zeros +-lambda_k are all distinct
         zs = np.array([lam[0], -lam[1], lam[2], -lam[2]])
         for z in zs:
@@ -486,7 +495,7 @@ def test_counterexample_rejects_squares_that_round_together():
         coeff, samples = counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0), n_theta=16)
     assert math.isfinite(coeff) and all(math.isfinite(v) for _, v in samples)
     # with a zero at 1e-160, |F(0.5)| = |(1 - u) e^u| at u = 2.5e319 is past the float range
-    for bad, _ in cases[:2]:
+    for bad in cases[:2]:
         lam = np.array(bad)
         for call in (lambda: counterexample_eval(lam, 2.0, 0.5),
                      lambda: counterexample_log_magnitudes(lam, 2.0, np.array([0.5, 0.5j])),
@@ -511,23 +520,47 @@ def test_counterexample_calls_equal_the_built_product(monkeypatch):
     lam = 1.5 * np.sqrt(np.arange(1, 30001, dtype=float))
     product = build_counterexample_product(lam, 2.0)
     zs = np.array([[4.0 * cmath.exp(0.3j), -7.0 + 1.0j], [2.5j, 60.0 + 0.5j]])
-    got, want = counterexample_log_magnitudes(lam, 2.0, zs), canonical_product_log_magnitudes(product, zs * zs)
-    assert got.shape == want.shape
+    got = counterexample_log_magnitudes(lam, 2.0, zs)
+    assert np.array_equal(got, canonical_product_log_magnitudes(product, zs))
+    want = np.array([_near_mp_log(lam, 1, z, 2).real for z in zs.ravel()]).reshape(zs.shape)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     for z in (3.0 + 1.0j, -2.0j, 0.5 * (lam[9] + lam[10]), 9.0 * cmath.exp(2.0j)):
-        want = canonical_product_eval(product, complex(z) ** 2)
+        want = cmath.exp(_near_mp_log(lam, 1, z, 2))
+        assert counterexample_eval(lam, 2.0, z) == canonical_product_eval(product, z)
         assert abs(counterexample_eval(lam, 2.0, z) - want) <= 1e-13 * abs(want)
     assert counterexample_eval(lam, 2.0, 0.0) == canonical_product_eval(product, 0.0) == 1.0
     for z in (12.0, complex(lam[0]), complex(-lam[2999])):
-        assert counterexample_eval(lam, 2.0, z) == canonical_product_eval(product, complex(z) ** 2) == 0.0
-    # one square beyond the float range is an infinitely far zero for the product;
-    # in z it is a zero at 1e155, whose factor is 1 to rounding here
+        assert counterexample_eval(lam, 2.0, z) == canonical_product_eval(product, z) == 0.0
+    # a zero at 1e155, whose square leaves the float range, has a factor of 1 to rounding here
     lam = np.array([1.0, 1e155])
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        product = build_counterexample_product(lam, 3.0)
-    assert product.zeros[-1] == math.inf
-    got, want = counterexample_log_magnitudes(lam, 3.0, zs), canonical_product_log_magnitudes(product, zs * zs)
+    got = counterexample_log_magnitudes(lam, 3.0, zs)
+    want = np.array([_direct_log(lam[:1], 1, z * z).real for z in zs.ravel()]).reshape(zs.shape)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_traced_counterexample_calls_reach_the_product_names():
+    # the benchmark's tracer rebinds these three names in every stftuniq module; a child
+    # process keeps its wrappers out of the other tests
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, math\n"
+        "import numpy as np\n"
+        "import spans, stftuniq\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "lam = 1.5 * np.sqrt(np.arange(1, 2001, dtype=float))\n"
+        "stftuniq.counterexample_growth_coefficient(lam, 2.0, (2.0, 4.0), n_theta=16, b=math.pi)\n"
+        "stftuniq.counterexample_log_magnitudes(lam, 2.0, [1.0j, 3.0])\n"
+        "stftuniq.counterexample_eval(lam, 2.0, lam[3])\n"
+        "print(json.dumps(tracer.totals()[2]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / d) for d in ("src", "perfbench")))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"entire.build_counterexample_product": 3,
+                                       "entire.canonical_product_log_magnitudes": 2,
+                                       "entire.canonical_product_eval": 1}
 
 
 def test_counterexample_calls_make_no_copy_of_the_sequence():
@@ -607,15 +640,10 @@ def test_counterexample_validates_each_sequence_once(monkeypatch, slice_checks):
         assert slice_checks.sweeps_over(lam) == 1
         assert all(np.shares_memory(values, lam) for values, _, _ in seen)
         assert len(tails) <= 1
-    # the built product checks the sequence and then all of its squares
+    # building the product holds the sequence as given and makes no sweep of its own
     seen.clear()
     product = build_counterexample_product(lam, 2.0)
-    assert slice_checks.sweeps_over(lam) == 1
-    assert slice_checks.sweeps_over(product.zeros) == 1
-    assert len(seen) == 2
-    seen.clear()
-    CanonicalProduct(zeros=lam * lam, genus=1)
-    assert len(seen) == 1
+    assert product.lambdas is lam and seen == []
 
 
 @pytest.mark.parametrize("place", ["near", "near edge", "band 0", "band 1", "band 2", "band 3",
@@ -661,7 +689,7 @@ def test_shortened_slices_match_direct(monkeypatch, slice_checks, genus, q):
     lam = 2.0 * np.arange(1, 12001, dtype=float) ** 0.75
     vs = np.array([20.0 * np.exp(0.4j), -13.0 + 2.0j, 7.5j, 0.3 - 0.1j])
     seen = slice_checks.seen
-    got = entire._log_product(lam, genus, vs, q, "zeros")
+    got = entire._log_product(lam, genus, vs, q)
     # a slice keeps its powers in 2000 floats, so one that needs more than two rows is
     # shorter than 1000 even where the zeros go on
     assert any(n < 1000 and k + n < lam.size for values, k, n in seen if values is lam)
@@ -675,7 +703,7 @@ def test_genus_above_the_slice_size_ends(monkeypatch, slice_checks):
     monkeypatch.setattr(entire, "_CHUNK", 64)
     lam = np.arange(5.0, 2005.0)
     # the top power 301 > 4 _CHUNK: a slice still holds three rows, u^150, u^151 and u
-    got = entire._log_product(lam, 300, np.array([3.0 + 1.0j, -4.0]), 1, "zeros")
+    got = entire._log_product(lam, 300, np.array([3.0 + 1.0j, -4.0]), 1)
     far = [(k, n) for values, k, n in slice_checks.seen if values is lam]
     assert far[0][0] == int(np.searchsorted(lam, entire._FAR_EDGE * 4.0, "right"))
     assert all(n == 2 * 64 // 3 or k + n == lam.size for k, n in far)
@@ -707,9 +735,9 @@ def test_product_chunked_bands_match_direct(monkeypatch, chunk):
     size = entire._CHUNK
     # every band, the last most of all, holds a length that is no multiple of the slice size
     zeros = np.arange(1, 2 * size + 12346, dtype=float) ** 1.5
-    prod = CanonicalProduct(zeros=zeros, genus=1)
+    prod = CounterexampleProduct(np.sqrt(zeros), _rho_of_genus(1))
     ws = np.array([30.0 + 4.0j, -55.0, 2.0j, 100.0 * np.exp(0.7j)])
-    got = canonical_product_log_magnitudes(prod, ws)
+    got = canonical_product_log_magnitudes(prod, np.sqrt(ws))
     for w, g in zip(ws, got):
         assert abs(g - _direct_log(zeros, 1, w).real) < 1e-10
 
@@ -736,20 +764,24 @@ def test_capped_far_band_matches_direct(monkeypatch, genus, q):
 @pytest.mark.parametrize("genus", [0, 1, 2])
 def test_product_eval_matches_direct_with_phase(genus):
     zeros = 10.0 + np.arange(1, 3001, dtype=float) ** 2
-    prod = CanonicalProduct(zeros=zeros, genus=genus)
+    prod = CounterexampleProduct(np.sqrt(zeros), _rho_of_genus(genus))
     near = [zeros[4] * (1.0 + 1e-7) + 1e-6j, zeros[12] - 0.01j, 0.5 * (zeros[9] + zeros[10])]
     far = [-250.0 + 30.0j, 150.0j, 0.05 - 0.02j, 250.0 * np.exp(2.5j)]
     for w in near + far:
-        want = np.prod(_weierstrass_factor(w / zeros, genus))
-        got = canonical_product_eval(prod, w)
+        z = cmath.sqrt(w)
+        # the factor arguments (z / lambda_k)^2 as the product forms them: a near point's
+        # factor 1 - u would take the rounding of z^2 against w up by 1 / |1 - u|
+        want = np.prod(_weierstrass_factor((z / prod.lambdas) ** 2, genus))
+        got = canonical_product_eval(prod, z)
         assert abs(got - want) <= 1e-10 * abs(want), (w, got, want)
 
 
 def test_product_far_out_stays_finite():
-    # |w|^j and omega^-j each leave the float range here; their ratio does not
+    # |z|^(2j) and lambda_k^(-2j) each leave the float range here; their ratio does not
     zeros = np.arange(1, 20001, dtype=float) ** 2 * 1e6
-    prod = CanonicalProduct(zeros=zeros, genus=0)
+    prod = CounterexampleProduct(np.sqrt(zeros), _rho_of_genus(0))
     w = -3.0e6
     want = _direct_log(zeros, 0, w).real
-    assert abs(math.log(abs(canonical_product_eval(prod, w))) - want) < 1e-10
-    assert abs(canonical_product_log_magnitudes(prod, np.array([w]))[0] - want) < 1e-10
+    z = cmath.sqrt(w)
+    assert abs(math.log(abs(canonical_product_eval(prod, z))) - want) < 1e-10
+    assert abs(canonical_product_log_magnitudes(prod, np.array([z]))[0] - want) < 1e-10

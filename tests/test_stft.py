@@ -143,6 +143,14 @@ def test_amplitude_must_be_finite_with_a_finite_peak():
     assert gaussian_signal(amplitude=1e308).amplitude == 1e308
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 1.0)])
+def test_grid_samples_must_be_finite(bad):
+    # a NaN sample used to build, and then surfaced as a far-centre phase overflow, a NaN
+    # norm or an energy overflow in the phase alignment
+    with pytest.raises(InvalidParameterError, match="grid samples must be finite"):
+        grid_signal([0.0, bad, 1.0, 0.0], -1.5, 1.0)
+
+
 def test_resample_bandlimited():
     ts = np.arange(-128, 129) / 16.0
     sig = grid_signal(np.exp(-math.pi * ts**2).astype(complex), -8.0, 1 / 16.0)
