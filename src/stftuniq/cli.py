@@ -28,6 +28,8 @@ from .errors import (
     InvalidParameterError,
     QuadratureConvergenceError,
     ZeroNormError,
+    _count,
+    _require,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .windows import make_generalized_gaussian
@@ -74,8 +76,7 @@ def parse_sequence_expr(text: str, count: int) -> np.ndarray:
     the functions sqrt/log/exp. Anything else is rejected; the expression is
     never handed to eval.
     """
-    if not (isinstance(count, int) and count >= 1):
-        raise InvalidParameterError(f"term count must be an integer >= 1, got {count!r}")
+    count = _count(count, "term count", 1)
     try:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
     except SyntaxError as exc:
@@ -89,8 +90,7 @@ def parse_sequence_expr(text: str, count: int) -> np.ndarray:
             ops = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
                    ast.Div: np.divide, ast.Pow: np.power}
             fn = ops.get(type(node.op))
-            if fn is None:
-                raise InvalidParameterError(f"unsupported operator in sequence expression {text!r}")
+            _require(fn is not None, f"unsupported operator in sequence expression {text!r}")
             return fn(ev(node.left), ev(node.right))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             val = ev(node.operand)
@@ -106,9 +106,8 @@ def parse_sequence_expr(text: str, count: int) -> np.ndarray:
 
     # overflow, log(0) and the like surface as non-finite terms, reported below
     with np.errstate(all="ignore"):
-        vals = np.asarray(ev(tree), dtype=float) * np.ones_like(k)
-    if not np.all(np.isfinite(vals)):
-        raise InvalidParameterError(f"sequence expression {text!r} produced non-finite terms")
+        vals = ev(tree) * np.ones_like(k)
+    _require(bool(np.all(np.isfinite(vals))), f"sequence expression {text!r} produced non-finite terms")
     return vals
 
 
@@ -127,8 +126,7 @@ def parse_signal_spec(text: str):
     hermite adds index; chirp adds f0 (start frequency) and rate.
     """
     match = _SIGNAL_RE.match(text)
-    if not match:
-        raise InvalidParameterError(f"cannot parse signal spec {text!r}")
+    _require(match is not None, f"cannot parse signal spec {text!r}")
     kind, body = match.group(1), match.group(2) or ""
     kwargs: dict[str, float] = {}
     for part in body.split(","):
@@ -137,8 +135,7 @@ def parse_signal_spec(text: str):
             continue
         key, sep, val = part.partition("=")
         key = key.strip()
-        if not sep or key not in _SIGNAL_KEYS[kind]:
-            raise InvalidParameterError(f"bad signal argument {part!r} for {kind}")
+        _require(bool(sep) and key in _SIGNAL_KEYS[kind], f"bad signal argument {part!r} for {kind}")
         try:
             kwargs[key] = float(val)
         except ValueError:
@@ -150,9 +147,8 @@ def parse_signal_spec(text: str):
         return gaussian_signal(width, center, amp)
     if kind == "hermite":
         index = kwargs.get("index", 0.0)
-        if index != int(index):
-            raise InvalidParameterError(f"hermite index must be an integer, got {index}")
-        return hermite_signal(int(index), width, center, amp)
+        # a whole float such as 3.0 reads as the count 3; NaN, inf and 2.5 reach the count check as floats
+        return hermite_signal(int(index) if index.is_integer() else index, width, center, amp)
     return chirp_signal(width, center, amp, kwargs.get("f0", 0.0), kwargs.get("rate", 0.0))
 
 
@@ -161,8 +157,7 @@ def _parse_radii(text: str) -> tuple[float, ...]:
         radii = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise InvalidParameterError(f"cannot parse radii list {text!r}") from None
-    if len(radii) < 2:
-        raise InvalidParameterError("need at least two radii")
+    _require(len(radii) >= 2, "need at least two radii")
     return radii
 
 

@@ -27,8 +27,11 @@ import numpy as np
 from .errors import (
     EvaluationOverflowError,
     InsufficientDataError,
-    InvalidParameterError,
     _caller_stacklevel,
+    _count,
+    _real,
+    _real_array,
+    _require,
 )
 from .sampling import (
     _CHUNK,
@@ -44,11 +47,6 @@ from .windows import WindowModel
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidParameterError(msg)
-
-
 @dataclass(frozen=True)
 class TaylorSeries:
     """log|c_n| for the Taylor coefficients c_0 .. c_N of an entire function about the origin.
@@ -59,7 +57,7 @@ class TaylorSeries:
     log_magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        logs = np.asarray(self.log_magnitudes, dtype=float)
+        logs = _real_array(self.log_magnitudes, "log magnitudes")
         object.__setattr__(self, "log_magnitudes", logs)
         _require(logs.ndim == 1, "log magnitudes must be one-dimensional")
         _require(logs.size >= 3, "need at least coefficients c_0, c_1, c_2")
@@ -89,20 +87,20 @@ class CounterexampleProduct:
     Genus floor(rho/2) and power 2 make F(z) = V(z^2), with V the canonical
     product over the squares lambda_k^2, an even entire function of order
     rho vanishing at every +-lambda_k. Every given term is a factor; pass
-    lambdas[:K] for fewer. A float array is held as given, without a copy,
-    and only its shape and rho are checked here: canonical_product_eval and
-    canonical_product_log_magnitudes check that it starts positive and rises
-    strictly in their own sweep over it.
+    lambdas[:K] for fewer. A float array is held as given, without a copy;
+    only its dtype, shape and rho are checked here. canonical_product_eval
+    and canonical_product_log_magnitudes check that it starts positive,
+    rises strictly and ends finite in their own sweep over it.
     """
 
     lambdas: np.ndarray
     rho: float
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
+        lam = _real_array(self.lambdas, "sequence entries")
         object.__setattr__(self, "lambdas", lam)
         _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
-        _require(self.rho > 1 and math.isfinite(self.rho), f"order rho must exceed 1, got {self.rho}")
+        object.__setattr__(self, "rho", _real(self.rho, "order rho", 1.0))
 
     @property
     def genus(self) -> int:
@@ -125,9 +123,8 @@ def moment_integral(n: int, a: float, m: float) -> float:
     large n cannot overflow intermediates, raising only when the value itself
     leaves the float range.
     """
-    _require(isinstance(n, (int, np.integer)) and n >= 0, f"moment index must be an integer >= 0, got {n!r}")
-    _require(a > 0 and math.isfinite(a), f"decay rate a must be positive, got {a}")
-    _require(m >= 1 and math.isfinite(m), f"decay exponent m must be >= 1, got {m}")
+    n = _count(n, "moment index", 0)
+    a, m = _real(a, "decay rate a", 0.0), _real(m, "decay exponent m", 1.0, closed=True)
     log_val = _log_moment(n, a, m)
     if log_val > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"moment of index {n} has log magnitude {log_val:.1f}, beyond float range")
@@ -144,8 +141,7 @@ def taylor_coefficients(window: WindowModel, n_terms: int) -> TaylorSeries:
     and no window leaves the float range.
     """
     _require(isinstance(window, WindowModel), "taylor_coefficients needs a WindowModel")
-    _require(isinstance(n_terms, (int, np.integer)) and n_terms >= 2,
-             f"need an integer n_terms >= 2, got {n_terms!r}")
+    n_terms = _count(n_terms, "n_terms", 2)
     logs = np.full(n_terms + 1, -math.inf)
     for n in range(0, n_terms + 1, 2):
         logs[n] = n * math.log(2.0 * math.pi) - math.lgamma(n + 1) + _log_moment(n, window.a, window.m)
@@ -186,7 +182,7 @@ def estimate_growth(series: TaylorSeries, rho: float) -> GrowthEstimate:
     passes the float range, as in predicted_growth. Series whose trailing
     half vanishes identically are read as polynomials, of order and type 0.
     """
-    _require(rho > 0 and math.isfinite(rho), f"order must be positive, got {rho}")
+    rho = _real(rho, "order rho", 0.0)
     tail = _usable_tail(series)
     if tail is None:
         return GrowthEstimate(order=0.0, type=0.0, log_type=-math.inf)
@@ -214,8 +210,7 @@ def predicted_growth(m: float, a: float) -> GrowthEstimate:
     by the log-domain chain of the step bounds. Both blow up as m -> 1, where
     log_type stays a float and type is None, so no caller reads tau as inf.
     """
-    _require(m > 1 and math.isfinite(m), f"decay exponent m must exceed 1, got {m}")
-    _require(a > 0 and math.isfinite(a), f"decay rate a must be positive, got {a}")
+    m, a = _real(m, "decay exponent m", 1.0), _real(a, "decay rate a", 0.0)
     rho, log_tau = _log_growth(m, a)
     return GrowthEstimate(order=rho, type=math.exp(log_tau) if log_tau <= _LOG_FLOAT_MAX else None,
                           log_type=log_tau)
@@ -228,11 +223,9 @@ def zero_count_bound(r: float, s: float, c_bound: float, b: float, rho: float) -
     At s = e^{1/rho} and c_bound = 1 the bound is b rho e r^rho, which equals
     2 (r / delta)^rho at the uniqueness threshold delta of order rho and type b.
     """
-    _require(0 < r < math.inf, f"radius must be positive and finite, got {r}")
-    _require(1 < s < math.inf, f"dilation s must be finite and exceed 1, got {s}")
-    _require(0 < c_bound < math.inf, f"envelope constant must be positive and finite, got {c_bound}")
-    _require(0 <= b < math.inf, f"envelope coefficient must be nonnegative and finite, got {b}")
-    _require(0 < rho < math.inf, f"envelope order must be positive and finite, got {rho}")
+    r, s = _real(r, "radius", 0.0), _real(s, "dilation s", 1.0)
+    c_bound, b = _real(c_bound, "envelope constant", 0.0), _real(b, "envelope coefficient", 0.0, closed=True)
+    rho = _real(rho, "envelope order", 0.0)
     try:
         value = (math.log(c_bound) + b * (s * r) ** rho) / math.log(s)
     except OverflowError as exc:
@@ -271,15 +264,14 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int) -> np.ndarra
     that point cannot overflow; a factor argument past the float range
     raises EvaluationOverflowError.
 
-    The zeros are checked to start positive and rise strictly
+    The zeros are checked to start positive, rise strictly and end finite
     (check_increasing's errors, naming the sequence entries) in the same
     sweep: each far slice
     right after its ratios are formed, while it is in cache, and the near
     zeros on their own. Calls with no sum to take check the whole array.
     """
     vmax = float(np.abs(vs).max()) if vs.size else 0.0
-    if not math.isfinite(vmax):
-        raise InvalidParameterError("evaluation points must be finite")
+    _require(math.isfinite(vmax), "evaluation points must be finite")
     # (v / zeta_k)^q = 1 has the real root v = zeta_k, and v = -zeta_k for even q
     x = vs.real if q % 2 else np.abs(vs.real)
     k = np.minimum(np.searchsorted(zeros, x), zeros.size - 1)
@@ -396,9 +388,8 @@ def counterexample_growth_fit(product: CounterexampleProduct, radii, n_theta: in
     values as they are. The warnings come after the evaluation has checked
     the sequence, so a bad sequence raises before any of them.
     """
-    _require(isinstance(n_theta, (int, np.integer)) and n_theta >= 16,
-             f"need an integer n_theta >= 16, got {n_theta!r}")
-    radii = np.asarray(radii, dtype=float)
+    n_theta = _count(n_theta, "n_theta", 16)
+    radii = _real_array(radii, "radii")
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
     # the fit has two unknowns, so one radius, however often repeated, cannot fix them
     _require(radii.ndim == 1 and len(set(radii.tolist())) >= 2, "need at least two distinct radii")

@@ -1,6 +1,16 @@
-"""Exception types shared across the package, and where its warnings point."""
+"""Exception types shared across the package, the one check per kind of parameter, and where warnings point.
 
+A real is a finite numbers.Real other than a bool, so numpy scalars pass and
+numeric strings do not; a count is a numbers.Integral other than a bool; an
+array of reals has an integer or float dtype, so complex, text, object and
+bool arrays raise. Each check returns the value as the package holds it.
+"""
+
+import math
+import numbers
 import sys
+
+import numpy as np
 
 
 _PACKAGE = __name__.rpartition(".")[0]
@@ -39,3 +49,36 @@ class EvaluationOverflowError(OverflowError):
 
 class ZeroNormError(ValueError):
     """Phase alignment is undefined against a zero-norm signal."""
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise InvalidParameterError(msg)
+
+
+def _real(value, what: str, low: float = -math.inf, high: float = math.inf, closed: bool = False) -> float:
+    """value as a float, if it is a real in (low, high), or in [low, high] when closed."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not (math.isfinite(x) and (low <= x <= high if closed else low < x < high)):
+        ge, le = (">=", "<=") if closed else (">", "<")
+        where = (f" {ge} {low:g}" if low > -math.inf else "") + (f" and {le} {high:g}" if high < math.inf else "")
+        raise InvalidParameterError(f"{what} must be a finite real{where}, got {value!r}")
+    return x
+
+
+def _count(value, what: str, low: int) -> int:
+    """value as an int, if it is a count of at least low."""
+    _require(isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low,
+             f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float array, the caller's own if it is one; finiteness is the caller's to check."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)

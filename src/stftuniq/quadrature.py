@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureConvergenceError
+from .errors import QuadratureConvergenceError, _count, _real
 
 _MAX_DOUBLINGS = 4
 
@@ -63,10 +63,8 @@ class QuadratureConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.nodes, (int, np.integer)) and self.nodes >= 64):
-            raise InvalidParameterError(f"quadrature needs an integer of at least 64 nodes, got {self.nodes!r}")
-        if not (0 < self.tol < 1):
-            raise InvalidParameterError(f"quadrature tol must lie in (0, 1), got {self.tol}")
+        object.__setattr__(self, "nodes", _count(self.nodes, "quadrature nodes", 64))
+        object.__setattr__(self, "tol", _real(self.tol, "quadrature tol", 0.0, 1.0))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -189,8 +187,7 @@ def decay_truncation_radius(a: float, m: float) -> float:
     The start (45/a)^(1/m) meets the bound only to rounding, so a start that
     misses it is widened in 30% steps until the bound holds.
     """
-    if not (a > 0) or not (m >= 1):
-        raise InvalidParameterError("decay radius needs a > 0 and m >= 1")
+    a, m = _real(a, "decay rate a", 0.0), _real(m, "decay exponent m", 1.0, closed=True)
     r = max(1.0, (45.0 / a) ** (1.0 / m))
     while a * r**m < 45.0:
         r *= 1.3

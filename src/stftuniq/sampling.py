@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError, _caller_stacklevel
+from .errors import (InsufficientDataError, InvalidParameterError, _caller_stacklevel, _count, _real,
+                     _real_array, _require)
 
 _SET_HEADER = "n,sign_x,sign_omega,x,omega"
 _QUADRANT_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -39,18 +40,16 @@ class TauBounds(NamedTuple):
     tau2_max: float
 
 
-def _check_threshold_params(rho: float, b: float, names: tuple[str, str] = ("order rho", "type b")) -> None:
-    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 1):
-        raise InvalidParameterError(f"{names[0]} must be a finite real > 1, got {rho!r}")
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
-        raise InvalidParameterError(f"{names[1]} must be a finite positive real, got {b!r}")
+def _check_threshold_params(rho: float, b: float) -> tuple[float, float]:
+    return _real(rho, "order rho", 1.0), _real(b, "type b", 0.0)
 
 
-def _check_window_params(m: float, a: float) -> None:
-    _check_threshold_params(m, a, ("decay exponent m", "decay rate a"))
+def _check_window_params(m: float, a: float) -> tuple[float, float]:
+    m, a = _real(m, "decay exponent m", 1.0), _real(a, "decay rate a", 0.0)
     if a <= 1:
         warnings.warn(f"decay rate a = {a} is at or below 1; the step bounds are formal there",
                       UserWarning, stacklevel=_caller_stacklevel())
+    return m, a
 
 
 def _log_growth(m: float, a: float) -> tuple[float, float]:
@@ -81,7 +80,7 @@ def max_tau_bounds(m: float, a: float) -> TauBounds:
     at order m and type a, (2/(a m e))^{1/m}. tau1_max goes through the log
     type, which stays a float as m -> 1 where the type does not.
     """
-    _check_window_params(m, a)
+    m, a = _check_window_params(m, a)
     return TauBounds(math.exp(_log_threshold(*_log_growth(m, a))), _threshold(m, a))
 
 
@@ -108,23 +107,19 @@ class SamplingSet:
     omega: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.count, (int, np.integer)) and self.count >= 1):
-            raise InvalidParameterError(f"count must be an integer >= 1, got {self.count!r}")
-        for name, tau in (("tau1", self.tau1), ("tau2", self.tau2)):
-            if not (tau > 0 and math.isfinite(tau)):
-                raise InvalidParameterError(f"{name} must be a finite positive real, got {tau}")
-        if not (isinstance(self.m, (int, float)) and math.isfinite(self.m) and self.m > 1):
-            raise InvalidParameterError(f"decay exponent m must be a finite real > 1, got {self.m!r}")
-        n = np.arange(1, self.count + 1, dtype=float)
-        xmag = self.tau1 * n ** ((self.m - 1.0) / self.m)
-        wmag = self.tau2 * n ** (1.0 / self.m)
-        sx = np.tile([q[0] for q in _QUADRANT_SIGNS], self.count)
-        sw = np.tile([q[1] for q in _QUADRANT_SIGNS], self.count)
-        cols = [np.repeat(np.arange(1, self.count + 1), 4), sx, sw,
+        count = _count(self.count, "count", 1)
+        tau1, tau2 = _real(self.tau1, "tau1", 0.0), _real(self.tau2, "tau2", 0.0)
+        m = _real(self.m, "decay exponent m", 1.0)
+        n = np.arange(1, count + 1, dtype=float)
+        xmag = tau1 * n ** ((m - 1.0) / m)
+        wmag = tau2 * n ** (1.0 / m)
+        sx = np.tile([q[0] for q in _QUADRANT_SIGNS], count)
+        sw = np.tile([q[1] for q in _QUADRANT_SIGNS], count)
+        cols = [np.repeat(np.arange(1, count + 1), 4), sx, sw,
                 sx * np.repeat(xmag, 4), sw * np.repeat(wmag, 4)]
         if self.includes_origin:
             cols = [np.concatenate([[first], col]) for first, col in zip((0, 1, 1, 0.0, 0.0), cols)]
-        params = (float(self.m), float(self.tau1), float(self.tau2), int(self.count), bool(self.includes_origin))
+        params = (m, tau1, tau2, count, bool(self.includes_origin))
         for f, value in zip(fields(self), (*params, *cols)):
             object.__setattr__(self, f.name, value)
 
@@ -156,18 +151,25 @@ class SamplingSet:
         """
         meta, rows = _read_csv(src)
         for key in ("m", "tau1", "tau2", "count", "includes_origin"):
-            if key not in meta:
-                raise InvalidParameterError(f"sampling-set CSV lacks the {key} metadata comment")
-        lam = cls(float(meta["m"]), float(meta["tau1"]), float(meta["tau2"]), int(meta["count"]),
+            _require(key in meta, f"sampling-set CSV lacks the {key} metadata comment")
+        lam = cls(*(_number(meta[key]) for key in ("m", "tau1", "tau2", "count")),
                   meta["includes_origin"] == "True")
         want = np.stack([lam.n_index, lam.sign_x, lam.sign_omega, lam.x, lam.omega], axis=1)
-        if not np.array_equal(np.array([[float(v) for v in r] for r in rows]), want):
-            raise InvalidParameterError("sampling-set CSV rows differ from the set its metadata describes")
+        _require(np.array_equal(np.array(rows), want),
+                 "sampling-set CSV rows differ from the set its metadata describes")
         return lam
 
 
-def _read_csv(src) -> tuple[dict[str, str], list[list[str]]]:
-    """Metadata comments and comma-split data rows of SamplingSet.to_csv output, each row checked for width."""
+def _number(text: str):
+    """text as the int or float it spells, or else as itself, which every check of a number rejects."""
+    try:
+        return int(text) if text.lstrip("+-").isdigit() else float(text)
+    except ValueError:
+        return text
+
+
+def _read_csv(src) -> tuple[dict[str, str], list[np.ndarray]]:
+    """Metadata comments and data rows of SamplingSet.to_csv output, each row checked for width and read as reals."""
     if hasattr(src, "read"):
         lines = src.read().splitlines()
     elif isinstance(src, str) and "\n" in src:
@@ -188,11 +190,9 @@ def _read_csv(src) -> tuple[dict[str, str], list[list[str]]]:
                 meta[key.strip()] = val.strip()
             continue
         parts = line.split(",")
-        if len(parts) != width:
-            raise InvalidParameterError(f"malformed sampling-set row: {line!r}")
-        rows.append(parts)
-    if not rows:
-        raise InvalidParameterError("sampling-set CSV has no data rows")
+        _require(len(parts) == width, f"malformed sampling-set row: {line!r}")
+        rows.append(_real_array([_number(p) for p in parts], f"sampling-set row {line!r}"))
+    _require(bool(rows), "sampling-set CSV has no data rows")
     return meta, rows
 
 
@@ -204,18 +204,14 @@ def generate_sampling_set(m: float, tau1: float, tau2: float, count: int,
     against max_tau_bounds and rejected at or above them; without it the set
     is built as asked but flagged as unvalidated.
     """
-    if a is not None:
-        bounds = max_tau_bounds(m, a)
-        if tau1 >= bounds.tau1_max:
-            raise InvalidParameterError(
-                f"tau1 = {tau1} is not strictly below the admissible bound {bounds.tau1_max}")
-        if tau2 >= bounds.tau2_max:
-            raise InvalidParameterError(
-                f"tau2 = {tau2} is not strictly below the admissible bound {bounds.tau2_max}")
     lam = SamplingSet(m, tau1, tau2, count, include_origin)
     if a is None:
         warnings.warn("no decay rate supplied; step scales were not validated against the bounds",
                       UserWarning, stacklevel=_caller_stacklevel())
+    else:
+        bounds = max_tau_bounds(lam.m, a)
+        for name, tau, bound in (("tau1", lam.tau1, bounds.tau1_max), ("tau2", lam.tau2, bounds.tau2_max)):
+            _require(tau < bound, f"{name} = {tau} is not strictly below the admissible bound {bound}")
     return lam
 
 
@@ -229,8 +225,7 @@ def uniqueness_threshold(rho: float, b: float) -> float:
     along a sequence of radii, so a function of that growth that vanishes on
     them vanishes identically: uniqueness needs the density below delta.
     """
-    _check_threshold_params(rho, b)
-    return _threshold(rho, b)
+    return _threshold(*_check_threshold_params(rho, b))
 
 
 def nonuniqueness_threshold(rho: float, b: float) -> float:
@@ -239,7 +234,7 @@ def nonuniqueness_threshold(rho: float, b: float) -> float:
     C = (pi / (b |sin(pi rho / 2)|))^{1/rho}, degenerating to (pi/b)^{1/rho}
     when rho/2 is an integer and the sine factor would vanish.
     """
-    _check_threshold_params(rho, b)
+    rho, b = _check_threshold_params(rho, b)
     half = rho / 2.0
     if abs(half - round(half)) < 1e-12:
         return (math.pi / b) ** (1.0 / rho)
@@ -247,16 +242,18 @@ def nonuniqueness_threshold(rho: float, b: float) -> float:
 
 
 def _check_slice(values: np.ndarray, k: int, n: int, what: str) -> None:
-    """Raise unless values[k:k + n] rises strictly from values[k - 1], or starts positive at k = 0; NaN fails."""
+    """Raise unless values[k:k + n] rises strictly from values[k - 1] (from 0 at k = 0), ending finite; NaN fails."""
     if k == 0 and not values[0] > 0:
         raise InvalidParameterError(f"{what} must be positive")
     part = values[max(k - 1, 0):k + n]
     if not np.all(part[1:] > part[:-1]):
         raise InvalidParameterError(f"{what} must be strictly increasing")
+    if k + n == values.size and not values[-1] < math.inf:
+        raise InvalidParameterError(f"{what} must be finite")
 
 
 def check_increasing(values: np.ndarray, what: str) -> None:
-    """Raise unless a 1-d array starts positive and rises strictly; NaN fails."""
+    """Raise unless a 1-d array starts positive, rises strictly and ends finite; NaN fails."""
     for k in range(0, values.size, _CHUNK):
         _check_slice(values, k, min(_CHUNK, values.size - k), what)
 
@@ -295,11 +292,10 @@ def density_index(lambdas, rho: float) -> float:
     infinite (super-power-law growth); that is reported as a warning, not an
     error, since a large finite surrogate is still usable.
     """
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _real_array(lambdas, "sequence entries")
     if lam.ndim != 1 or lam.size < 16:
         raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size if lam.ndim == 1 else lam.shape}")
-    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 1):
-        raise InvalidParameterError(f"order rho must be a finite real > 1, got {rho!r}")
+    rho = _real(rho, "order rho", 1.0)
     check_increasing(lam, "sequence entries")
     return tail_density(tail_ratios(lam, rho))
 

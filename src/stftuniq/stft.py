@@ -18,11 +18,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EvaluationOverflowError, InvalidParameterError, ZeroNormError, _caller_stacklevel
+from .errors import EvaluationOverflowError, ZeroNormError, _caller_stacklevel, _count, _real, _real_array, _require
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, panel_nodes, refine
 from .sampling import SamplingSet
 from .entire import moment_integral
-from .windows import WindowModel, _real_array, time_window_closed_form, time_window_values
+from .windows import WindowModel, time_window_closed_form, time_window_values
 
 _TAIL_LOG = 43.0
 # Entries of the window matrix, and of the exponential matrix, in one block of _transform
@@ -53,26 +53,22 @@ class ClosedFormSignal:
     chirp_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, SignalFamily):
-            raise InvalidParameterError(f"unknown signal family: {self.family!r}")
-        if not math.isfinite(self.center):
-            raise InvalidParameterError("center must be finite")
-        if not (isinstance(self.hermite_index, (int, np.integer)) and self.hermite_index >= 0):
-            raise InvalidParameterError(f"hermite_index must be an integer >= 0, got {self.hermite_index!r}")
-        if not (self.width > 0 and 0.0 < self._envelope_rate() < math.inf
-                and math.isfinite(self.support_radius())):
-            raise InvalidParameterError(f"width must be a positive real with a finite, nonzero envelope "
-                                        f"rate and support radius, got {self.width} at center {self.center}")
+        _require(isinstance(self.family, SignalFamily), f"unknown signal family: {self.family!r}")
+        for name, low in (("width", 0.0), ("center", -math.inf), ("chirp_start", -math.inf), ("chirp_rate", -math.inf)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, low))
+        object.__setattr__(self, "hermite_index", _count(self.hermite_index, "hermite_index", 0))
+        _require(0.0 < self._envelope_rate() < math.inf and math.isfinite(self.support_radius()),
+                 f"width must be a positive real with a finite, nonzero envelope rate and support radius, "
+                 f"got {self.width} at center {self.center}")
         # |h_k| <= pi^{-1/4} (Cramer's bound), so a Hermite signal peaks below pi^{-1/4} / sqrt(width)
         peak = math.pi ** -0.25 / math.sqrt(self.width) if self.family is SignalFamily.HERMITE else 1.0
         amplitude = complex(self.amplitude)
-        if not math.isfinite(math.hypot(amplitude.real, amplitude.imag) * peak):
-            raise InvalidParameterError(f"amplitude must be finite with a finite peak |amplitude| * {peak:.3g}, "
-                                        f"got {self.amplitude}")
+        _require(math.isfinite(math.hypot(amplitude.real, amplitude.imag) * peak),
+                 f"amplitude must be finite with a finite peak |amplitude| * {peak:.3g}, got {self.amplitude}")
         object.__setattr__(self, "amplitude", amplitude)
 
     def evaluate(self, t) -> np.ndarray:
-        return self._centred(np.asarray(t, dtype=float) - self.center)
+        return self._centred(_real_array(t, "times") - self.center)
 
     def _centred(self, s: np.ndarray) -> np.ndarray:
         """The signal at the times c + s, from the offsets s alone."""
@@ -127,14 +123,10 @@ class GridSignal:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 2:
-            raise InvalidParameterError("grid signal needs a 1-d array of at least 2 samples")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParameterError("grid samples must be finite")
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise InvalidParameterError(f"grid step must be a finite positive real, got {self.step}")
-        if not math.isfinite(self.start):
-            raise InvalidParameterError("grid start must be finite")
+        _require(vals.ndim == 1 and vals.size >= 2, "grid signal needs a 1-d array of at least 2 samples")
+        _require(bool(np.all(np.isfinite(vals))), "grid samples must be finite")
+        object.__setattr__(self, "step", _real(self.step, "grid step", 0.0))
+        object.__setattr__(self, "start", _real(self.start, "grid start"))
 
     @property
     def times(self) -> np.ndarray:
@@ -156,24 +148,22 @@ Signal = ClosedFormSignal | GridSignal
 
 
 def gaussian_signal(width: float = 1.0, center: float = 0.0, amplitude=1.0) -> ClosedFormSignal:
-    return ClosedFormSignal(SignalFamily.GAUSSIAN, width=float(width), center=float(center),
-                            amplitude=complex(amplitude))
+    return ClosedFormSignal(SignalFamily.GAUSSIAN, width=width, center=center, amplitude=amplitude)
 
 
 def hermite_signal(index: int, width: float = 1.0, center: float = 0.0, amplitude=1.0) -> ClosedFormSignal:
-    return ClosedFormSignal(SignalFamily.HERMITE, width=float(width), center=float(center),
-                            amplitude=complex(amplitude), hermite_index=int(index))
+    return ClosedFormSignal(SignalFamily.HERMITE, width=width, center=center, amplitude=amplitude,
+                            hermite_index=index)
 
 
 def chirp_signal(width: float = 1.0, center: float = 0.0, amplitude=1.0,
                  start_frequency: float = 0.0, chirp_rate: float = 0.0) -> ClosedFormSignal:
-    return ClosedFormSignal(SignalFamily.LINEAR_CHIRP, width=float(width), center=float(center),
-                            amplitude=complex(amplitude), chirp_start=float(start_frequency),
-                            chirp_rate=float(chirp_rate))
+    return ClosedFormSignal(SignalFamily.LINEAR_CHIRP, width=width, center=center, amplitude=amplitude,
+                            chirp_start=start_frequency, chirp_rate=chirp_rate)
 
 
 def grid_signal(values, start: float, step: float) -> GridSignal:
-    return GridSignal(values=np.asarray(values, dtype=complex), start=float(start), step=float(step))
+    return GridSignal(values=values, start=start, step=step)
 
 
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:
@@ -185,7 +175,7 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
 
 def resample_bandlimited(signal: GridSignal, new_times) -> np.ndarray:
     """Sinc interpolation of a grid signal onto arbitrary times."""
-    new_times = np.asarray(new_times, dtype=float)
+    new_times = _real_array(new_times, "times")
     kernel = np.sinc((new_times[:, None] - signal.times[None, :]) / signal.step)
     return kernel @ signal.values
 
@@ -278,7 +268,7 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
 def stft_eval(f: Signal, window: WindowModel, x: float, omega: float,
               quad: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
     """V_g f(x, omega) at one real, finite time-frequency point."""
-    pts = _point_array([[x, omega]])
+    pts = _point_array([[_real(x, "x"), _real(omega, "omega")]])
     return complex(_transform(f, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature")[0])
 
 
@@ -290,23 +280,22 @@ class SpectrogramSamples:
     magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        mags = np.asarray(self.magnitudes, dtype=float)
+        pts = _real_array(self.points, "points")
+        mags = _real_array(self.magnitudes, "magnitudes")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "magnitudes", mags)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise InvalidParameterError("points must be a nonempty (n, 2) array")
-        if mags.shape != (pts.shape[0],):
-            raise InvalidParameterError("magnitudes must align with points")
+        _require(pts.ndim == 2 and pts.shape[1] == 2 and pts.shape[0] > 0, "points must be a nonempty (n, 2) array")
+        _require(mags.shape == (pts.shape[0],), "magnitudes must align with points")
 
 
 def _point_array(points) -> np.ndarray:
     """(x, omega) rows of a SamplingSet or raw (n, 2) array; at least one row, all real and finite."""
     # a SamplingSet's columns are computed from finite parameters
-    pts = points.points if isinstance(points, SamplingSet) else _real_array(points, "time-frequency points")
-    pts = pts.reshape(-1, 2)
-    if pts.shape[0] == 0:
-        raise InvalidParameterError("need at least one time-frequency point")
+    if isinstance(points, SamplingSet):
+        return points.points
+    pts = _real_array(points, "time-frequency points").reshape(-1, 2)
+    _require(pts.shape[0] > 0, "need at least one time-frequency point")
+    _require(bool(np.isfinite(pts).all()), "time-frequency points must be finite")
     return pts
 
 
@@ -320,12 +309,11 @@ def spectrogram_on_set(f: Signal, window: WindowModel, points,
 
 def _uniform_grid(values, name: str) -> np.ndarray:
     """values as a float array, rejected unless 1-d, at least 2 long and uniformly increasing."""
-    g = np.asarray(values, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        raise InvalidParameterError(f"{name} must be a 1-d array of at least 2 points")
+    g = _real_array(values, name)
+    _require(g.ndim == 1 and g.size >= 2, f"{name} must be a 1-d array of at least 2 points")
     steps = np.diff(g)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0) or steps[0] <= 0:
-        raise InvalidParameterError(f"{name} must be uniformly increasing")
+    _require(bool(np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)) and steps[0] > 0,
+             f"{name} must be uniformly increasing")
     return g
 
 
@@ -433,10 +421,7 @@ def discriminate(f: Signal, h: Signal, window: WindowModel, points,
     transforms and the alignment, which runs first, so a zero norm fails
     before any transform.
     """
-    if not (tol > 0):
-        raise InvalidParameterError(f"tol must be positive, got {tol}")
-    if not (residual_tol > 0):
-        raise InvalidParameterError(f"residual_tol must be positive, got {residual_tol}")
+    tol, residual_tol = _real(tol, "tol", 0.0), _real(residual_tol, "residual_tol", 0.0)
     pts = _point_array(points)
     alpha, residual = global_phase_residual(f, h, quad)
     sf, sh = (np.abs(_transform(sig, window, pts[:, 0], -pts[:, 1], quad, "transform quadrature"))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import _real_array, _require
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -37,17 +37,6 @@ from .quadrature import (
     refine,
 )
 from .sampling import _check_window_params
-
-
-def _real_array(values, what: str) -> np.ndarray:
-    """values as a finite float array; complex input raises rather than losing its imaginary part."""
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        raise InvalidParameterError(f"{what} must be real, got complex values")
-    arr = arr.astype(float, copy=False)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{what} must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -62,16 +51,17 @@ class WindowModel:
     m: float
 
     def __post_init__(self) -> None:
-        _check_window_params(self.m, self.a)
+        for name, value in zip(("m", "a"), _check_window_params(self.m, self.a)):
+            object.__setattr__(self, name, value)
 
     def fourier_eval(self, xi):
         """exp(-a |xi|^m) on an array (or scalar) of real frequencies."""
-        return np.exp(-self.a * np.abs(np.asarray(xi, dtype=float)) ** self.m)
+        return np.exp(-self.a * np.abs(_real_array(xi, "frequencies")) ** self.m)
 
 
 def make_generalized_gaussian(a: float, m: float) -> WindowModel:
     """Window with Fourier transform exp(-a |xi|^m)."""
-    return WindowModel(float(a), float(m))
+    return WindowModel(a, m)
 
 
 def time_window_closed_form(window: WindowModel):
@@ -87,7 +77,7 @@ def time_window_closed_form(window: WindowModel):
     rate = math.pi * math.pi / window.a
 
     def closed(t):
-        t = np.asarray(t, dtype=float)
+        t = _real_array(t, "times")
         # far times overflow rate * t^2 to inf, and e^-inf = 0 is exact
         with np.errstate(over="ignore"):
             return front * np.exp(-rate * t * t)
@@ -131,6 +121,8 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     """
     ts = _real_array(ts, "times")
     xs = _real_array(shifts, "shifts")
+    _require(bool(np.isfinite(ts).all()), "times must be finite")
+    _require(bool(np.isfinite(xs).all()), "shifts must be finite")
     t = ts.ravel()
     x = xs.ravel()
     neg = t.size // 2 if np.array_equal(t, -t[::-1]) else 0

@@ -244,7 +244,7 @@ def test_invalid_quadrature_config_exit_code(capsys):
     code, _, err = run_cli(capsys, "discriminate", "--f", "gaussian()", "--h", "gaussian()",
                            "--n", "2", "--quad-nodes", "32")
     assert code == 2
-    assert "at least 64 nodes" in last_json(err)["error"]["message"]
+    assert last_json(err)["error"]["message"] == "quadrature nodes must be an integer >= 64, got 32"
 
 
 def test_deleted_scan_window_command_is_rejected(capsys):

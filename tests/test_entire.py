@@ -28,6 +28,7 @@ from stftuniq import (
     QuadratureConfig,
     TaylorSeries,
     build_counterexample_product,
+    classify_sequence,
     counterexample_eval,
     counterexample_growth_coefficient,
     counterexample_log_magnitudes,
@@ -375,6 +376,25 @@ def test_product_validation():
             canonical_product_log_magnitudes(prod, np.array([math.sqrt(0.5), cmath.sqrt(bad)]))
         with pytest.raises(InvalidParameterError, match="points must be finite"):
             counterexample_eval(prod.lambdas, 2.0, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: counterexample_eval(lam, 2.0, 0.5),
+    lambda lam: counterexample_eval(lam, 2.0, 0.0),
+    lambda lam: counterexample_log_magnitudes(lam, 2.0, [0.5, 50.0]),
+    lambda lam: counterexample_growth_coefficient(lam, 2.0, (1.0, 2.0)),
+    lambda lam: canonical_product_eval(CounterexampleProduct(lam, 2.0), 0.5),
+    lambda lam: canonical_product_log_magnitudes(CounterexampleProduct(lam, 2.0), [0.5, 50.0]),
+    lambda lam: density_index(lam, 2.0),
+    lambda lam: classify_sequence(lam, 2.0, 3.0),
+], ids=["eval", "eval-at-0", "log-magnitudes", "growth", "product-eval", "product-log-magnitudes",
+        "density", "classify"])
+def test_sequence_must_end_finite(call):
+    # strict increase let a last entry of +inf through: F(0.5) read 0.96 and the density 4.47
+    lam = np.arange(1.0, 40.0)
+    lam[-1] = math.inf
+    with pytest.raises(InvalidParameterError, match="sequence entries must be finite"):
+        call(lam)
 
 
 # --------------------------------------------------------- counterexamples

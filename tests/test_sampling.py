@@ -161,13 +161,21 @@ def test_csv_rows_must_match_the_metadata():
     assert SamplingSet.from_csv(back.to_csv(extra_meta={"count": 3, "note": "x"})) == back
 
 
-@pytest.mark.parametrize("key, value", [("m", "0.5"), ("tau1", "-1.0")])
+@pytest.mark.parametrize("key, value", [("m", "0.5"), ("tau1", "-1.0"), ("count", "2.0"), ("m", "abc")])
 def test_csv_metadata_is_validated(key, value):
+    # a count of 2.0 and an m of abc used to raise untyped ValueErrors from int() and float()
     text = generate_sampling_set(2.0, 0.3, 0.3, 2, a=3.0).to_csv()
     bad = "\n".join(f"# {key}={value}" if line.startswith(f"# {key}=") else line
                     for line in text.splitlines()) + "\n"
     with pytest.raises(InvalidParameterError, match=key):
         SamplingSet.from_csv(bad)
+
+
+def test_csv_rows_must_be_numbers():
+    # float("x") used to raise an untyped ValueError
+    text = generate_sampling_set(2.0, 0.3, 0.3, 2, a=3.0).to_csv()
+    with pytest.raises(InvalidParameterError, match="sampling-set row 'x,1,1,"):
+        SamplingSet.from_csv(text.replace("\n1,1,1,", "\nx,1,1,", 1))
 
 
 def test_threshold_reference_values():
