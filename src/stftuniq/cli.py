@@ -61,8 +61,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse with machine-readable errors on stderr and exit code 2."""
 
     def error(self, message: str):
-        print(json.dumps({"error": {"kind": "invalid-parameter", "message": message}}),
-              file=sys.stderr)
+        _emit_error("invalid-parameter", message)
         raise SystemExit(2)
 
 
@@ -191,7 +190,9 @@ def _run_classify(ns, meta):
     meta.update({"rho": ns.rho, "b": ns.b, "seq": ns.seq, "terms": ns.terms})
     lam = parse_sequence_expr(ns.seq, ns.terms)
     report = classify_sequence(lam, ns.rho, ns.b)
-    return report.to_json_dict()
+    return {"rho": report.rho, "b": report.b, "uniq_threshold": report.uniq_threshold,
+            "nonuniq_threshold": report.nonuniq_threshold, "density": report.density,
+            "verdict": report.verdict.value}
 
 
 def _run_discriminate(ns, meta):
@@ -208,9 +209,9 @@ def _run_discriminate(ns, meta):
     window = make_generalized_gaussian(ns.a, ns.m)
     lam = generate_sampling_set(ns.m, tau1, tau2, ns.n, include_origin=ns.include_origin, a=ns.a)
     report = discriminate(f, h, window, lam, tol=ns.tol, residual_tol=ns.residual_tol, quad=quad)
-    result = report.to_json_dict()
-    result["points"] = len(lam)
-    return result
+    return {"max_dev": report.max_deviation, "match": report.spectrograms_match,
+            "alpha": report.alignment_phase, "residual": report.aligned_residual,
+            "verdict": report.verdict.value, "points": len(lam)}
 
 
 def _run_counterexample(ns, meta):
@@ -311,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(kind: str, exc: Exception) -> None:
-    print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)
+def _emit_error(kind: str, error: Exception | str) -> None:
+    print(json.dumps({"error": {"kind": kind, "message": str(error)}}), file=sys.stderr)
 
 
 def run(argv=None) -> int:

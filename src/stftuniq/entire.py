@@ -27,10 +27,11 @@ import numpy as np
 from .errors import (
     EvaluationOverflowError,
     InsufficientDataError,
+    _array,
     _caller_stacklevel,
+    _complex,
     _count,
     _real,
-    _real_array,
     _require,
 )
 from .sampling import (
@@ -57,7 +58,7 @@ class TaylorSeries:
     log_magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        logs = _real_array(self.log_magnitudes, "log magnitudes")
+        logs = _array(self.log_magnitudes, "log magnitudes")
         object.__setattr__(self, "log_magnitudes", logs)
         _require(logs.ndim == 1, "log magnitudes must be one-dimensional")
         _require(logs.size >= 3, "need at least coefficients c_0, c_1, c_2")
@@ -97,7 +98,7 @@ class CounterexampleProduct:
     rho: float
 
     def __post_init__(self) -> None:
-        lam = _real_array(self.lambdas, "sequence entries")
+        lam = _array(self.lambdas, "sequence entries")
         object.__setattr__(self, "lambdas", lam)
         _require(lam.ndim == 1 and lam.size >= 1, "sequence must be a nonempty 1-d array")
         object.__setattr__(self, "rho", _real(self.rho, "order rho", 1.0))
@@ -260,29 +261,28 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int) -> np.ndarra
     one buffer of 2 _CHUNK floats (at most 30 rows, so slices needing more
     than two rows are shorter) and takes T_j = u^floor(j/2) . u^ceil(j/2)
     as a dot product; points below the largest |v| see a tighter bound. A
-    point on a zero gets -inf and enters no sum, so the other factors at
-    that point cannot overflow; a factor argument past the float range
-    raises EvaluationOverflowError.
+    point on a zero is swept at the origin, where every factor is 1, and set
+    to -inf after the sweep; a factor argument past the float range raises
+    EvaluationOverflowError.
 
     The zeros are checked to start positive, rise strictly and end finite
     (check_increasing's errors, naming the sequence entries) in the same
-    sweep: each far slice
-    right after its ratios are formed, while it is in cache, and the near
-    zeros on their own. Calls with no sum to take check the whole array.
+    sweep: each far slice right after its ratios are formed, while it is in
+    cache, and the near zeros on their own. Calls with no sum to take check
+    the whole array.
     """
-    vmax = float(np.abs(vs).max()) if vs.size else 0.0
-    _require(math.isfinite(vmax), "evaluation points must be finite")
+    # NaN fails the comparison too, and so does a finite point whose modulus overflows
+    _require(bool(np.all(np.abs(vs) < math.inf)), "evaluation points must be finite")
     # (v / zeta_k)^q = 1 has the real root v = zeta_k, and v = -zeta_k for even q
     x = vs.real if q % 2 else np.abs(vs.real)
     k = np.minimum(np.searchsorted(zeros, x), zeros.size - 1)
     on_zero = (vs.imag == 0.0) & (zeros[k] == x)
-    if on_zero.all() or vmax == 0.0:
+    # every factor is 1 at the origin, so a point moved there adds 0 to every sum
+    vs = np.where(on_zero, 0j, vs)
+    vmax = float(np.abs(vs).max(initial=0.0))
+    if vmax == 0.0:
         check_increasing(zeros, _SEQUENCE)
         return np.where(on_zero, complex(-math.inf, 0.0), 0j)
-    if on_zero.any():
-        out = np.full(vs.shape, complex(-math.inf, 0.0))
-        out[~on_zero] = _log_product(zeros, p, vs[~on_zero], q)
-        return out
     out = np.zeros(vs.shape, dtype=complex)
 
     # (vmax / zeta_k)^q <= 1 / 2.2 from the cut on; near and far together cover every entry
@@ -294,8 +294,7 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int) -> np.ndarra
     for i in range(0, vs.size, step):
         for k in range(0, near.size, _CHUNK):
             u = vs[i:i + step, None] / near[k:k + _CHUNK]
-            if q != 1:
-                u **= q
+            u **= q
             # the genus terms sum u^j / j for j = 1..p by Horner's rule
             poly = 0.0
             for j in range(p, 0, -1):
@@ -322,8 +321,7 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int) -> np.ndarra
         u = pows[-1] if a > 1 else pows[0]
         np.divide(vmax, zeros[k:k + n], out=u)
         _check_slice(zeros, k, n, _SEQUENCE)
-        if q != 1:
-            u **= q
+        u **= q
         if a > 1:
             np.power(u, a, out=pows[0])
         for i in range(1, c - a + 1):
@@ -333,8 +331,7 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int) -> np.ndarra
             sums[j] += np.dot(pows[half - a], pows[j - half - a]) if half else u.sum()
         k += n
     ratio = vs / vmax
-    if q != 1:
-        ratio **= q
+    ratio **= q
     vpow = ratio ** (p + 1)
     for j in range(p + 1, sums.size):
         out -= vpow * (sums[j] / j)
@@ -342,6 +339,7 @@ def _log_product(zeros: np.ndarray, p: int, vs: np.ndarray, q: int) -> np.ndarra
     # an overflowed u leaves log|1 - u| + Re sum u^j / j at inf, or at inf - inf = nan
     if not np.all(out.real < math.inf):
         raise EvaluationOverflowError("a factor of the product leaves the float range")
+    out[on_zero] = complex(-math.inf, 0.0)
     return out
 
 
@@ -351,7 +349,8 @@ def canonical_product_eval(product: CounterexampleProduct, z) -> complex:
     Exactly 0 at every +-lambda_k; raises EvaluationOverflowError where |F(z)|
     leaves the float range.
     """
-    total = complex(_log_product(product.lambdas, product.genus, np.array([complex(z)]), product.power)[0])
+    zs = np.array([_complex(z, "evaluation points")])
+    total = complex(_log_product(product.lambdas, product.genus, zs, product.power)[0])
     if total.real > _LOG_FLOAT_MAX:
         raise EvaluationOverflowError(f"product magnitude exponent {total.real:.1f} exceeds the float range")
     return complex(np.exp(total))
@@ -359,7 +358,7 @@ def canonical_product_eval(product: CounterexampleProduct, z) -> complex:
 
 def canonical_product_log_magnitudes(product: CounterexampleProduct, zs) -> np.ndarray:
     """log|F| on an array of z points of any shape: the real part of the banded log, -inf at +-lambda_k."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    zs = np.atleast_1d(_array(zs, "evaluation points", complex))
     return _log_product(product.lambdas, product.genus, zs.ravel(), product.power).real.reshape(zs.shape)
 
 
@@ -384,12 +383,12 @@ def counterexample_growth_fit(product: CounterexampleProduct, radii, n_theta: in
     The density is None unless b is given and there are at least 16 terms.
     The ring's evaluation also takes the zeros lambda_1 and -lambda_5 (or
     -lambda_K for K < 5), and the last item says whether F is exactly 0 at
-    both; the on-zero split hands the sweep the ring alone, so they leave its
-    values as they are. The warnings come after the evaluation has checked
+    both; they are swept at the origin, so they leave the ring's values as
+    they are. The warnings come after the evaluation has checked
     the sequence, so a bad sequence raises before any of them.
     """
     n_theta = _count(n_theta, "n_theta", 16)
-    radii = _real_array(radii, "radii")
+    radii = _array(radii, "radii")
     _require(bool(np.all((radii > 0) & np.isfinite(radii))), "radii must be positive and finite")
     # the fit has two unknowns, so one radius, however often repeated, cannot fix them
     _require(radii.ndim == 1 and len(set(radii.tolist())) >= 2, "need at least two distinct radii")

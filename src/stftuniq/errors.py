@@ -1,11 +1,13 @@
 """Exception types shared across the package, the one check per kind of parameter, and where warnings point.
 
-A real is a finite numbers.Real other than a bool, so numpy scalars pass and
-numeric strings do not; a count is a numbers.Integral other than a bool; an
-array of reals has an integer or float dtype, so complex, text, object and
-bool arrays raise. Each check returns the value as the package holds it.
+A real (complex) is a finite numbers.Real (Complex) other than a bool, so numpy
+scalars pass and numeric strings do not; a count is a numbers.Integral other than
+a bool. An array of reals (complexes) has an integer or float (or complex) dtype,
+so text, object and bool arrays and ragged lists raise. Each check returns the
+value as the package holds it.
 """
 
+import cmath
 import math
 import numbers
 import sys
@@ -69,6 +71,16 @@ def _real(value, what: str, low: float = -math.inf, high: float = math.inf, clos
     return x
 
 
+def _complex(value, what: str) -> complex:
+    """value as a complex, if it is a finite complex number."""
+    try:
+        z = complex(value) if isinstance(value, numbers.Complex) and not isinstance(value, bool) else cmath.nan
+    except OverflowError:  # an int past the float range
+        z = cmath.nan
+    _require(cmath.isfinite(z), f"{what} must be finite and complex, got {value!r}")
+    return z
+
+
 def _count(value, what: str, low: int) -> int:
     """value as an int, if it is a count of at least low."""
     _require(isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low,
@@ -76,9 +88,12 @@ def _count(value, what: str, low: int) -> int:
     return int(value)
 
 
-def _real_array(values, what: str) -> np.ndarray:
-    """values as a float array, the caller's own if it is one; finiteness is the caller's to check."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
-        raise InvalidParameterError(f"{what} must be real numbers, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+def _array(values, what: str, dtype: type = float) -> np.ndarray:
+    """values as a float (or complex) array, the caller's own if it is one; finiteness is the caller's to check."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nested list
+        raise InvalidParameterError(f"{what} must form a rectangular array") from None
+    kinds, noun = ("iuf", "real numbers") if dtype is float else ("iufc", "numbers")
+    _require(arr.dtype.kind in kinds, f"{what} must be {noun}, got dtype {arr.dtype}")
+    return arr.astype(dtype, copy=False)

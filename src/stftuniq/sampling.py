@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InsufficientDataError, InvalidParameterError, _caller_stacklevel, _count, _real,
-                     _real_array, _require)
+from .errors import InsufficientDataError, InvalidParameterError, _array, _caller_stacklevel, _count, _real, _require
 
 _SET_HEADER = "n,sign_x,sign_omega,x,omega"
 _QUADRANT_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -191,7 +190,7 @@ def _read_csv(src) -> tuple[dict[str, str], list[np.ndarray]]:
             continue
         parts = line.split(",")
         _require(len(parts) == width, f"malformed sampling-set row: {line!r}")
-        rows.append(_real_array([_number(p) for p in parts], f"sampling-set row {line!r}"))
+        rows.append(_array([_number(p) for p in parts], f"sampling-set row {line!r}"))
     _require(bool(rows), "sampling-set CSV has no data rows")
     return meta, rows
 
@@ -292,7 +291,7 @@ def density_index(lambdas, rho: float) -> float:
     infinite (super-power-law growth); that is reported as a warning, not an
     error, since a large finite surrogate is still usable.
     """
-    lam = _real_array(lambdas, "sequence entries")
+    lam = _array(lambdas, "sequence entries")
     if lam.ndim != 1 or lam.size < 16:
         raise InsufficientDataError(f"need at least 16 sequence terms, got {lam.size if lam.ndim == 1 else lam.shape}")
     rho = _real(rho, "order rho", 1.0)
@@ -310,16 +309,6 @@ class ThresholdReport:
     nonuniq_threshold: float
     density: float
     verdict: Verdict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "b": self.b,
-            "uniq_threshold": self.uniq_threshold,
-            "nonuniq_threshold": self.nonuniq_threshold,
-            "density": self.density,
-            "verdict": self.verdict.value,
-        }
 
 
 def classify_sequence(lambdas, rho: float, b: float) -> ThresholdReport:

@@ -18,8 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EvaluationOverflowError, ZeroNormError, _caller_stacklevel, _count, _real, _real_array, _require
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, panel_nodes, refine
+from .errors import (EvaluationOverflowError, QuadratureConvergenceError, ZeroNormError, _array, _caller_stacklevel,
+                     _complex, _count, _real, _require)
+from .quadrature import _MAX_DOUBLINGS, DEFAULT_QUADRATURE, QuadratureConfig, line_nodes, panel_nodes, refine
 from .sampling import SamplingSet
 from .entire import moment_integral
 from .windows import WindowModel, time_window_closed_form, time_window_values
@@ -62,13 +63,12 @@ class ClosedFormSignal:
                  f"got {self.width} at center {self.center}")
         # |h_k| <= pi^{-1/4} (Cramer's bound), so a Hermite signal peaks below pi^{-1/4} / sqrt(width)
         peak = math.pi ** -0.25 / math.sqrt(self.width) if self.family is SignalFamily.HERMITE else 1.0
-        amplitude = complex(self.amplitude)
-        _require(math.isfinite(math.hypot(amplitude.real, amplitude.imag) * peak),
+        object.__setattr__(self, "amplitude", _complex(self.amplitude, "amplitude"))
+        _require(math.isfinite(math.hypot(self.amplitude.real, self.amplitude.imag) * peak),
                  f"amplitude must be finite with a finite peak |amplitude| * {peak:.3g}, got {self.amplitude}")
-        object.__setattr__(self, "amplitude", amplitude)
 
     def evaluate(self, t) -> np.ndarray:
-        return self._centred(_real_array(t, "times") - self.center)
+        return self._centred(_array(t, "times") - self.center)
 
     def _centred(self, s: np.ndarray) -> np.ndarray:
         """The signal at the times c + s, from the offsets s alone."""
@@ -121,7 +121,7 @@ class GridSignal:
     step: float
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _array(self.values, "grid samples", complex)
         object.__setattr__(self, "values", vals)
         _require(vals.ndim == 1 and vals.size >= 2, "grid signal needs a 1-d array of at least 2 samples")
         _require(bool(np.all(np.isfinite(vals))), "grid samples must be finite")
@@ -175,7 +175,7 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
 
 def resample_bandlimited(signal: GridSignal, new_times) -> np.ndarray:
     """Sinc interpolation of a grid signal onto arbitrary times."""
-    new_times = _real_array(new_times, "times")
+    new_times = _array(new_times, "times")
     kernel = np.sinc((new_times[:, None] - signal.times[None, :]) / signal.step)
     return kernel @ signal.values
 
@@ -183,6 +183,17 @@ def resample_bandlimited(signal: GridSignal, new_times) -> np.ndarray:
 def window_l2_norm(window: WindowModel) -> float:
     """L2 norm of the window, via its Fourier side (Plancherel)."""
     return math.sqrt(moment_integral(0, 2.0 * window.a, window.m))
+
+
+def _check_resolvable(signals, nodes: int, what: str) -> None:
+    """Raise QuadratureConvergenceError for a Hermite index n >= nodes, the most nodes a level puts on its interval.
+
+    h_n changes sign n times, which fewer nodes cannot resolve; refine would find that only after n steps per level.
+    """
+    for sig in signals:
+        if getattr(sig, "family", None) is SignalFamily.HERMITE and sig.hermite_index >= nodes:
+            raise QuadratureConvergenceError(f"{what} cannot resolve Hermite index {sig.hermite_index} "
+                                             f"with at most {nodes} nodes on its interval")
 
 
 def _window_values(window: WindowModel, t: np.ndarray, shifts: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
@@ -251,6 +262,8 @@ def _transform(f: Signal, window: WindowModel, shifts, freqs, quad: QuadratureCo
                           "the transform is truncated by the signal grid", RuntimeWarning,
                           stacklevel=_caller_stacklevel())
     else:
+        # line_nodes puts the finest level's nodes on each half of the line
+        _check_resolvable((f,), 2 * quad.nodes * 2**_MAX_DOUBLINGS, what)
         half = f._half_width()
 
         def refined(nodes: int):
@@ -280,8 +293,8 @@ class SpectrogramSamples:
     magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = _real_array(self.points, "points")
-        mags = _real_array(self.magnitudes, "magnitudes")
+        pts = _array(self.points, "points")
+        mags = _array(self.magnitudes, "magnitudes")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "magnitudes", mags)
         _require(pts.ndim == 2 and pts.shape[1] == 2 and pts.shape[0] > 0, "points must be a nonempty (n, 2) array")
@@ -293,7 +306,7 @@ def _point_array(points) -> np.ndarray:
     # a SamplingSet's columns are computed from finite parameters
     if isinstance(points, SamplingSet):
         return points.points
-    pts = _real_array(points, "time-frequency points").reshape(-1, 2)
+    pts = _array(points, "time-frequency points").reshape(-1, 2)
     _require(pts.shape[0] > 0, "need at least one time-frequency point")
     _require(bool(np.isfinite(pts).all()), "time-frequency points must be finite")
     return pts
@@ -309,7 +322,7 @@ def spectrogram_on_set(f: Signal, window: WindowModel, points,
 
 def _uniform_grid(values, name: str) -> np.ndarray:
     """values as a float array, rejected unless 1-d, at least 2 long and uniformly increasing."""
-    g = _real_array(values, name)
+    g = _array(values, name)
     _require(g.ndim == 1 and g.size >= 2, f"{name} must be a 1-d array of at least 2 points")
     steps = np.diff(g)
     _require(bool(np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)) and steps[0] > 0,
@@ -358,6 +371,7 @@ def global_phase_residual(f: Signal, h: Signal,
     """
     if isinstance(f, GridSignal) or isinstance(h, GridSignal):
         g = f if isinstance(f, GridSignal) else h
+        _check_resolvable((f, h), g.values.size, "phase alignment")
         sums = _alignment_sums(_trapezoid_weights(g.values.size, g.step), _values_on(f, g.times),
                                _values_on(h, g.times))
     else:
@@ -366,6 +380,9 @@ def global_phase_residual(f: Signal, h: Signal,
             # f and h as two orthogonal atoms of their exact norms
             sums = _alignment_sums(np.ones(2), np.array([f.norm(), 0.0]), np.array([0.0, h.norm()]))
         else:
+            # the panels over both intervals number at most three
+            _check_resolvable((f, h), 3 * quad.nodes * 2**_MAX_DOUBLINGS, "phase alignment quadrature")
+
             def level(nodes: int):
                 s, w = panel_nodes(np.array(sorted({-xf, xf, d - xh, d + xh})), nodes)
                 sums = _alignment_sums(w, f._centred(s), h._centred(s - d))
@@ -394,15 +411,6 @@ class DiscriminationReport:
     alignment_phase: float
     aligned_residual: float
     verdict: DiscriminationVerdict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_dev": self.max_deviation,
-            "match": self.spectrograms_match,
-            "alpha": self.alignment_phase,
-            "residual": self.aligned_residual,
-            "verdict": self.verdict.value,
-        }
 
 
 def discriminate(f: Signal, h: Signal, window: WindowModel, points,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _real_array, _require
+from .errors import _array, _require
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -56,7 +56,7 @@ class WindowModel:
 
     def fourier_eval(self, xi):
         """exp(-a |xi|^m) on an array (or scalar) of real frequencies."""
-        return np.exp(-self.a * np.abs(_real_array(xi, "frequencies")) ** self.m)
+        return np.exp(-self.a * np.abs(_array(xi, "frequencies")) ** self.m)
 
 
 def make_generalized_gaussian(a: float, m: float) -> WindowModel:
@@ -77,7 +77,7 @@ def time_window_closed_form(window: WindowModel):
     rate = math.pi * math.pi / window.a
 
     def closed(t):
-        t = _real_array(t, "times")
+        t = _array(t, "times")
         # far times overflow rate * t^2 to inf, and e^-inf = 0 is exact
         with np.errstate(over="ignore"):
             return front * np.exp(-rate * t * t)
@@ -119,8 +119,8 @@ def time_window_values(window: WindowModel, ts, quad: QuadratureConfig = DEFAULT
     coefficient block, so shifts that span several coefficient blocks (more
     than 2^20 / |xi| of them) table the times once per block.
     """
-    ts = _real_array(ts, "times")
-    xs = _real_array(shifts, "shifts")
+    ts = _array(ts, "times")
+    xs = _array(shifts, "shifts")
     _require(bool(np.isfinite(ts).all()), "times must be finite")
     _require(bool(np.isfinite(xs).all()), "shifts must be finite")
     t = ts.ravel()

@@ -281,3 +281,43 @@ def test_acceptance_9_energy_identity_ladder_off_gaussian(m):
     # no closed-form window, as in C7; m = 1.5 is left out because its window's |t|^-5/2
     # time tail, cut off at |x| = 4, stops the ladder near 4e-6 (ROADMAP item 9)
     _check_energy_ladder(f"C9 energy-identity-ladder m={m:g}", make_generalized_gaussian(2.0, m))
+
+
+def _two_bump_discrimination(d, m, a, tol):
+    """f = b(t + d) + b(t - d) against h = b(t + d) - b(t - d), b = e^{-pi t^2}, on grids of step 1/32.
+
+    The set is the four-quadrant one at 0.9 of the bounds, with the smallest
+    count whose x-range tau1 count^((m-1)/m) reaches d + 2.
+    """
+    t = np.arange(-(d + 6.0), d + 6.0 + 1.0 / 64.0, 1.0 / 32.0)
+    b_minus, b_plus = np.exp(-math.pi * (t + d) ** 2), np.exp(-math.pi * (t - d) ** 2)
+    f, h = grid_signal(b_minus + b_plus, t[0], 1.0 / 32.0), grid_signal(b_minus - b_plus, t[0], 1.0 / 32.0)
+    bounds = max_tau_bounds(m, a)
+    tau1 = 0.9 * bounds.tau1_max
+    count = math.ceil(((d + 2.0) / tau1) ** (m / (m - 1.0)))
+    lam = generate_sampling_set(m, tau1, 0.9 * bounds.tau2_max, count, a=a)
+    return discriminate(f, h, make_generalized_gaussian(a, m), lam, tol=tol)
+
+
+def test_acceptance_14_two_bump_pair():
+    # |V_g f| and |V_g h| differ only by the cross term of the two bumps, which decays like
+    # e^{-c d^2} at m = 2 and like a power of d off the even integers (ROADMAP item 16). A
+    # run at tol = bound matches exactly when max_dev <= bound * scale, so its verdict
+    # places max_dev / scale against the bound, and then against the default tol 1e-6 too.
+    # At m = 2, d = 4 the set's scale is only 2.5e-6, so max_dev / scale is 1.2e-8 while
+    # max_dev itself is 3.0e-14
+    t0 = time.perf_counter()
+    gauss = _two_bump_discrimination(4.0, 2.0, math.pi, 1e-7)
+    rows = [(m, d, _two_bump_discrimination(d, m, 2.0, 1e-5))
+            for m, ds in ((3.0, (1.0, 2.0, 3.0, 4.0)), (1.5, (1.0, 2.0))) for d in ds]
+    elapsed = time.perf_counter() - t0
+    gauss_ok = (gauss.max_deviation < 1e-12 and gauss.spectrograms_match
+                and gauss.verdict is not DiscriminationVerdict.DISTINCT)
+    distinct_ok = all(r.verdict is DiscriminationVerdict.DISTINCT for _, _, r in rows)
+    ok = gauss_ok and distinct_ok and elapsed < 20.0
+    _report("C14 two-bump pair", ok,
+            f"m=2 d=4 max_dev {gauss.max_deviation:.1e} {gauss.verdict.value}; "
+            + ", ".join(f"m={m:g} d={d:g} {r.max_deviation:.1e}" for m, d, r in rows), elapsed, 20.0)
+    assert gauss_ok
+    assert distinct_ok
+    assert elapsed < 20.0

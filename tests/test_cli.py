@@ -307,6 +307,7 @@ def test_discriminate_equivalent(capsys):
     assert doc["meta"]["quad_nodes"] == DEFAULT_QUADRATURE.nodes
     assert doc["meta"]["quad_tol"] == DEFAULT_QUADRATURE.tol
     res = doc["result"]
+    assert set(res) == {"max_dev", "match", "alpha", "residual", "verdict", "points"}
     assert res["verdict"] == "EquivalentUpToPhase"
     assert abs(res["alpha"] - (2.0 * math.pi - 1.0)) < 1e-9
     assert res["points"] == 48
@@ -337,6 +338,7 @@ def test_low_decay_rate_warns_with_one_text(capsys):
     ("gaussian(amp=1e308)", 3, "numerical-failure", "leaves the float range"),
     ("gaussian(amp=nan)", 2, "invalid-parameter", "amplitude must be finite"),
     ("hermite(amp=1.7e308,width=1e-10)", 2, "invalid-parameter", "amplitude must be finite"),
+    ("hermite(index=1e30)", 3, "numerical-failure", "cannot resolve Hermite index"),
 ])
 def test_extreme_signal_is_one_json_error(capsys, spec, code, kind, fragment):
     got, error = only_json_error(capsys, "discriminate", "--f", spec, "--h", "gaussian", "--n", "2")

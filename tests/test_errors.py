@@ -4,12 +4,15 @@ A real is a finite real number other than a bool, a count is an integer
 other than a bool, and an array of reals has an integer or float dtype. So
 a bool, a numeric string, a complex number, NaN and inf raise
 InvalidParameterError naming the parameter, and numpy scalars give what the
-Python number gives. Complex parameters (amplitudes, the points z of a
-product, grid samples) are outside the table.
+Python number gives. A complex parameter (an amplitude, a point z of a
+product) is a finite complex number other than a bool, and an array of
+complexes (grid samples, the points of a product) has an integer, float or
+complex dtype. A ragged nested list is no array of either kind.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from stftuniq import (
     WindowModel,
     build_counterexample_product,
     canonical_product_eval,
+    canonical_product_log_magnitudes,
     chirp_signal,
     classify_sequence,
     counterexample_eval,
@@ -149,6 +153,17 @@ COUNTS = [
     ("parse_sequence_expr-count", "term count", lambda v: parse_sequence_expr("k", v), 20),
 ]
 
+PRODUCT = CounterexampleProduct(LAM, 3.0)
+COMPLEXES = [
+    ("ClosedFormSignal-amplitude", "amplitude",
+     lambda v: ClosedFormSignal(SignalFamily.GAUSSIAN, amplitude=v), 0.5 - 0.25j),
+    ("gaussian_signal-amplitude", "amplitude", lambda v: gaussian_signal(amplitude=v), 0.5 - 0.25j),
+    ("hermite_signal-amplitude", "amplitude", lambda v: hermite_signal(2, amplitude=v), 0.5 - 0.25j),
+    ("chirp_signal-amplitude", "amplitude", lambda v: chirp_signal(amplitude=v), 0.5 - 0.25j),
+    ("canonical_product_eval-z", "evaluation points", lambda v: canonical_product_eval(PRODUCT, v), 0.5 + 0.25j),
+    ("counterexample_eval-z", "evaluation points", lambda v: counterexample_eval(LAM, 3.0, v), 0.5 + 0.25j),
+]
+
 # (id, the name the message gives, the call with the array set to v, a valid v, whether NaN raises)
 ARRAYS = [
     ("fourier_eval-xi", "frequencies", lambda v: GAUSS.fourier_eval(v), [0.0, 0.5], False),
@@ -181,6 +196,16 @@ ARRAYS = [
     ("moyal_energy_check-omega_grid", "omega_grid",
      lambda v: moyal_energy_check(gaussian_signal(), GAUSS, np.linspace(-1.0, 1.0, 5), v), np.linspace(-1.0, 1.0, 5),
      True),
+]
+
+
+COMPLEX_ARRAYS = [
+    ("GridSignal-values", "grid samples", lambda v: GridSignal(v, -1.0, 0.5), [1.0, 0.5j]),
+    ("grid_signal-values", "grid samples", lambda v: grid_signal(v, -1.0, 0.5), [1.0, 0.5j]),
+    ("canonical_product_log_magnitudes-zs", "evaluation points",
+     lambda v: canonical_product_log_magnitudes(PRODUCT, v), [0.5, 0.25j]),
+    ("counterexample_log_magnitudes-zs", "evaluation points",
+     lambda v: counterexample_log_magnitudes(LAM, 3.0, v), [0.5, 0.25j]),
 ]
 
 
@@ -259,3 +284,45 @@ def test_rho_has_one_message(call):
         with pytest.raises(InvalidParameterError) as info:
             call(bad)
         assert str(info.value) == f"order rho must be a finite real > 1, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [True, "1", math.nan, complex(0.5, math.inf)], ids=["bool", "str", "nan", "inf"])
+@pytest.mark.parametrize("name, call, good", [row[1:] for row in COMPLEXES], ids=_ids(COMPLEXES))
+def test_complex_rule(name, call, good, bad):
+    call(good)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite and complex, got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call, good", [row[1:] for row in COMPLEXES], ids=_ids(COMPLEXES))
+def test_numpy_complexes_give_the_python_result(name, call, good):
+    assert _same(call(np.complex128(good)), call(good))
+    assert _same(call(np.float64(good.real)), call(good.real))
+
+
+@pytest.mark.parametrize("bad", [np.array([True, False]), np.array(["1", "2"]), np.array([1.0, None])],
+                         ids=["bool", "str", "object"])
+@pytest.mark.parametrize("name, call, good", [row[1:] for row in COMPLEX_ARRAYS], ids=_ids(COMPLEX_ARRAYS))
+def test_complex_array_dtype_rule(name, call, good, bad):
+    call(good)
+    call(np.array(good).real)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be numbers, got dtype {bad.dtype}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, complex(0.0, math.inf)])
+@pytest.mark.parametrize("name, call, good", [row[1:] for row in COMPLEX_ARRAYS], ids=_ids(COMPLEX_ARRAYS))
+def test_complex_array_finiteness(name, call, good, value):
+    bad = np.array(good, dtype=complex)
+    bad[-1] = value
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+        call(bad)
+
+
+# SpectrogramSamples-points reshapes its array before the call
+@pytest.mark.parametrize("name, call", [row[1:3] for row in ARRAYS + COMPLEX_ARRAYS
+                                        if row[0] != "SpectrogramSamples-points"],
+                         ids=_ids([row for row in ARRAYS + COMPLEX_ARRAYS if row[0] != "SpectrogramSamples-points"]))
+def test_ragged_lists_are_no_array(name, call):
+    with pytest.raises(InvalidParameterError, match=f"{name} must form a rectangular array"):
+        call([[1.0, 2.0], [3.0]])

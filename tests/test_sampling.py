@@ -24,6 +24,7 @@ from stftuniq import (
     uniqueness_threshold,
     zero_count_bound,
 )
+from stftuniq.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -271,10 +272,12 @@ def test_classify_three_verdicts():
     assert classify_sequence(1.5 * np.sqrt(k), 2.0, math.pi).verdict is Verdict.NOT_UNIQUE
 
 
-def test_threshold_report_json_round_trip():
+def test_threshold_report_json_round_trip(capsys):
+    # the CLI renders the report; its classify result reads back into the same report
     k = np.arange(1, 101, dtype=float)
     report = classify_sequence(0.3 * np.sqrt(k), 2.0, math.pi)
-    d = json.loads(json.dumps(report.to_json_dict()))
+    assert main(["classify", "--rho", "2", "--b", repr(math.pi), "--seq", "0.3*sqrt(k)", "--terms", "100"]) == 0
+    d = json.loads(capsys.readouterr().out)["result"]
     back = ThresholdReport(**{**d, "verdict": Verdict(d["verdict"])})
     assert back == report
     assert d["verdict"] == "Unique"
