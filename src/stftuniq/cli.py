@@ -49,7 +49,6 @@ from .sampling import (
 from .stft import (
     chirp_signal,
     discriminate,
-    gaussian_signal,
     hermite_signal,
 )
 
@@ -142,8 +141,6 @@ def parse_signal_spec(text: str):
     amp = kwargs.get("amp", 1.0) * cmath.exp(1j * kwargs.get("phase", 0.0))
     width = kwargs.get("width", 1.0)
     center = kwargs.get("center", 0.0)
-    if kind == "gaussian":
-        return gaussian_signal(width, center, amp)
     if kind == "hermite":
         index = kwargs.get("index", 0.0)
         # a whole float such as 3.0 reads as the count 3; NaN, inf and 2.5 reach the count check as floats
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-nodes", type=int, default=DEFAULT_QUADRATURE.nodes, dest="quad_nodes",
                    help="quadrature nodes per half interval")
     p.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.tol, dest="quad_tol",
-                   help="node-doubling stability tolerance")
+                   help="node-doubling stability tolerance, in (0, 1e-2)")
     p.add_argument("--f", required=True, help="signal spec, e.g. 'gaussian(width=1)'")
     p.add_argument("--h", required=True)
     p.add_argument("--m", type=float, default=2.0)

@@ -52,7 +52,8 @@ class QuadratureConfig:
     Every truncation radius follows from the integrand's own decay, so it is
     no setting. nodes counts Gauss-Legendre points per half-interval or
     panel; doubling stops once successive results agree to tol relative to
-    the result's scale, at most _MAX_DOUBLINGS times. The
+    the result's scale, at most _MAX_DOUBLINGS times; tol lies in (0, 1e-2),
+    since a looser one takes levels that share no digit as converged. The
     default starts at 256 nodes, which suffices for the smooth integrands
     and, with graded panels, for the |xi|^m kinks; the ceiling is
     256 * 2**4 = 4096 nodes per half, and a case that needs more raises
@@ -64,7 +65,7 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", _count(self.nodes, "quadrature nodes", 64))
-        object.__setattr__(self, "tol", _real(self.tol, "quadrature tol", 0.0, 1.0))
+        object.__setattr__(self, "tol", _real(self.tol, "quadrature tol", 0.0, 1e-2))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

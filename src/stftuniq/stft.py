@@ -1,8 +1,8 @@
 """Short-time Fourier transforms against decaying windows.
 
 Convention: V_g f(x, omega) = int f(t) conj(g(t - x)) e^{-2 pi i omega t} dt.
-Signals are either closed-form models (Gaussian bumps, Hermite functions,
-linear chirps) integrated by node-doubling quadrature around their centre,
+Signals are either closed-form atoms (Gaussian atoms, chirped or not, and
+Hermite functions) integrated by node-doubling quadrature around their centre,
 or samples on a uniform grid integrated by the trapezoid rule. One kernel,
 _transform, computes the integral at a list of real (shift, frequency)
 pairs; spectrogram sampling, phase-aware discrimination and an energy
@@ -33,16 +33,16 @@ _BLOCK = 1 << 21
 class SignalFamily(Enum):
     GAUSSIAN = "gaussian"
     HERMITE = "hermite"
-    LINEAR_CHIRP = "linear_chirp"
 
 
 @dataclass(frozen=True)
 class ClosedFormSignal:
     """Analytic signal model evaluated on demand.
 
-    Gaussian: A exp(-pi ((t - c)/s)^2). Hermite: A times the L2-normalized
-    Hermite function of the given index, dilated to width s. Chirp: the
-    Gaussian envelope with instantaneous frequency f0 + rate * (t - c).
+    Gaussian atom: A exp(-pi (s/w)^2 + 2 pi i (f0 s + rate s^2/2)) at s = t - c, width w,
+    f0 = chirp_start and rate = chirp_rate: a chirp of frequency f0 + rate s, the plain Gaussian
+    at f0 = rate = 0. Hermite atom: A times the L2-normalized Hermite function of the given index,
+    dilated to width w. Every field enters the atom's formula.
     """
 
     family: SignalFamily
@@ -58,6 +58,9 @@ class ClosedFormSignal:
         for name, low in (("width", 0.0), ("center", -math.inf), ("chirp_start", -math.inf), ("chirp_rate", -math.inf)):
             object.__setattr__(self, name, _real(getattr(self, name), name, low))
         object.__setattr__(self, "hermite_index", _count(self.hermite_index, "hermite_index", 0))
+        unused = ("chirp_start", "chirp_rate") if self.family is SignalFamily.HERMITE else ("hermite_index",)
+        _require(not any(getattr(self, name) for name in unused), f"a {self.family.value} atom takes no "
+                 f"{' or '.join(unused)}, got {', '.join(f'{name}={getattr(self, name)}' for name in unused)}")
         _require(0.0 < self._envelope_rate() < math.inf and math.isfinite(self.support_radius()),
                  f"width must be a positive real with a finite, nonzero envelope rate and support radius, "
                  f"got {self.width} at center {self.center}")
@@ -73,8 +76,6 @@ class ClosedFormSignal:
     def _centred(self, s: np.ndarray) -> np.ndarray:
         """The signal at the times c + s, from the offsets s alone."""
         u = s / self.width
-        if self.family is SignalFamily.GAUSSIAN:
-            return self.amplitude * np.exp(-math.pi * u * u).astype(complex)
         if self.family is SignalFamily.HERMITE:
             # normalized recurrence, h_0 = pi^{-1/4} e^{-u^2/2}; no H_k(u) to overflow
             prev, vals = np.zeros_like(u), math.pi**-0.25 * np.exp(-0.5 * u * u)
@@ -82,13 +83,14 @@ class ClosedFormSignal:
                 prev, vals = vals, math.sqrt(2.0 / (j + 1)) * u * vals - math.sqrt(j / (j + 1)) * prev
             return self.amplitude * vals.astype(complex) / math.sqrt(self.width)
         phase = (2.0 * math.pi) * (self.chirp_start * s + 0.5 * self.chirp_rate * s * s)
-        return self.amplitude * np.exp(-math.pi * u * u + 1j * phase)
+        # the real envelope times e^{i phase}: at phase 0 the plain Gaussian's bits
+        return self.amplitude * (np.exp(-math.pi * u * u) * np.exp(1j * phase))
 
     def norm(self) -> float:
         """Exact L2 norm."""
         if self.family is SignalFamily.HERMITE:
             return abs(self.amplitude)
-        # Gaussian envelope families: integral of |A|^2 e^{-2 pi u^2} s du
+        # Gaussian atom: integral of |A|^2 e^{-2 pi u^2} s du
         return abs(self.amplitude) * math.sqrt(self.width) * 2.0 ** -0.25
 
     def _envelope_rate(self) -> float:
@@ -148,7 +150,7 @@ Signal = ClosedFormSignal | GridSignal
 
 
 def gaussian_signal(width: float = 1.0, center: float = 0.0, amplitude=1.0) -> ClosedFormSignal:
-    return ClosedFormSignal(SignalFamily.GAUSSIAN, width=width, center=center, amplitude=amplitude)
+    return chirp_signal(width, center, amplitude)
 
 
 def hermite_signal(index: int, width: float = 1.0, center: float = 0.0, amplitude=1.0) -> ClosedFormSignal:
@@ -158,7 +160,7 @@ def hermite_signal(index: int, width: float = 1.0, center: float = 0.0, amplitud
 
 def chirp_signal(width: float = 1.0, center: float = 0.0, amplitude=1.0,
                  start_frequency: float = 0.0, chirp_rate: float = 0.0) -> ClosedFormSignal:
-    return ClosedFormSignal(SignalFamily.LINEAR_CHIRP, width=width, center=center, amplitude=amplitude,
+    return ClosedFormSignal(SignalFamily.GAUSSIAN, width=width, center=center, amplitude=amplitude,
                             chirp_start=start_frequency, chirp_rate=chirp_rate)
 
 
@@ -364,7 +366,9 @@ def global_phase_residual(f: Signal, h: Signal,
 
     alpha maximizes Re e^{-i alpha} <f, h> (so alpha = arg <f, h>, reported
     in [0, 2 pi)), and the residual is ||f - e^{i alpha} h|| / ||f||; both
-    norms must be nonzero. A grid signal gives trapezoid sums on its grid.
+    norms must be nonzero. A grid signal gives trapezoid sums on its grid; a
+    closed-form partner that reaches past the grid takes its exact norm, and
+    the residual then follows from ||f||^2 + ||h||^2 - 2 |<f, h>|.
     Closed-form pairs are refined under quad on panels over both half-width
     intervals, in offsets s from f's centre with h at s - (c_h - c_f), so a
     far common centre loses no digits; disjoint supports give <f, h> = 0.
@@ -374,6 +378,15 @@ def global_phase_residual(f: Signal, h: Signal,
         _check_resolvable((f, h), g.values.size, "phase alignment")
         sums = _alignment_sums(_trapezoid_weights(g.values.size, g.step), _values_on(f, g.times),
                                _values_on(h, g.times))
+        other = h if g is f else f
+        if isinstance(other, ClosedFormSignal) and not (g.start <= other.center - other._half_width()
+                                                        and other.center + other._half_width() <= g.times[-1]):
+            # other reaches past the grid: its energy from the closed form, <f, h> from the grid (g is 0
+            # off it), and the residual from those three, not summed
+            sums[int(other is h)] = other.norm() * other.norm()
+            sums[3] = max(sums[0].real + sums[1].real - 2.0 * abs(sums[2]), 0.0)
+            if not math.isfinite(sums[3].real):
+                raise EvaluationOverflowError("signal energy leaves the float range")
     else:
         d, xf, xh = h.center - f.center, f._half_width(), h._half_width()
         if abs(d) >= xf + xh:

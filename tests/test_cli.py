@@ -11,7 +11,7 @@ import pytest
 
 import stftuniq.cli as cli
 import stftuniq.entire as entire
-from stftuniq import DEFAULT_QUADRATURE, SamplingSet, predicted_growth
+from stftuniq import DEFAULT_QUADRATURE, InvalidParameterError, SamplingSet, gaussian_signal, predicted_growth
 from stftuniq.cli import main, parse_sequence_expr, parse_signal_spec
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -73,6 +73,15 @@ def test_signal_specs():
     for bad in ("gauss(width=1)", "gaussian(width=1", "gaussian(whatever=2)",
                 "hermite(index=1.5)"):
         with pytest.raises(Exception):
+            parse_signal_spec(bad)
+
+
+def test_gaussian_and_chirp_specs_build_one_atom():
+    assert parse_signal_spec("gaussian(width=2)") == gaussian_signal(2.0)
+    assert parse_signal_spec("chirp(width=2)") == gaussian_signal(2.0)
+    # the grammar keeps its keys: a chirp field is for chirp, and neither takes index
+    for bad in ("gaussian(f0=1)", "gaussian(rate=1)", "chirp(index=2)", "hermite(index=2, rate=1)"):
+        with pytest.raises(InvalidParameterError, match="bad signal argument"):
             parse_signal_spec(bad)
 
 
@@ -245,6 +254,14 @@ def test_invalid_quadrature_config_exit_code(capsys):
                            "--n", "2", "--quad-nodes", "32")
     assert code == 2
     assert last_json(err)["error"]["message"] == "quadrature nodes must be an integer >= 64, got 32"
+
+
+def test_loose_quadrature_tol_is_rejected(capsys):
+    # refine would take two levels that differ by half the scale as converged
+    code, _, err = run_cli(capsys, "discriminate", "--f", "gaussian", "--h", "gaussian", "--n", "2",
+                           "--quad-tol", "0.5")
+    assert code == 2
+    assert last_json(err)["error"]["message"] == "quadrature tol must be a finite real > 0 and < 0.01, got 0.5"
 
 
 def test_deleted_scan_window_command_is_rejected(capsys):

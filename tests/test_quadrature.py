@@ -120,6 +120,9 @@ def test_config_validation():
         dict(nodes=32),
         dict(tol=0.0),
         dict(tol=-1e-3),
+        # a tol this loose takes levels that share no digit as converged
+        dict(tol=0.5),
+        dict(tol=1e-2),
     ):
         with pytest.raises(InvalidParameterError):
             QuadratureConfig(**bad)

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from stftuniq import (
+    ClosedFormSignal,
     DiscriminationVerdict,
     EvaluationOverflowError,
     InvalidParameterError,
     QuadratureConfig,
     QuadratureConvergenceError,
+    SignalFamily,
     SpectrogramSamples,
     ZeroNormError,
     chirp_signal,
@@ -48,6 +50,35 @@ def test_signal_norms():
     amp = 2.0 * cmath.exp(1j * 0.4)
     assert math.isclose(gaussian_signal(width=1.5, amplitude=amp).norm(),
                         2.0 * math.sqrt(1.5) * 2.0**-0.25, rel_tol=1e-14)
+
+
+def test_the_chirp_is_the_gaussian_atom():
+    assert [family.value for family in SignalFamily] == ["gaussian", "hermite"]
+    assert chirp_signal(1.5, 0.3, 0.5j) == gaussian_signal(1.5, 0.3, 0.5j)
+    # f0 and rate enter the Gaussian atom's formula
+    atom = ClosedFormSignal(SignalFamily.GAUSSIAN, chirp_start=1.0, chirp_rate=5.0)
+    assert atom == chirp_signal(start_frequency=1.0, chirp_rate=5.0)
+    s = np.linspace(-2.0, 2.0, 41)
+    want = np.exp(-math.pi * s * s + 2j * math.pi * (s + 2.5 * s * s))
+    np.testing.assert_allclose(atom.evaluate(s), want, rtol=1e-13, atol=1e-15)
+
+
+def test_gaussian_values_are_the_real_envelope_bits():
+    # at f0 = rate = 0 the phase factor is exactly 1
+    s = np.linspace(-5.0, 5.0, 1001)
+    u = s / 1.3
+    want = (0.7 - 0.2j) * np.exp(-math.pi * u * u).astype(complex)
+    assert np.array_equal(gaussian_signal(1.3, 0.0, 0.7 - 0.2j).evaluate(s), want)
+
+
+@pytest.mark.parametrize("family, fields", [
+    (SignalFamily.GAUSSIAN, dict(hermite_index=2)),
+    (SignalFamily.HERMITE, dict(hermite_index=2, chirp_rate=5.0)),
+    (SignalFamily.HERMITE, dict(chirp_start=1.0)),
+], ids=["gaussian-index", "hermite-rate", "hermite-f0"])
+def test_an_atom_rejects_a_field_its_formula_ignores(family, fields):
+    with pytest.raises(InvalidParameterError, match=f"^a {family.value} atom takes no "):
+        ClosedFormSignal(family, **fields)
 
 
 def test_grid_norm_matches_closed_form():
@@ -450,6 +481,50 @@ def test_phase_alignment_of_a_grid_and_a_closed_form_signal(grid_side):
     h = _gauss_grid(_H, -8.0, 0.25, 8.0) if grid_side == "h" else gaussian_signal(_H[1], _H[2], _H[0])
     alpha, residual = global_phase_residual(f, h)
     _check_alignment_against_closed_form(alpha, residual, 0.25)
+
+
+def _grid_sum_error(a, step, stop):
+    """Bound on the trapezoid sum of e^{-a t^2} at this step on [-stop, stop] against its integral.
+
+    The sum over the whole line errs by 2 e^{-pi^2 / (a k^2)} of the integral (Poisson
+    summation). The grid drops half of each edge term and every term past the edges, and
+    those fall by at least r = e^{-2 a stop k} per step, so it drops at most
+    k e (1 + r) / (1 - r), with e = e^{-a stop^2} the integrand at the edge.
+    """
+    r = math.exp(-2.0 * a * stop * step)
+    poisson = 2.0 * math.exp(-math.pi**2 / (a * step * step)) * math.sqrt(math.pi / a)
+    return poisson + step * math.exp(-a * stop * stop) * (1.0 + r) / (1.0 - r)
+
+
+@pytest.mark.parametrize("grid_side", ["f", "h"])
+def test_phase_alignment_takes_the_exact_norm_of_a_partner_past_the_grid(grid_side):
+    # e^{-pi t^2} on [-2, 2] at step 1/4 against e^{-pi (t/3)^2}, which reaches |t| = 11; the
+    # grid sum of f conj(h), still 8.7e-7 at t = +-2, bounds the error. Summed on the grid, the
+    # residual lost the partner's energy past it: 1.1224 and 0.6543 for 1.1475 and 0.6625
+    step, stop = 0.25, 2.0
+    narrow, wide = (1.0, 1.0, 0.0), (1.0, 3.0, 0.0)
+    grid = _gauss_grid(narrow, -stop, step, stop)
+    f, h, pf, ph = ((grid, gaussian_signal(3.0), narrow, wide) if grid_side == "f"
+                    else (gaussian_signal(3.0), grid, wide, narrow))
+    alpha, residual = global_phase_residual(f, h)
+    nf2, nh2, inner = _gaussian_pair_sums(*pf, *ph)
+    d_inner = _grid_sum_error(math.pi * (1.0 + 1.0 / 9.0), step, stop)
+    d_grid2 = _grid_sum_error(2.0 * math.pi, step, stop)
+    d_nf2, d_nh2 = (d_grid2, 0.0) if grid_side == "f" else (0.0, d_grid2)
+    res2 = nf2 + nh2 - 2.0 * abs(inner)
+    want = math.sqrt(res2 / nf2)
+    # each grid sum falls short of its integral, which only raises the residual here, and sqrt
+    # is concave, so the first-order change bounds the residual's
+    d_res = (d_nf2 * (1.0 + res2 / nf2) + d_nh2 + 2.0 * d_inner) / (2.0 * want * nf2)
+    assert alpha == 0.0
+    assert abs(residual - want) <= d_res + 1e-14
+
+
+def test_phase_alignment_of_a_partner_past_the_grid_overflow_is_typed():
+    # off the grid the partner's samples are 0, but its exact energy leaves the float range
+    grid = _gauss_grid((1.0, 1.0, 0.0), -2.0, 0.25, 2.0)
+    with pytest.raises(EvaluationOverflowError, match="signal energy leaves the float range"):
+        global_phase_residual(grid, gaussian_signal(center=1000.0, amplitude=1e160))
 
 
 def test_phase_alignment_of_two_grids_with_different_steps(monkeypatch):

@@ -16,7 +16,8 @@ from stftuniq import (
     moment_integral,
     stft_eval,
 )
-from stftuniq.quadrature import decay_truncation_radius, graded_nodes, line_nodes, panel_nodes
+import stftuniq.windows as windows
+from stftuniq.quadrature import decay_truncation_radius, graded_nodes, line_nodes, panel_nodes, refine
 from stftuniq.windows import time_window_closed_form, time_window_values
 
 
@@ -116,12 +117,16 @@ def test_time_side_dtype_follows_the_times():
 
 @pytest.mark.parametrize("m", [1.2, 1.5, 3.0])
 @pytest.mark.parametrize("offset", [0.0, 0.3])
-def test_cosine_transform_matches_the_full_line_sum(m, offset):
+def test_cosine_transform_matches_the_full_line_sum(m, offset, monkeypatch):
     window = make_generalized_gaussian(2.0, m)
     # the offset moves the times off the grid that is symmetric about 0
     ts = np.linspace(-3.0, 3.0, 13) + offset
-    # a tolerance no change exceeds returns the level at 2 * 256 nodes after one doubling
-    got = time_window_values(window, ts, QuadratureConfig(nodes=256, tol=0.5))
+    # at tol 1e-3 the first doubling already converges, and returns the level at 2 * 256 nodes
+    levels = []
+    monkeypatch.setattr(windows, "refine",
+                        lambda level, quad, what: refine(lambda n: levels.append(n) or level(n), quad, what))
+    got = time_window_values(window, ts, QuadratureConfig(nodes=256, tol=1e-3))
+    assert levels == [256, 512]
     want = _full_line(window, ts, decay_truncation_radius(2.0, m), 512)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
